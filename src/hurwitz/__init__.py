@@ -9,6 +9,9 @@ stable words and desk-scale claim certification), and
 :mod:`~hurwitz.reports` / :mod:`~hurwitz.cli` (report assembly, caching, the
 command line).
 """
+# Set before the submodule imports: the result cache key reads it.
+__version__ = "0.1.0"
+
 from .perms import (
     CycleType,
     LimitExceededError,
@@ -75,4 +78,3 @@ from .constructions import (
 )
 from .reports import ComponentQuery, RunConfig, count_components, theorem_report
 
-__version__ = "0.1.0"

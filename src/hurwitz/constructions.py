@@ -50,15 +50,16 @@ from .perms import (
     transpositions,
     validate_cycle_type,
 )
-from .orbits import DEFAULT_LIMITS, EquivalenceReport, SearchLimits, are_equivalent
-from .words import (
-    Factorization,
-    Move,
-    State,
-    apply_moves_state,
-    move_left_state,
-    move_right_state,
+from .orbits import (
+    DEFAULT_LIMITS,
+    EquivalenceReport,
+    Parents,
+    SearchLimits,
+    are_equivalent,
+    neighbors,
+    trace_moves,
 )
+from .words import Coded, Factorization, Move, MoveKernel, State, apply_moves_state
 
 ANCHORS = (3, 4)
 
@@ -283,7 +284,8 @@ def _certified_row(name: str, w1: Factorization, w2: Factorization,
     eq = are_equivalent(w1, w2, limits)
     moves = eq.certificate
     if eq.status == "yes" and moves is not None:
-        assert apply_moves_state(w1.factors, moves) == w2.factors, "certificate replay failed"
+        if apply_moves_state(w1.factors, moves) != w2.factors:
+            raise RuntimeError(f"{name}: certificate replay failed")
     return ClaimRow(name, expected, eq.status, moves,
                     detail=eq.reason or f"states_explored={eq.states_explored}")
 
@@ -453,49 +455,34 @@ def rewrite_with_stable_tail(word: Factorization, tail: Factorization,
     t = len(tail)
     if t > len(word):
         raise ValueError("tail longer than the word")
-    goal = tail.factors
+    kernel = MoveKernel(word.degree)
+    goal = kernel.encode_word(tail.factors)
 
-    def has_tail(state: State) -> bool:
+    def has_tail(state: Coded) -> bool:
         return state[len(state) - t:] == goal
 
-    start = word.factors
+    start = kernel.encode_word(word.factors)
     if has_tail(start):
         return TailReport("yes", (), word, 0, "already ends with the tail")
-    parents: dict[State, tuple[State, Move] | None] = {start: None}
+    parents: Parents = {start: None}
     queue = [start]
-    head = 0
-    while head < len(queue):
-        s = queue[head]
-        head += 1
-        for i0 in range(len(s) - 1):
-            for direction, ns in (("R", move_right_state(s, i0)),
-                                  ("L", move_left_state(s, i0))):
-                if ns in parents:
-                    continue
-                parents[ns] = (s, Move(i0 + 1, direction))
-                if has_tail(ns):
-                    moves = _trace(parents, ns)
-                    final = Factorization.from_state(word.degree, ns)
-                    assert apply_moves_state(start, moves) == ns
-                    return TailReport("yes", tuple(moves), final, len(parents))
-                if len(parents) >= limits.max_states:
-                    return TailReport("unknown", None, None, len(parents),
-                                      f"max_states={limits.max_states}")
-                queue.append(ns)
+    for s in queue:
+        for code, ns in enumerate(neighbors(kernel, s)):
+            if ns in parents:
+                continue
+            parents[ns] = (s, code)
+            if has_tail(ns):
+                moves = tuple(trace_moves(parents, ns))
+                final = Factorization.from_state(word.degree, kernel.decode_word(ns))
+                if apply_moves_state(word.factors, moves) != final.factors:
+                    raise RuntimeError("stable-tail certificate replay failed")
+                return TailReport("yes", moves, final, len(parents))
+            if len(parents) >= limits.max_states:
+                return TailReport("unknown", None, None, len(parents),
+                                  f"max_states={limits.max_states}")
+            queue.append(ns)
     return TailReport("unknown", None, None, len(parents),
                       "orbit fully enumerated; no member ends with the tail")
-
-
-def _trace(parents: dict[State, tuple[State, Move] | None], state: State) -> list[Move]:
-    out: list[Move] = []
-    while True:
-        entry = parents[state]
-        if entry is None:
-            break
-        state, move = entry
-        out.append(move)
-    out.reverse()
-    return out
 
 
 def check_stable_tail(degree: int, cycle_type, limits: SearchLimits = DEFAULT_LIMITS,

@@ -5,22 +5,28 @@ definite when the underlying search ran to completion within its limits, and
 hitting a limit is a first-class outcome (``complete=False`` / ``"unknown"``),
 never a silent truncation.
 
-Word states are bare tuples of :class:`~hurwitz.perms.Perm`; deduplication
-hashes the full one-line contents, and hash hits fall back to full tuple
-comparison, so collisions are safe.
+The searches (orbit closure, bidirectional equivalence, and the stable-tail
+search in :mod:`hurwitz.constructions`) run on coded words: tuples of the
+integer factor codes of one :class:`~hurwitz.words.MoveKernel`, expanded by
+:func:`neighbors`.  ``Perm`` words appear only at the boundaries: coding the
+inputs, decoding the results, and replaying certificates.  Coding keeps
+order, so the least coded word of an orbit decodes to its least word.  Fiber
+enumeration and the union-find work on ``Perm`` words directly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .perms import Perm, class_elements, class_reflection_length, closure, is_transitive, transpositions, validate_cycle_type
 from .words import (
+    Coded,
     Factorization,
     Move,
+    MoveKernel,
     State,
     TypeVector,
     conjugate_state,
-    move_left_state,
     move_right_state,
     product_of_state,
 )
@@ -38,10 +44,40 @@ class SearchLimits:
 DEFAULT_LIMITS = SearchLimits()
 
 
-def _move_neighbors(state: State):
-    for i0 in range(len(state) - 1):
-        yield Move(i0 + 1, "R"), move_right_state(state, i0)
-        yield Move(i0 + 1, "L"), move_left_state(state, i0)
+def neighbors(kernel: MoveKernel, state: Coded, conj: Coded = ()) -> list[Coded]:
+    """The neighbours of a coded word, in a fixed order: R then L at each
+    position, then conjugation by each code in ``conj``.
+
+    A neighbour's index in the list is its move code; :func:`trace_moves`
+    turns the codes of R and L back into :class:`Move` objects.
+    """
+    conjugate, left = kernel.conjugate, kernel.left
+    out = []
+    append = out.append
+    for i in range(len(state) - 1):
+        a = state[i]
+        b = state[i + 1]
+        head = state[:i]
+        tail = state[i + 2:]
+        append(head + (conjugate[a, b], a) + tail)
+        append(head + (b, left[a, b]) + tail)
+    for g in conj:
+        append(tuple([conjugate[g, x] for x in state]))
+    return out
+
+
+#: A search tree: each reached word maps to (parent word, move code), the
+#: root to None.
+Parents = dict[Coded, tuple[Coded, int] | None]
+
+
+def trace_moves(parents: Parents, state: Coded) -> list[Move]:
+    """The moves leading from the root of ``parents`` to ``state``."""
+    codes: list[int] = []
+    while (entry := parents[state]) is not None:
+        state, code = entry
+        codes.append(code)
+    return [Move(code // 2 + 1, "RL"[code % 2]) for code in reversed(codes)]
 
 
 @dataclass
@@ -54,27 +90,20 @@ class OrbitReport:
     limit_hit: str | None = None
 
 
-def _orbit_states(state0: State, degree: int, max_states: int,
-                  conjugation_quotient: bool = False) -> tuple[set[State], bool]:
-    """Breadth-first closure of ``state0`` under the moves (and, optionally,
-    simultaneous conjugation).  Returns (visited, complete)."""
-    conj_gens = transpositions(degree) if conjugation_quotient else ()
+def _orbit_states(kernel: MoveKernel, state0: Coded, max_states: int,
+                  conj: Coded = ()) -> tuple[set[Coded], bool]:
+    """Breadth-first closure of ``state0`` under the moves and conjugation
+    by the codes in ``conj``.  Returns (visited, complete)."""
     visited = {state0}
     queue = [state0]
-    head = 0
-    complete = True
-    while head < len(queue):
-        s = queue[head]
-        head += 1
-        nbrs = [ns for _, ns in _move_neighbors(s)]
-        nbrs.extend(conjugate_state(s, g) for g in conj_gens)
-        for ns in nbrs:
+    for s in queue:
+        for ns in neighbors(kernel, s, conj):
             if ns not in visited:
                 if len(visited) >= max_states:
                     return visited, False
                 visited.add(ns)
                 queue.append(ns)
-    return visited, complete
+    return visited, True
 
 
 def enumerate_orbit(start: Factorization, limits: SearchLimits = DEFAULT_LIMITS,
@@ -86,11 +115,16 @@ def enumerate_orbit(start: Factorization, limits: SearchLimits = DEFAULT_LIMITS,
     When complete, ``canonical`` is the lexicographically least word of the
     orbit (factors compared in one-line notation, words left to right).
     """
-    visited, complete = _orbit_states(start.factors, start.degree,
-                                      limits.max_states, conjugation_quotient)
+    kernel = MoveKernel(start.degree)
+    conj = kernel.encode_word(transpositions(start.degree)) if conjugation_quotient else ()
+    visited, complete = _orbit_states(kernel, kernel.encode_word(start.factors),
+                                      limits.max_states, conj)
     if check_invariants:
-        _assert_orbit_invariants(start, visited, conjugation_quotient)
-    canonical = Factorization.from_state(start.degree, min(visited)) if complete else None
+        _assert_orbit_invariants(start, [kernel.decode_word(s) for s in visited],
+                                 conjugation_quotient)
+    canonical = None
+    if complete:
+        canonical = Factorization.from_state(start.degree, kernel.decode_word(min(visited)))
     return OrbitReport(
         start=start,
         size=len(visited),
@@ -101,7 +135,7 @@ def enumerate_orbit(start: Factorization, limits: SearchLimits = DEFAULT_LIMITS,
     )
 
 
-def _assert_orbit_invariants(start: Factorization, states: set[State],
+def _assert_orbit_invariants(start: Factorization, states: list[State],
                              conjugation_quotient: bool) -> None:
     d = start.degree
     want_type = start.type_vector()
@@ -131,18 +165,6 @@ class EquivalenceReport:
     reason: str | None = None
 
 
-def _trace_moves(parents: dict[State, tuple[State, Move] | None], state: State) -> list[Move]:
-    out: list[Move] = []
-    while True:
-        entry = parents[state]
-        if entry is None:
-            break
-        state, move = entry
-        out.append(move)
-    out.reverse()
-    return out
-
-
 def are_equivalent(s1: Factorization, s2: Factorization,
                    limits: SearchLimits = DEFAULT_LIMITS) -> EquivalenceReport:
     """Decide whether two words represent the same semigroup element.
@@ -165,13 +187,15 @@ def are_equivalent(s1: Factorization, s2: Factorization,
     if s1.factors == s2.factors:
         return EquivalenceReport("yes", (), 0)
 
-    sides: list[dict[State, tuple[State, Move] | None]] = [
-        {s1.factors: None}, {s2.factors: None}]
-    frontiers: list[list[State]] = [[s1.factors], [s2.factors]]
+    kernel = MoveKernel(s1.degree)
+    c1 = kernel.encode_word(s1.factors)
+    c2 = kernel.encode_word(s2.factors)
+    sides: list[Parents] = [{c1: None}, {c2: None}]
+    frontiers: list[list[Coded]] = [[c1], [c2]]
 
-    def build_certificate(meeting: State) -> tuple[Move, ...]:
-        forward = _trace_moves(sides[0], meeting)
-        backward = _trace_moves(sides[1], meeting)
+    def build_certificate(meeting: Coded) -> tuple[Move, ...]:
+        forward = trace_moves(sides[0], meeting)
+        backward = trace_moves(sides[1], meeting)
         return tuple(forward + [m.invert() for m in reversed(backward)])
 
     while True:
@@ -186,12 +210,12 @@ def are_equivalent(s1: Factorization, s2: Factorization,
         else:
             side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         mine, other = sides[side], sides[1 - side]
-        new_frontier: list[State] = []
+        new_frontier: list[Coded] = []
         for s in frontiers[side]:
-            for move, ns in _move_neighbors(s):
+            for code, ns in enumerate(neighbors(kernel, s)):
                 if ns in mine:
                     continue
-                mine[ns] = (s, move)
+                mine[ns] = (s, code)
                 new_frontier.append(ns)
                 if ns in other:
                     return EquivalenceReport(
@@ -280,7 +304,7 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
             if spec.constraint == "transitive":
                 cached = is_transitive(d, key)
             else:
-                cached = len(closure(d, key)) == _factorial(d)
+                cached = len(closure(d, key)) == math.factorial(d)
             constraint_memo[key] = cached
         return cached
 
@@ -319,13 +343,6 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
     if limit_hit:
         return FiberReport(words, False, limit_hit[0])
     return FiberReport(words, True)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 class UnionFind:
@@ -412,18 +429,22 @@ def orbit_partition_by_sweeps(words: list[State], degree: int,
     :func:`count_orbits_in_fiber`; used to cross-check it.  Returns None if
     any orbit enumeration hits the state limit.
     """
-    remaining = set(words)
+    kernel = MoveKernel(degree)
+    conj = kernel.encode_word(transpositions(degree)) if conjugation_quotient else ()
+    coded = [kernel.encode_word(w) for w in words]
+    fiber = set(coded)
+    remaining = set(coded)
     out: list[frozenset[State]] = []
-    for w in words:  # fixed order for determinism
-        if w not in remaining:
+    for c in coded:  # fixed order for determinism
+        if c not in remaining:
             continue
-        visited, complete = _orbit_states(w, degree, limits.max_states, conjugation_quotient)
+        visited, complete = _orbit_states(kernel, c, limits.max_states, conj)
         if not complete:
             return None
-        members = visited & set(words)
-        assert members == visited, "orbit escaped the fiber"
-        out.append(frozenset(members))
-        remaining -= members
+        if not visited <= fiber:
+            raise RuntimeError("orbit escaped the fiber")
+        out.append(frozenset(map(kernel.decode_word, visited)))
+        remaining -= visited
     return sorted(out, key=min)
 
 

@@ -5,14 +5,17 @@ Reports are plain dicts with a fixed construction order and a
 seed, and limits (worker count never appears in a report).  CSV is available
 for tabular bodies (anything carrying ``rows``), text is a readable summary.
 
-The cache maps a content hash of (schema version, command, query, seed,
-limits, format) to the exact serialized payload, so cache hits are
-byte-identical to recomputation by construction; writes go through a
-temporary file and an atomic rename.
+The cache maps a content hash of (schema version, package version, package
+sources, command, query, seed, limits, format) to the exact serialized
+payload, so cache hits are byte-identical to recomputation by construction
+and a code change never serves an old result.  Each entry carries the
+payload's sha256, checked on read; a mismatch is a miss.  Writes go through
+a temporary file and an atomic rename.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from pathlib import Path
 
+from . import __version__
 from .class_metrics import ClassMetrics, MinWordResult, compute_class_metrics, stability_bound
 from .constructions import ClaimReport
 from .orbits import FiberSpec, ScanRow, SearchLimits, count_orbits_in_fiber, stable_length_scan
@@ -127,16 +131,33 @@ def emit(report: dict, cfg: RunConfig) -> str:
 
 # -- caching ---------------------------------------------------------------------
 
+@functools.cache
+def source_digest() -> str:
+    """sha256 over the package's ``*.py`` sources, read once per process on
+    first use (not at import)."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode("utf-8") + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def cache_key(command: str, query: dict, cfg: RunConfig) -> str:
     material = json.dumps({
         "schema_version": SCHEMA_VERSION,
+        "version": __version__,
+        "source": source_digest(),
         "command": command,
         "query": query,
         "seed": cfg.seed,
         "limits": [cfg.max_states, cfg.max_fiber],
         "format": cfg.output_format,
     }, sort_keys=True)
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    return _sha256(material)
 
 
 def cache_get(cfg: RunConfig, key: str) -> tuple[str, int] | None:
@@ -145,8 +166,11 @@ def cache_get(cfg: RunConfig, key: str) -> tuple[str, int] | None:
     path = Path(cfg.cache_dir) / f"{key}.json"
     try:
         entry = json.loads(path.read_text(encoding="utf-8"))
-        return entry["payload"], int(entry["exit_code"])
-    except (OSError, ValueError, KeyError):
+        payload = entry["payload"]
+        if _sha256(payload) != entry["sha256"]:
+            return None
+        return payload, int(entry["exit_code"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
 
 
@@ -155,7 +179,7 @@ def cache_put(cfg: RunConfig, key: str, payload: str, exit_code: int) -> None:
         return
     directory = Path(cfg.cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    data = json.dumps({"exit_code": exit_code, "payload": payload})
+    data = json.dumps({"exit_code": exit_code, "payload": payload, "sha256": _sha256(payload)})
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:

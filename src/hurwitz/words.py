@@ -10,7 +10,9 @@ rewritten into the other by the local moves
 which are mutually inverse and preserve the product, the type (multiset of
 factor classes), the length, and the subgroup generated by the factors.
 Deciding that equivalence is the job of :mod:`hurwitz.orbits`; this module
-only applies moves.
+only applies moves.  The ``*_state`` functions apply them to ``Perm`` words
+(the reference and I/O path); :class:`MoveKernel` applies them to
+integer-coded words, the form the searches run on.
 
 File format: a header line ``d=<degree>`` followed by one word per line,
 factors in cycle notation separated by spaces, e.g. ``(1,2) (2,3) (1,3)``.
@@ -25,40 +27,104 @@ from typing import Iterable, Sequence
 
 from .perms import CycleType, Perm, closure, format_cycle_type, is_transitive, parse_cycle_type, validate_cycle_type
 
-#: A word as the orbit engine sees it: a bare tuple of Perm values.
+#: A word as a bare tuple of Perm values: the reference and I/O form.
 State = tuple[Perm, ...]
 
-# Shared instances of small-degree permutations keep large visited sets compact
-# and make tuple comparisons short-circuit on identity.
-_INTERN_MAX_DEGREE = 7
-_intern_tables: dict[int, dict[Perm, Perm]] = {}
-
-
-def _intern(p: Perm) -> Perm:
-    d = len(p)
-    if d > _INTERN_MAX_DEGREE:
-        return p
-    table = _intern_tables.setdefault(d, {})
-    return table.setdefault(p, p)
+#: A word as the searches see it: each factor replaced by its
+#: :class:`MoveKernel` code.
+Coded = tuple[int, ...]
 
 
 def move_right_state(state: State, index0: int) -> State:
     """Apply the R move at 0-based pair index ``index0``."""
     a = state[index0]
     b = state[index0 + 1]
-    return state[:index0] + (_intern(a.conjugate(b)), a) + state[index0 + 2:]
+    return state[:index0] + (a.conjugate(b), a) + state[index0 + 2:]
 
 
 def move_left_state(state: State, index0: int) -> State:
     """Apply the L move at 0-based pair index ``index0``."""
     a = state[index0]
     b = state[index0 + 1]
-    return state[:index0] + (b, _intern(b.inverse().conjugate(a))) + state[index0 + 2:]
+    return state[:index0] + (b, b.inverse().conjugate(a)) + state[index0 + 2:]
 
 
 def conjugate_state(state: State, g: Perm) -> State:
     """Conjugate every factor by ``g``."""
-    return tuple(_intern(g.conjugate(f)) for f in state)
+    return tuple(g.conjugate(f) for f in state)
+
+
+class _Memo(dict):
+    """A dict that fills a missing pair key ``(a, b)`` with ``compute(a, b)``."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute) -> None:
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        value = self[key] = self.compute(*key)
+        return value
+
+
+class MoveKernel:
+    """Integer codes for the factors one search meets, and the moves on them.
+
+    A factor's code is its rank among the permutations of 1..d in
+    lexicographic one-line order, the order of ``itertools.permutations``.
+    Coding therefore keeps order: a coded word compares exactly as its
+    ``Perm`` tuple does, so the least coded word of a set decodes to the
+    least word.  Codes are assigned on first sight and nothing is sized by
+    the order of S_d, so every degree takes the same path.
+
+    The moves are memoized per code pair on first use, so a search pays
+    ``Perm`` arithmetic only once per distinct pair:
+
+    * ``conjugate[g, x]`` is the code of g x g^-1.  It is also the new first
+      factor of R at a pair (g, x), and conjugation of a word by g.
+    * ``left[a, b]`` is the code of b^-1 a b, the new second factor of L at
+      a pair (a, b).
+    """
+
+    def __init__(self, degree: int) -> None:
+        self.degree = degree
+        self._perms: dict[int, Perm] = {}
+        self._codes: dict[Perm, int] = {}
+        self.conjugate = _Memo(self._conjugate_miss)
+        self.left = _Memo(self._left_miss)
+
+    def encode(self, p: Perm) -> int:
+        code = self._codes.get(p)
+        if code is None:
+            if len(p) != self.degree:
+                raise ValueError(f"degree mismatch: {len(p)} vs {self.degree}")
+            code = self._codes[p] = _lex_rank(p)
+            self._perms[code] = p
+        return code
+
+    def encode_word(self, state: State) -> Coded:
+        return tuple(map(self.encode, state))
+
+    def decode_word(self, coded: Coded) -> State:
+        return tuple(map(self._perms.__getitem__, coded))
+
+    def _conjugate_miss(self, g: int, x: int) -> int:
+        return self.encode(self._perms[g].conjugate(self._perms[x]))
+
+    def _left_miss(self, a: int, b: int) -> int:
+        return self.encode(self._perms[b].inverse().conjugate(self._perms[a]))
+
+
+def _lex_rank(p: Perm) -> int:
+    """Rank of ``p`` in lexicographic one-line order, counting from 0."""
+    rest = sorted(p)
+    rank = 0
+    for i, value in enumerate(p):
+        j = rest.index(value)
+        del rest[j]
+        rank = rank * (len(p) - i) + j
+    return rank
 
 
 def product_of_state(state: State, degree: int) -> Perm:
@@ -215,7 +281,7 @@ class Factorization:
                 if drop_identity:
                     continue
                 raise ValueError("identity factor rejected (pass drop_identity=True to absorb)")
-            coerced.append(_intern(p))
+            coerced.append(p)
         return cls(degree, tuple(coerced))
 
     @classmethod

@@ -234,6 +234,18 @@ class TestPlumbing:
         code, out2 = run(capsys, *args)
         assert code == 0 and out1 == out2
 
+    def test_tampered_payload_recomputes(self, capsys, tmp_path):
+        args = ["--cache-dir", str(tmp_path), "orbit", "--d", "3", "--word", "(1,2)(2,3)"]
+        _, out1 = run(capsys, *args)
+        for f in tmp_path.glob("*.json"):
+            entry = json.loads(f.read_text())
+            tampered = entry["payload"].replace('"orbit_size": 3', '"orbit_size": 4')
+            assert tampered != entry["payload"]
+            entry["payload"] = tampered
+            f.write_text(json.dumps(entry))
+        code, out2 = run(capsys, *args)
+        assert code == 0 and out1 == out2
+
     def test_workers_flag_does_not_change_output(self, capsys):
         _, out1 = run(capsys, "--workers", "1", "orbit", "--d", "3", "--word", "(1,2)(2,3)")
         _, out4 = run(capsys, "--workers", "4", "orbit", "--d", "3", "--word", "(1,2)(2,3)")

@@ -222,6 +222,17 @@ class TestClaims:
         report = check_defining_relation(3, LIM, samples=4, seed=11)
         assert not report.falsified and report.complete
 
+    def test_wrong_certificate_is_an_error(self, monkeypatch):
+        # an empty certificate between different words cannot replay; the
+        # guard is a raise, not an assert, so it also holds under python -O
+        import hurwitz.constructions as constructions
+        from hurwitz.orbits import EquivalenceReport
+        monkeypatch.setattr(constructions, "are_equivalent",
+                            lambda w1, w2, limits: EquivalenceReport("yes", (), 0))
+        ctx = ConstructionContext.create(4, (2, 1, 1))
+        with pytest.raises(RuntimeError, match="certificate replay failed"):
+            check_centralizer_invariance(ctx, LIM)
+
     def test_length_formulas_report(self):
         report = check_length_formulas(5, (2, 1, 1, 1))
         assert not report.falsified

@@ -54,6 +54,14 @@ class TestOrbit:
         b = enumerate_orbit(w, LIM)
         assert (a.size, a.canonical) == (b.size, b.canonical)
 
+    def test_degree_past_exhaustive_limit(self):
+        # d=9 is past MAX_EXHAUSTIVE_DEGREE: the search never enumerates S_9
+        w = W(9, "(1,2)(2,3)(8,9)")
+        r = enumerate_orbit(w, LIM)
+        want = oracle.o_orbit(oracle.from_word(w.factors))
+        assert (r.size, r.complete) == (len(want), True)
+        assert oracle.to_word_images(min(want)) == r.canonical.factors
+
     def test_conjugation_closure(self):
         # (t,t) orbits are singletons; conjugation merges all three
         r = enumerate_orbit(W(3, "(1,2)(1,2)"), LIM, conjugation_quotient=True)

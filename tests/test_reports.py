@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from hurwitz import reports
 from hurwitz.constructions import ClaimReport, ClaimRow
 from hurwitz.orbits import SearchLimits
 from hurwitz.perms import Perm
@@ -76,12 +77,19 @@ class TestSerialization:
         with pytest.raises(ValueError):
             to_csv({"x": 1})
 
-    def test_cache_key_sensitivity(self):
+    def test_cache_key_sensitivity(self, monkeypatch):
         k1 = cache_key("orbit", {"d": 3}, CFG)
         assert k1 == cache_key("orbit", {"d": 3}, CFG)
         assert k1 != cache_key("orbit", {"d": 4}, CFG)
         assert k1 != cache_key("equiv", {"d": 3}, CFG)
         assert k1 != cache_key("orbit", {"d": 3}, RunConfig(seed=1))
+        with monkeypatch.context() as m:
+            m.setattr(reports, "__version__", "0.0.0-other")
+            assert k1 != cache_key("orbit", {"d": 3}, CFG)
+        with monkeypatch.context() as m:
+            m.setattr(reports, "source_digest", lambda: "0" * 64)
+            assert k1 != cache_key("orbit", {"d": 3}, CFG)
+        assert k1 == cache_key("orbit", {"d": 3}, CFG)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,25 @@
 """Factorization words: moves, homomorphisms, conjugation, text formats."""
+import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitz.perms import Perm
-from hurwitz.words import Factorization, Move, TypeVector, load_words, save_words
+from hurwitz.orbits import neighbors
+from hurwitz.perms import Perm, transpositions
+from hurwitz.words import (
+    Factorization,
+    Move,
+    MoveKernel,
+    TypeVector,
+    conjugate_state,
+    load_words,
+    move_left_state,
+    move_right_state,
+    save_words,
+)
 
 import oracle
 
@@ -19,7 +32,7 @@ def words(max_degree=5, max_len=6):
     def build(args):
         d, n, seed = args
         rng = random.Random(seed)
-        pool = [Perm(p) for p in __import__("itertools").permutations(range(1, d + 1))]
+        pool = [Perm(p) for p in itertools.permutations(range(1, d + 1))]
         pool = [p for p in pool if not p.is_identity()]
         return Factorization(d, tuple(rng.choice(pool) for _ in range(n)))
     return st.tuples(st.integers(2, max_degree), st.integers(1, max_len),
@@ -123,6 +136,54 @@ class TestMoves:
             got = w.apply_move(Move(i + 1, "L"))
             want = oracle.o_move_l(oracle.from_word(w.factors), i)
             assert oracle.from_word(got.factors) == want
+
+
+class TestMoveKernel:
+    """The integer-coded kernel against the ``Perm`` reference moves."""
+
+    def test_codes_are_permutation_ranks(self):
+        for d in range(1, 6):
+            kernel = MoveKernel(d)
+            for rank, images in enumerate(itertools.permutations(range(1, d + 1))):
+                assert kernel.encode(Perm(images)) == rank
+                assert kernel.decode_word((rank,)) == (Perm(images),)
+
+    @pytest.mark.parametrize("d", [6, 7, 9])
+    def test_codes_pass_one_byte(self, d):
+        last = Perm(range(d, 0, -1))
+        assert MoveKernel(d).encode(last) == math.factorial(d) - 1 > 255
+
+    @given(words(max_degree=7, max_len=6))
+    @settings(max_examples=60)
+    def test_neighbors_match_reference_moves(self, w):
+        kernel = MoveKernel(w.degree)
+        conj = transpositions(w.degree)
+        coded = kernel.encode_word(w.factors)
+        assert kernel.decode_word(coded) == w.factors
+        want = []
+        for i0 in range(len(w) - 1):
+            want.append(move_right_state(w.factors, i0))
+            want.append(move_left_state(w.factors, i0))
+        want.extend(conjugate_state(w.factors, g) for g in conj)
+        got = neighbors(kernel, coded, tuple(map(kernel.encode, conj)))
+        assert [kernel.decode_word(c) for c in got] == want
+        # a second expansion is served from the memo tables
+        assert neighbors(kernel, coded, tuple(map(kernel.encode, conj))) == got
+
+    @given(st.integers(2, 7), st.integers(1, 4), st.integers(0, 10**6))
+    def test_coding_keeps_word_order(self, d, n, seed):
+        rng = random.Random(seed)
+        pool = [Perm(p) for p in itertools.permutations(range(1, d + 1))]
+        kernel = MoveKernel(d)
+        a = tuple(rng.choice(pool) for _ in range(n))
+        shared = rng.randint(0, n)  # b agrees with a on a random prefix
+        b = a[:shared] + tuple(rng.choice(pool) for _ in range(n - shared))
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert (x < y) == (kernel.encode_word(x) < kernel.encode_word(y))
+
+    def test_degree_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            MoveKernel(3).encode(Perm.identity(4))
 
 
 class TestConjugation:
