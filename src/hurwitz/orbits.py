@@ -5,13 +5,16 @@ definite when the underlying search ran to completion within its limits, and
 hitting a limit is a first-class outcome (``complete=False`` / ``"unknown"``),
 never a silent truncation.
 
-The searches (orbit closure, bidirectional equivalence, and the stable-tail
-search in :mod:`hurwitz.constructions`) run on coded words: tuples of the
-integer factor codes of one :class:`~hurwitz.words.MoveKernel`, expanded by
-:func:`neighbors`.  ``Perm`` words appear only at the boundaries: coding the
-inputs, decoding the results, and replaying certificates.  Coding keeps
-order, so the least coded word of an orbit decodes to its least word.  Fiber
-enumeration and the union-find work on ``Perm`` words directly.
+Every search runs on coded words: tuples of the integer factor codes of one
+:class:`~hurwitz.words.MoveKernel`.  The orbit closure, the bidirectional
+equivalence search and the stable-tail search in
+:mod:`hurwitz.constructions` expand them with :func:`neighbors`; fiber
+enumeration carries its prefix products as codes through ``kernel.mul``,
+and the fiber union-find joins coded words through ``kernel.conjugate``.
+``Perm`` words appear only at the boundaries: coding the inputs, decoding
+the results, and replaying certificates.  Coding keeps order, so the least
+coded word of an orbit decodes to its least word, and a fiber's coded words
+come out in the order of its ``Perm`` words.
 """
 from __future__ import annotations
 
@@ -26,8 +29,6 @@ from .words import (
     MoveKernel,
     State,
     TypeVector,
-    conjugate_state,
-    move_right_state,
     product_of_state,
 )
 
@@ -198,9 +199,10 @@ def are_equivalent(s1: Factorization, s2: Factorization,
         backward = trace_moves(sides[1], meeting)
         return tuple(forward + [m.invert() for m in reversed(backward)])
 
+    explored = 2
     while True:
         if not frontiers[0] and not frontiers[1]:
-            return EquivalenceReport("no", None, len(sides[0]) + len(sides[1]),
+            return EquivalenceReport("no", None, explored,
                                      "orbits fully enumerated and disjoint")
         # Expand the smaller live frontier.
         if not frontiers[0]:
@@ -215,16 +217,15 @@ def are_equivalent(s1: Factorization, s2: Factorization,
             for code, ns in enumerate(neighbors(kernel, s)):
                 if ns in mine:
                     continue
+                if explored >= limits.max_states:
+                    return EquivalenceReport("unknown", None, explored,
+                                             f"max_states={limits.max_states}")
                 mine[ns] = (s, code)
+                explored += 1
                 new_frontier.append(ns)
                 if ns in other:
-                    return EquivalenceReport(
-                        "yes", build_certificate(ns), len(sides[0]) + len(sides[1]))
+                    return EquivalenceReport("yes", build_certificate(ns), explored)
         frontiers[side] = new_frontier
-        explored = len(sides[0]) + len(sides[1])
-        if explored > limits.max_states:
-            return EquivalenceReport("unknown", None, explored,
-                                     f"max_states={limits.max_states}")
         # One exhausted side means its whole orbit is known and misses the other word.
         if not new_frontier:
             return EquivalenceReport("no", None, explored,
@@ -261,13 +262,20 @@ class FiberSpec:
 
 @dataclass
 class FiberReport:
-    words: list[State]
+    """The words of a fiber, kept coded by the kernel that enumerated them."""
+
+    coded: list[Coded]
+    kernel: MoveKernel
     complete: bool
     limit_hit: str | None = None
 
     @property
+    def words(self) -> list[State]:
+        return list(map(self.kernel.decode_word, self.coded))
+
+    @property
     def size(self) -> int:
-        return len(self.words)
+        return len(self.coded)
 
 
 def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> FiberReport:
@@ -277,10 +285,17 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
     must not require more transpositions than the remaining factors can carry
     (reflection length is subadditive), and its parity must equal the summed
     parity of the remaining factors.
+
+    The search runs on kernel codes: the prefix product is carried as a code
+    through ``kernel.mul``, and the reflection distance from a prefix product
+    to the target is computed once per distinct prefix product.  Class
+    elements are tried in sorted order, so the words come out in the same
+    order as a backtracking over ``Perm`` values would give them.
     """
     d = spec.degree
+    kernel = MoveKernel(d)
     counts = dict(spec.type_vector.counts)
-    per_class = {ct: class_elements(d, ct) for ct in counts}
+    per_class = {ct: kernel.encode_word(class_elements(d, ct)) for ct in counts}
     refl = {ct: class_reflection_length(ct) for ct in counts}
     order = sorted(counts)  # fixed class iteration order
     target = spec.product
@@ -288,35 +303,38 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
     # Word-independent emptiness check: total parity must match the product.
     total_parity = sum(refl[ct] * n for ct, n in counts.items()) % 2
     if total_parity != target.parity():
-        return FiberReport([], True)
+        return FiberReport([], kernel, True)
 
     budget = sum(refl[ct] * n for ct, n in counts.items())
-    words: list[State] = []
-    prefix: list[Perm] = []
-    constraint_memo: dict[frozenset[Perm], bool] = {}
+    words: list[Coded] = []
+    prefix: list[int] = []
+    constraint_memo: dict[frozenset[int], bool] = {}
+    mul = kernel.mul
+    distance: dict[int, int] = {}  # prefix product code -> reflection distance to target
 
-    def satisfies_constraint(state: State) -> bool:
+    def satisfies_constraint(state: Coded) -> bool:
         if spec.constraint == "none":
             return True
         key = frozenset(state)
         cached = constraint_memo.get(key)
         if cached is None:
+            gens = kernel.decode_word(tuple(key))
             if spec.constraint == "transitive":
-                cached = is_transitive(d, key)
+                cached = is_transitive(d, gens)
             else:
-                cached = len(closure(d, key)) == math.factorial(d)
+                cached = len(closure(d, gens)) == math.factorial(d)
             constraint_memo[key] = cached
         return cached
 
     limit_hit: list[str] = []
 
-    def rec(prefix_product: Perm, remaining: int, budget_left: int) -> None:
-        if limit_hit:
-            return
-        needed = prefix_product.inverse() * target
-        need_refl = needed.reflection_length()
-        if need_refl > budget_left or (need_refl - budget_left) % 2 != 0:
-            return
+    def distance_miss(prefix_product: int) -> int:
+        needed = kernel.decode(prefix_product).inverse() * target
+        distance[prefix_product] = needed.reflection_length()
+        return distance[prefix_product]
+
+    def rec(prefix_product: int, remaining: int, budget_left: int) -> None:
+        # The prefix is admissible: children are pruned before the call.
         if remaining == 0:
             state = tuple(prefix)
             if satisfies_constraint(state):
@@ -329,9 +347,16 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
             if counts[ct] == 0:
                 continue
             counts[ct] -= 1
+            child_budget = budget_left - refl[ct]
             for g in per_class[ct]:
+                child = mul[prefix_product, g]
+                need_refl = distance.get(child)
+                if need_refl is None:
+                    need_refl = distance_miss(child)
+                if need_refl > child_budget or (need_refl - child_budget) % 2 != 0:
+                    continue
                 prefix.append(g)
-                rec(prefix_product * g, remaining - 1, budget_left - refl[ct])
+                rec(child, remaining - 1, child_budget)
                 prefix.pop()
                 if limit_hit:
                     break
@@ -339,10 +364,16 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
             if limit_hit:
                 break
 
-    rec(Perm.identity(d), spec.type_vector.total(), budget)
+    root = kernel.encode(Perm.identity(d))
+    if distance_miss(root) <= budget:  # the parity was checked above
+        rec(root, spec.type_vector.total(), budget)
+    # rec refers to itself through its closure, a cycle that only the cyclic
+    # collector frees, and it holds the word list: break it, so the words go
+    # with the report and not at some later full collection.
+    del rec
     if limit_hit:
-        return FiberReport(words, False, limit_hit[0])
-    return FiberReport(words, True)
+        return FiberReport(words, kernel, False, limit_hit[0])
+    return FiberReport(words, kernel, True)
 
 
 class UnionFind:
@@ -383,38 +414,57 @@ class FiberOrbitReport:
 
 def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS,
                           want_partition: bool = False) -> FiberOrbitReport:
-    """Partition the fiber into move orbits with a union-find over the whole
-    fiber; R moves alone supply every edge (L is their inverse).  Conjugation
-    edges are added when the spec asks for the quotient."""
+    """Partition the fiber into move orbits with a union-find over the coded
+    fiber; R moves alone supply every edge (L is their inverse).
+
+    When the spec asks for the conjugation quotient, conjugation edges are
+    added after the R edges, and only from one word per braid orbit: for each
+    orbit root, one edge to its conjugate by each transposition.  That is
+    exact because conjugation commutes with the moves, so conjugating a whole
+    braid orbit by g gives exactly the braid orbit of any one conjugated
+    member.  The quotient classes are the orbits of S_d on the braid orbits,
+    and the transpositions generate S_d.
+    """
     fr = enumerate_fiber(spec, limits)
     if not fr.complete:
         return FiberOrbitReport(fr.size, None, [], False, fr.limit_hit)
-    words = fr.words
-    if not words:
+    coded, kernel = fr.coded, fr.kernel
+    if not coded:
         return FiberOrbitReport(0, 0, [], True, partition=[] if want_partition else None)
-    index = {w: i for i, w in enumerate(words)}
-    uf = UnionFind(len(words))
-    conj_gens = transpositions(spec.degree) if spec.conjugation_quotient else ()
-    for i, w in enumerate(words):
+    conjugate = kernel.conjugate
+    lookup = {w: i for i, w in enumerate(coded)}.get
+    uf = UnionFind(len(coded))
+    union = uf.union
+    for i, w in enumerate(coded):
         for i0 in range(len(w) - 1):
-            j = index.get(move_right_state(w, i0))
-            assert j is not None, "moves must stay inside the fiber"
-            uf.union(i, j)
-        for g in conj_gens:
-            j = index.get(conjugate_state(w, g))
-            assert j is not None, "conjugation must stay inside this fiber"
-            uf.union(i, j)
-    classes: dict[int, list[State]] = {}
-    for i, w in enumerate(words):
+            a = w[i0]
+            j = lookup(w[:i0] + (conjugate[a, w[i0 + 1]], a) + w[i0 + 2:])
+            if j is None:
+                raise RuntimeError("moves must stay inside the fiber")
+            union(i, j)
+    if spec.conjugation_quotient:
+        conj_gens = kernel.encode_word(transpositions(spec.degree))
+        roots = [i for i, p in enumerate(uf.parent) if p == i]
+        for root in roots:
+            w = coded[root]
+            for g in conj_gens:
+                j = lookup(tuple([conjugate[g, x] for x in w]))
+                if j is None:
+                    raise RuntimeError("conjugation must stay inside this fiber")
+                union(root, j)
+    classes: dict[int, list[Coded]] = {}
+    for i, w in enumerate(coded):
         classes.setdefault(uf.find(i), []).append(w)
     reps = sorted(min(members) for members in classes.values())
     partition = None
     if want_partition:
-        partition = sorted((frozenset(m) for m in classes.values()), key=min)
+        partition = [frozenset(map(kernel.decode_word, m))
+                     for m in sorted(classes.values(), key=min)]
     return FiberOrbitReport(
-        fiber_size=len(words),
+        fiber_size=len(coded),
         orbit_count=len(classes),
-        representatives=[Factorization.from_state(spec.degree, r) for r in reps],
+        representatives=[Factorization.from_state(spec.degree, kernel.decode_word(r))
+                         for r in reps],
         complete=True,
         partition=partition,
     )

@@ -85,6 +85,8 @@ class MoveKernel:
       factor of R at a pair (g, x), and conjugation of a word by g.
     * ``left[a, b]`` is the code of b^-1 a b, the new second factor of L at
       a pair (a, b).
+    * ``mul[a, b]`` is the code of the product a b; fiber enumeration carries
+      its prefix products with it.
     """
 
     def __init__(self, degree: int) -> None:
@@ -93,6 +95,7 @@ class MoveKernel:
         self._codes: dict[Perm, int] = {}
         self.conjugate = _Memo(self._conjugate_miss)
         self.left = _Memo(self._left_miss)
+        self.mul = _Memo(self._mul_miss)
 
     def encode(self, p: Perm) -> int:
         code = self._codes.get(p)
@@ -106,6 +109,9 @@ class MoveKernel:
     def encode_word(self, state: State) -> Coded:
         return tuple(map(self.encode, state))
 
+    def decode(self, code: int) -> Perm:
+        return self._perms[code]
+
     def decode_word(self, coded: Coded) -> State:
         return tuple(map(self._perms.__getitem__, coded))
 
@@ -114,6 +120,9 @@ class MoveKernel:
 
     def _left_miss(self, a: int, b: int) -> int:
         return self.encode(self._perms[b].inverse().conjugate(self._perms[a]))
+
+    def _mul_miss(self, a: int, b: int) -> int:
+        return self.encode(self._perms[a] * self._perms[b])
 
 
 def _lex_rank(p: Perm) -> int:

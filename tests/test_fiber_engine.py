@@ -1,0 +1,165 @@
+"""Differential tests for the coded fiber engine.
+
+``enumerate_fiber`` runs on kernel codes with memoized prefix products and
+reflection distances, and ``count_orbits_in_fiber`` unions coded words and
+adds conjugation edges once per braid orbit.  Each is checked here against a
+plain reference written in this file or against the oracle: a backtracking
+over ``Perm`` values without pruning (same words, same order), a
+prefix-product count (same size), and two independent partitioners (same
+orbits, with and without the conjugation quotient).
+"""
+import functools
+import math
+
+import pytest
+
+from hurwitz.orbits import (
+    CONSTRAINTS,
+    FiberSpec,
+    SearchLimits,
+    count_orbits_in_fiber,
+    enumerate_fiber,
+    orbit_partition_by_sweeps,
+)
+from hurwitz.perms import Perm, class_elements
+from hurwitz.words import TypeVector
+
+import oracle
+
+LIM = SearchLimits(max_states=200_000, max_fiber=200_000)
+
+# (degree, type, product): identity and non-identity products, one class
+# and mixed types, degrees 3 to 5.
+CASES = [
+    (3, "2,1:2", "()"),
+    (3, "2,1:4", "()"),
+    (3, "2,1:3", "(1,2)"),
+    (3, "3:3", "()"),
+    (3, "3:3", "(1,2,3)"),
+    (3, "2,1:2;3:1", "()"),
+    (4, "2,1,1:4", "()"),
+    (4, "2,1,1:5", "(1,2)"),
+    (4, "2,1,1:4", "(1,2)(3,4)"),
+    (4, "2,1,1:2;3,1:1", "()"),
+    (4, "2,2:2;2,1,1:2", "()"),
+    (4, "3,1:3", "()"),
+    (4, "4:2", "(1,3)(2,4)"),
+    (5, "2,1,1,1:4", "()"),
+    (5, "2,1,1,1:4", "(1,2,3)"),
+    (5, "2,1,1,1:4", "(1,2,3,4,5)"),
+    (5, "3,1,1:3", "()"),
+    (5, "5:3", "()"),
+]
+
+
+def spec_of(d, type_text, product, constraint="none", conj=False):
+    return FiberSpec(d, TypeVector.parse(type_text, d), Perm.parse(product, d),
+                     constraint, conj)
+
+
+@functools.lru_cache(maxsize=None)
+def satisfies(d, factors, constraint):
+    """Whether the set of factors meets the constraint, by the oracle."""
+    if constraint == "none":
+        return True
+    w0 = oracle.from_word(sorted(factors))
+    if constraint == "transitive":
+        return oracle.o_is_transitive(d, w0)
+    return len(oracle.o_subgroup(d, w0)) == math.factorial(d)
+
+
+def perm_backtracking(spec):
+    """Every word of the spec, by backtracking over Perm values without
+    pruning: classes in sorted cycle-type order, elements sorted."""
+    d = spec.degree
+    counts = spec.type_vector.as_dict()
+    total = spec.type_vector.total()
+    out, prefix = [], []
+
+    def rec(product):
+        if len(prefix) == total:
+            if product == spec.product and satisfies(d, frozenset(prefix), spec.constraint):
+                out.append(tuple(prefix))
+            return
+        for ct in sorted(counts):
+            if counts[ct] == 0:
+                continue
+            counts[ct] -= 1
+            for g in class_elements(d, ct):
+                prefix.append(g)
+                rec(product * g)
+                prefix.pop()
+            counts[ct] += 1
+
+    rec(Perm.identity(d))
+    return out
+
+
+def prefix_product_count(spec):
+    """Fiber size for constraint ``none``: word counts by (classes left,
+    prefix product), one factor at a time."""
+    d = spec.degree
+    cts = sorted(spec.type_vector.as_dict())
+    start = tuple(spec.type_vector.as_dict()[ct] for ct in cts)
+    layer = {(start, Perm.identity(d)): 1}
+    for _ in range(spec.type_vector.total()):
+        nxt = {}
+        for (left, product), n in layer.items():
+            for k, ct in enumerate(cts):
+                if left[k] == 0:
+                    continue
+                rest = left[:k] + (left[k] - 1,) + left[k + 1:]
+                for g in class_elements(d, ct):
+                    key = (rest, product * g)
+                    nxt[key] = nxt.get(key, 0) + n
+        layer = nxt
+    return sum(n for (_, product), n in layer.items() if product == spec.product)
+
+
+@pytest.mark.parametrize("constraint", CONSTRAINTS)
+@pytest.mark.parametrize("d,type_text,product", CASES)
+def test_enumeration_matches_perm_backtracking(d, type_text, product, constraint):
+    spec = spec_of(d, type_text, product, constraint)
+    fr = enumerate_fiber(spec, LIM)
+    assert fr.complete
+    assert fr.words == perm_backtracking(spec)
+    assert fr.size == len(fr.coded) == len(fr.words)
+
+
+@pytest.mark.parametrize("d,type_text,product", CASES)
+def test_size_matches_prefix_product_count(d, type_text, product):
+    spec = spec_of(d, type_text, product)
+    assert enumerate_fiber(spec, LIM).size == prefix_product_count(spec)
+
+
+def partition_cases():
+    for d, type_text, product in CASES:
+        for constraint in CONSTRAINTS:
+            yield d, type_text, product, constraint, False
+            if product == "()":
+                yield d, type_text, product, constraint, True
+
+
+@pytest.mark.parametrize("d,type_text,product,constraint,conj", list(partition_cases()))
+def test_partition_matches_sweeps_and_oracle(d, type_text, product, constraint, conj):
+    spec = spec_of(d, type_text, product, constraint, conj)
+    words = enumerate_fiber(spec, LIM).words
+    r = count_orbits_in_fiber(spec, LIM, want_partition=True)
+    assert r.complete and r.fiber_size == len(words)
+    sweeps = orbit_partition_by_sweeps(words, d, LIM, conjugation_quotient=conj)
+    assert r.partition == sweeps
+    want = oracle.o_partition([oracle.from_word(w) for w in words], conj, d)
+    got = sorted((frozenset(map(oracle.from_word, part)) for part in r.partition), key=min)
+    assert got == want
+    assert r.orbit_count == len(r.partition)
+    assert [rep.factors for rep in r.representatives] == [min(p) for p in r.partition]
+
+
+@pytest.mark.parametrize("d,type_text", [(3, "2,1:2"), (4, "2,1,1:4"), (4, "3,1:3")])
+def test_conjugation_merges_braid_orbits(d, type_text):
+    # The quotient merges braid orbits here, so its count rests on the
+    # conjugation edges added once per braid-orbit root; the partition test
+    # above checks the merged classes.
+    braid = count_orbits_in_fiber(spec_of(d, type_text, "()"), LIM)
+    quotient = count_orbits_in_fiber(spec_of(d, type_text, "()", conj=True), LIM)
+    assert quotient.orbit_count < braid.orbit_count

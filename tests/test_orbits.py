@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from hurwitz import orbits
 from hurwitz.orbits import (
+    FiberReport,
     FiberSpec,
     SearchLimits,
     are_equivalent,
@@ -100,6 +102,19 @@ class TestEquivalence:
         big2 = big1.apply_moves([Move(1, "R"), Move(3, "R"), Move(5, "L")])
         eq = are_equivalent(big1, big2, SearchLimits(max_states=3))
         assert eq.status == "unknown"
+
+    @pytest.mark.parametrize("max_states", [10, 1000])
+    def test_limit_is_checked_per_state(self, max_states):
+        rng = random.Random(3)
+        gens = class_elements(4, (2, 1, 1))
+        w = Factorization(4, tuple(rng.choice(gens) for _ in range(8)))
+        scrambled = w
+        for _ in range(300):
+            scrambled = scrambled.apply_move(Move(rng.randint(1, 7), rng.choice("LR")))
+        eq = are_equivalent(w, scrambled, SearchLimits(max_states=max_states))
+        assert eq.status == "unknown" and eq.reason == f"max_states={max_states}"
+        assert eq.states_explored <= max_states
+        assert are_equivalent(w, scrambled, LIM).status == "yes"
 
     def test_certificates_replay(self):
         rng = random.Random(5)
@@ -219,6 +234,25 @@ class TestOrbitCounts:
         mapped = {tuple(g.conjugate(f) for f in w)
                   for part in r1.partition for w in part}
         assert mapped == {w for part in r2.partition for w in part}
+
+    def test_missing_move_neighbour_raises(self, monkeypatch):
+        # a single orbit: the dropped word is the R image of another word
+        spec = FiberSpec(3, TypeVector.single((2, 1), 4), Perm.identity(3), "full_group")
+        full = enumerate_fiber(spec, LIM)
+        monkeypatch.setattr(orbits, "enumerate_fiber", lambda spec, limits: FiberReport(
+            full.coded[:-1], full.kernel, True))
+        with pytest.raises(RuntimeError, match="moves must stay inside the fiber"):
+            count_orbits_in_fiber(spec, LIM)
+
+    def test_missing_conjugate_raises(self, monkeypatch):
+        # (t, t) words are fixed by the moves, so only conjugation leaves them
+        spec = FiberSpec(3, TypeVector.single((2, 1), 2), Perm.identity(3),
+                         conjugation_quotient=True)
+        full = enumerate_fiber(spec, LIM)
+        monkeypatch.setattr(orbits, "enumerate_fiber", lambda spec, limits: FiberReport(
+            full.coded[:-1], full.kernel, True))
+        with pytest.raises(RuntimeError, match="conjugation must stay inside this fiber"):
+            count_orbits_in_fiber(spec, LIM)
 
     def test_incomplete_fiber_reports_unknown(self):
         spec = FiberSpec(3, TypeVector.single((2, 1), 4), Perm.identity(3))
