@@ -20,10 +20,6 @@ from .perms import (
     class_elements,
     class_size,
     closure,
-    conj,
-    compose,
-    class_of,
-    inverse,
     is_transitive,
     parse_cycle_type,
     format_cycle_type,

@@ -177,10 +177,6 @@ class ClassMetrics:
     anchors: tuple[int, int] | None
 
     @property
-    def m_known(self) -> bool:
-        return self.min_word is not None and self.min_word.known
-
-    @property
     def m_values_differ(self) -> bool:
         return (self.min_word is not None and self.min_word_fixing is not None
                 and self.min_word.known and self.min_word_fixing.known

@@ -56,7 +56,7 @@ from .orbits import (
     Parents,
     SearchLimits,
     are_equivalent,
-    neighbors,
+    expand,
     trace_moves,
 )
 from .words import Coded, Factorization, Move, MoveKernel, State, apply_moves_state
@@ -466,21 +466,17 @@ def rewrite_with_stable_tail(word: Factorization, tail: Factorization,
         return TailReport("yes", (), word, 0, "already ends with the tail")
     parents: Parents = {start: None}
     queue = [start]
-    for s in queue:
-        for code, ns in enumerate(neighbors(kernel, s)):
-            if ns in parents:
-                continue
-            parents[ns] = (s, code)
-            if has_tail(ns):
-                moves = tuple(trace_moves(parents, ns))
-                final = Factorization.from_state(word.degree, kernel.decode_word(ns))
-                if apply_moves_state(word.factors, moves) != final.factors:
-                    raise RuntimeError("stable-tail certificate replay failed")
-                return TailReport("yes", moves, final, len(parents))
-            if len(parents) >= limits.max_states:
-                return TailReport("unknown", None, None, len(parents),
-                                  f"max_states={limits.max_states}")
-            queue.append(ns)
+    for ns in expand(kernel, queue, parents):
+        if has_tail(ns):
+            moves = tuple(trace_moves(kernel, parents, ns))
+            final = Factorization.from_state(word.degree, kernel.decode_word(ns))
+            if apply_moves_state(word.factors, moves) != final.factors:
+                raise RuntimeError("stable-tail certificate replay failed")
+            return TailReport("yes", moves, final, len(parents))
+        if len(parents) >= limits.max_states:
+            return TailReport("unknown", None, None, len(parents),
+                              f"max_states={limits.max_states}")
+        queue.append(ns)
     return TailReport("unknown", None, None, len(parents),
                       "orbit fully enumerated; no member ends with the tail")
 

@@ -8,9 +8,11 @@ never a silent truncation.
 Every search runs on coded words: tuples of the integer factor codes of one
 :class:`~hurwitz.words.MoveKernel`.  The orbit closure, the bidirectional
 equivalence search and the stable-tail search in
-:mod:`hurwitz.constructions` expand them with :func:`neighbors`; fiber
-enumeration carries its prefix products as codes through ``kernel.mul``,
-and the fiber union-find joins coded words through ``kernel.conjugate``.
+:mod:`hurwitz.constructions` all run on :func:`expand`, the one breadth-first
+traversal: it records each new word's parent word, and :func:`trace_moves`
+reads the moves back off those records.  Fiber enumeration carries its
+prefix products as codes through ``kernel.mul``, and the fiber union-find
+joins coded words through ``kernel.conjugate``.
 ``Perm`` words appear only at the boundaries: coding the inputs, decoding
 the results, and replaying certificates.  Coding keeps order, so the least
 coded word of an orbit decodes to its least word, and a fiber's coded words
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .perms import Perm, class_elements, class_reflection_length, closure, is_transitive, transpositions, validate_cycle_type
 from .words import (
@@ -67,17 +70,37 @@ def neighbors(kernel: MoveKernel, state: Coded, conj: Coded = ()) -> list[Coded]
     return out
 
 
-#: A search tree: each reached word maps to (parent word, move code), the
-#: root to None.
-Parents = dict[Coded, tuple[Coded, int] | None]
+#: A search tree: each reached word maps to its parent word, the root to None.
+Parents = dict[Coded, Coded | None]
 
 
-def trace_moves(parents: Parents, state: Coded) -> list[Move]:
-    """The moves leading from the root of ``parents`` to ``state``."""
+def expand(kernel: MoveKernel, frontier: list[Coded], parents: Parents,
+           conj: Coded = ()) -> Iterator[Coded]:
+    """The one breadth-first traversal: for each word of ``frontier``, in
+    order, record each neighbour not yet in ``parents`` with that word as its
+    parent, and yield it.
+
+    The caller may append to ``frontier`` while this runs, so a search that
+    feeds every yielded word back in walks its whole queue; the caller keeps
+    its own stop rules and simply stops iterating.
+    """
+    for s in frontier:
+        for ns in neighbors(kernel, s, conj):
+            if ns not in parents:
+                parents[ns] = s
+                yield ns
+
+
+def trace_moves(kernel: MoveKernel, parents: Parents, state: Coded) -> list[Move]:
+    """The moves leading from the root of ``parents`` to ``state``.
+
+    :func:`expand` records a word from the first neighbour of its parent that
+    equals it, so that neighbour's index is the move that was taken.
+    """
     codes: list[int] = []
-    while (entry := parents[state]) is not None:
-        state, code = entry
-        codes.append(code)
+    while (parent := parents[state]) is not None:
+        codes.append(neighbors(kernel, parent).index(state))
+        state = parent
     return [Move(code // 2 + 1, "RL"[code % 2]) for code in reversed(codes)]
 
 
@@ -92,18 +115,17 @@ class OrbitReport:
 
 
 def _orbit_states(kernel: MoveKernel, state0: Coded, max_states: int,
-                  conj: Coded = ()) -> tuple[set[Coded], bool]:
+                  conj: Coded = ()) -> tuple[Parents, bool]:
     """Breadth-first closure of ``state0`` under the moves and conjugation
-    by the codes in ``conj``.  Returns (visited, complete)."""
-    visited = {state0}
+    by the codes in ``conj``.  Returns (visited, complete); an incomplete
+    closure holds exactly ``max_states`` words."""
+    visited: Parents = {state0: None}
     queue = [state0]
-    for s in queue:
-        for ns in neighbors(kernel, s, conj):
-            if ns not in visited:
-                if len(visited) >= max_states:
-                    return visited, False
-                visited.add(ns)
-                queue.append(ns)
+    for ns in expand(kernel, queue, visited, conj):
+        if len(visited) > max_states:
+            del visited[ns]
+            return visited, False
+        queue.append(ns)
     return visited, True
 
 
@@ -144,12 +166,15 @@ def _assert_orbit_invariants(start: Factorization, states: list[State],
     want_product = start.product()
     want_group = start.generated_subgroup() if d <= 8 else None
     for s in states:
-        assert len(s) == want_len
-        assert TypeVector.from_factors(s) == want_type
+        if len(s) != want_len:
+            raise RuntimeError("orbit word changed length")
+        if TypeVector.from_factors(s) != want_type:
+            raise RuntimeError("orbit word changed type")
         if not conjugation_quotient:
-            assert product_of_state(s, d) == want_product
-        if want_group is not None and not conjugation_quotient:
-            assert closure(d, s) == want_group
+            if product_of_state(s, d) != want_product:
+                raise RuntimeError("orbit word changed product")
+            if want_group is not None and closure(d, s) != want_group:
+                raise RuntimeError("orbit word changed generated subgroup")
 
 
 @dataclass
@@ -195,8 +220,8 @@ def are_equivalent(s1: Factorization, s2: Factorization,
     frontiers: list[list[Coded]] = [[c1], [c2]]
 
     def build_certificate(meeting: Coded) -> tuple[Move, ...]:
-        forward = trace_moves(sides[0], meeting)
-        backward = trace_moves(sides[1], meeting)
+        forward = trace_moves(kernel, sides[0], meeting)
+        backward = trace_moves(kernel, sides[1], meeting)
         return tuple(forward + [m.invert() for m in reversed(backward)])
 
     explored = 2
@@ -213,18 +238,14 @@ def are_equivalent(s1: Factorization, s2: Factorization,
             side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         mine, other = sides[side], sides[1 - side]
         new_frontier: list[Coded] = []
-        for s in frontiers[side]:
-            for code, ns in enumerate(neighbors(kernel, s)):
-                if ns in mine:
-                    continue
-                if explored >= limits.max_states:
-                    return EquivalenceReport("unknown", None, explored,
-                                             f"max_states={limits.max_states}")
-                mine[ns] = (s, code)
-                explored += 1
-                new_frontier.append(ns)
-                if ns in other:
-                    return EquivalenceReport("yes", build_certificate(ns), explored)
+        for ns in expand(kernel, frontiers[side], mine):
+            if explored >= limits.max_states:
+                return EquivalenceReport("unknown", None, explored,
+                                         f"max_states={limits.max_states}")
+            explored += 1
+            new_frontier.append(ns)
+            if ns in other:
+                return EquivalenceReport("yes", build_certificate(ns), explored)
         frontiers[side] = new_frontier
         # One exhausted side means its whole orbit is known and misses the other word.
         if not new_frontier:
@@ -491,10 +512,10 @@ def orbit_partition_by_sweeps(words: list[State], degree: int,
         visited, complete = _orbit_states(kernel, c, limits.max_states, conj)
         if not complete:
             return None
-        if not visited <= fiber:
+        if not visited.keys() <= fiber:
             raise RuntimeError("orbit escaped the fiber")
         out.append(frozenset(map(kernel.decode_word, visited)))
-        remaining -= visited
+        remaining -= visited.keys()
     return sorted(out, key=min)
 
 

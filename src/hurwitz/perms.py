@@ -248,26 +248,6 @@ class Perm(tuple):
         return f"Perm('{self}', d={len(self)})"
 
 
-# -- module-level aliases for the core operations ---------------------------
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """Product p*q with q acting first: (p*q)(i) = p(q(i))."""
-    return p * q
-
-
-def inverse(p: Perm) -> Perm:
-    return p.inverse()
-
-
-def conj(g: Perm, a: Perm) -> Perm:
-    """g * a * g^-1; preserves the cycle type of ``a``."""
-    return g.conjugate(a)
-
-
-def class_of(p: Perm) -> CycleType:
-    return p.cycle_type()
-
-
 def all_perms(degree: int) -> Iterator[Perm]:
     """All elements of S_degree in lexicographic one-line order."""
     for images in itertools.permutations(range(1, degree + 1)):

@@ -29,7 +29,7 @@ from . import __version__
 from .class_metrics import ClassMetrics, MinWordResult, compute_class_metrics, stability_bound
 from .constructions import ClaimReport
 from .orbits import FiberSpec, ScanRow, SearchLimits, count_orbits_in_fiber, stable_length_scan
-from .perms import CycleType, Perm, all_cycle_types, class_parity, format_cycle_type, validate_cycle_type
+from .perms import CycleType, Perm, all_cycle_types, format_cycle_type, validate_cycle_type
 from .words import Factorization, TypeVector
 
 SCHEMA_VERSION = 1
@@ -339,11 +339,6 @@ def count_components(query: ComponentQuery, limits: SearchLimits) -> dict:
     any_complete = False
     all_unknown = True
     for tv in types:
-        if sum(class_parity(ct) * n for ct, n in tv.counts) % 2 != 0:
-            rows.append({"type": str(tv), "fiber_size": 0, "components": 0, "complete": True})
-            any_complete = True
-            all_unknown = False
-            continue
         spec = FiberSpec(query.degree, tv, ident, constraint, query.conjugation_quotient)
         report = count_orbits_in_fiber(spec, limits)
         rows.append({

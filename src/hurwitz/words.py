@@ -87,24 +87,31 @@ class MoveKernel:
       a pair (a, b).
     * ``mul[a, b]`` is the code of the product a b; fiber enumeration carries
       its prefix products with it.
+
+    ``encode`` and the memos' fill functions close over the code tables, not
+    over the kernel, so nothing refers back to the kernel and it is freed as
+    soon as its search drops it.
     """
 
     def __init__(self, degree: int) -> None:
         self.degree = degree
-        self._perms: dict[int, Perm] = {}
-        self._codes: dict[Perm, int] = {}
-        self.conjugate = _Memo(self._conjugate_miss)
-        self.left = _Memo(self._left_miss)
-        self.mul = _Memo(self._mul_miss)
+        perms: dict[int, Perm] = {}
+        codes: dict[Perm, int] = {}
 
-    def encode(self, p: Perm) -> int:
-        code = self._codes.get(p)
-        if code is None:
-            if len(p) != self.degree:
-                raise ValueError(f"degree mismatch: {len(p)} vs {self.degree}")
-            code = self._codes[p] = _lex_rank(p)
-            self._perms[code] = p
-        return code
+        def encode(p: Perm) -> int:
+            code = codes.get(p)
+            if code is None:
+                if len(p) != degree:
+                    raise ValueError(f"degree mismatch: {len(p)} vs {degree}")
+                code = codes[p] = _lex_rank(p)
+                perms[code] = p
+            return code
+
+        self._perms = perms
+        self.encode = encode
+        self.conjugate = _Memo(lambda g, x: encode(perms[g].conjugate(perms[x])))
+        self.left = _Memo(lambda a, b: encode(perms[b].inverse().conjugate(perms[a])))
+        self.mul = _Memo(lambda a, b: encode(perms[a] * perms[b]))
 
     def encode_word(self, state: State) -> Coded:
         return tuple(map(self.encode, state))
@@ -114,15 +121,6 @@ class MoveKernel:
 
     def decode_word(self, coded: Coded) -> State:
         return tuple(map(self._perms.__getitem__, coded))
-
-    def _conjugate_miss(self, g: int, x: int) -> int:
-        return self.encode(self._perms[g].conjugate(self._perms[x]))
-
-    def _left_miss(self, a: int, b: int) -> int:
-        return self.encode(self._perms[b].inverse().conjugate(self._perms[a]))
-
-    def _mul_miss(self, a: int, b: int) -> int:
-        return self.encode(self._perms[a] * self._perms[b])
 
 
 def _lex_rank(p: Perm) -> int:

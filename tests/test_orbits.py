@@ -69,6 +69,19 @@ class TestOrbit:
         r = enumerate_orbit(W(3, "(1,2)(1,2)"), LIM, conjugation_quotient=True)
         assert r.size == 3
 
+    def test_invariant_check_raises(self, monkeypatch):
+        # a raise, not an assert: the check must hold under python -O too
+        real = orbits._orbit_states
+
+        def with_stray_word(kernel, state0, max_states, conj=()):
+            visited, complete = real(kernel, state0, max_states, conj)
+            visited[kernel.encode_word(W(3, "(1,2)(1,2)(1,2)").factors)] = None
+            return visited, complete
+
+        monkeypatch.setattr(orbits, "_orbit_states", with_stray_word)
+        with pytest.raises(RuntimeError, match="product"):
+            enumerate_orbit(W(3, "(1,2)(2,3)(1,2)"), LIM, check_invariants=True)
+
 
 class TestEquivalence:
     def test_reflexive(self):

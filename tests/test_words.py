@@ -1,7 +1,9 @@
 """Factorization words: moves, homomorphisms, conjugation, text formats."""
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,18 @@ class TestMoveKernel:
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MoveKernel(3).encode(Perm.identity(4))
+
+    def test_freed_without_the_cyclic_collector(self):
+        gc.disable()
+        try:
+            kernel = MoveKernel(4)
+            a, b = kernel.encode_word(W(4, "(1,2)(2,3,4)").factors)
+            kernel.conjugate[a, b], kernel.left[a, b], kernel.mul[a, b]
+            ref = weakref.ref(kernel)
+            del kernel
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestConjugation:
