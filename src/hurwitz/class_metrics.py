@@ -8,21 +8,21 @@ with all factors required to fix two chosen points), and the stability bound
     3^(d-3) * (2d-1) * (d-1) * m  +  n_C * k_C  +  1
 
 beyond which any word with enough C-factors is determined by its product and
-type.  The minimal-word searches are meet-in-the-middle scans over level sets
-of the Cayley graph of S_d with the class as generating set: a length-m word
-exists exactly when some product of ceil(m/2) generators, times a product of
-the remaining floor(m/2), hits the target, so only levels up to half the
-depth limit are ever materialized.
+type.  The first two answers come from the class algebra: C is closed under
+conjugation, so it generates a normal subgroup, and every product set C^k is
+a union of classes, carried as a set of cycle types.  Only the anchored
+search, whose factors must fix two points and so are not closed under
+conjugation by S_d, is still a meet-in-the-middle scan over level sets of the
+Cayley graph: a length-m word exists exactly when some product of ceil(m/2)
+generators, times a product of the remaining floor(m/2), hits the target, so
+only levels up to half the depth limit are ever materialized.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .perms import (
     CycleType,
-    LimitExceededError,
-    MAX_EXHAUSTIVE_DEGREE,
     Perm,
     canonical_class_element,
     class_elements,
@@ -30,8 +30,6 @@ from .perms import (
     class_order,
     class_parity,
     class_size,
-    closure,
-    transpositions,
     validate_cycle_type,
 )
 
@@ -105,6 +103,10 @@ def min_factors_to_transposition(degree: int, cycle_type: CycleType,
     """Least m with (1,2) a product of m class members, plus one witness word.
 
     Only odd classes can reach a transposition; even classes are rejected.
+    Level k holds the cycle types of C^k; level k+1 is read off the products
+    of one representative per type with every class member.  The witness is
+    found by descent from (1,2): at each level, the first member g with
+    x * g^-1 in the level below.
     """
     ct = validate_cycle_type(cycle_type, degree)
     if degree < 2:
@@ -113,7 +115,19 @@ def min_factors_to_transposition(degree: int, cycle_type: CycleType,
         raise ValueError(f"class {ct} is even: no product of its members is odd")
     gens = class_elements(degree, ct)
     target = Perm.transposition(degree, 1, 2)
-    return _level_search(degree, gens, target, limit)
+    levels: list[set[CycleType]] = [{(1,) * degree}]
+    for m in range(1, limit + 1):
+        reps = [canonical_class_element(degree, t) for t in levels[-1]]
+        levels.append({(r * g).cycle_type() for r in reps for g in gens})
+        if target.cycle_type() in levels[m]:
+            word: list[Perm] = []
+            x = target
+            for k in range(m, 0, -1):
+                g = next(g for g in gens if (x * g.inverse()).cycle_type() in levels[k - 1])
+                word.append(g)
+                x = x * g.inverse()
+            return MinWordResult(m, tuple(reversed(word)))
+    return MinWordResult(None, None, limit=limit)
 
 
 def min_factors_to_transposition_fixing(degree: int, cycle_type: CycleType,
@@ -137,28 +151,19 @@ def min_factors_to_transposition_fixing(degree: int, cycle_type: CycleType,
 
 
 def generates_full_group(degree: int, cycle_type: CycleType) -> bool:
-    """Whether the class generates all of S_degree, by explicit closure.
+    """Whether the class generates all of S_degree.
 
-    Closing over the whole class is wasteful for big classes, so we close
-    over one member and its conjugates by adjacent transpositions, then keep
-    adding missed class members until the class is inside the closure; the
-    result equals the subgroup generated by the full class.
+    A class generates a normal subgroup, and the normal subgroups of S_d are
+    1, A_d and S_d, plus V_4 at d = 4; so a class generates S_d exactly when
+    it is odd, or when d = 1 and S_1 is the trivial group.
+
+    >>> generates_full_group(1, (1,))
+    True
+    >>> generates_full_group(4, (2, 2))    # V_4
+    False
     """
     ct = validate_cycle_type(cycle_type, degree)
-    if degree > MAX_EXHAUSTIVE_DEGREE:
-        raise LimitExceededError(
-            f"full-group test is exhaustive and limited to degree <= {MAX_EXHAUSTIVE_DEGREE}")
-    elements = class_elements(degree, ct)
-    seed = canonical_class_element(degree, ct)
-    gens: list[Perm] = [seed]
-    gens += [t.conjugate(seed) for t in transpositions(degree)]
-    while True:
-        group = closure(degree, gens)
-        missing = [e for e in elements if e not in group]
-        if not missing:
-            break
-        gens.append(missing[0])
-    return len(group) == math.factorial(degree)
+    return degree == 1 or class_parity(ct) == 1
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .words import Factorization, TypeVector
 
 @click.group()
 @click.option("--max-states", type=int, default=10_000_000, show_default=True,
-              help="State cap for orbit and equivalence searches.")
+              help="State cap for orbit and equivalence searches (at least 2).")
 @click.option("--max-fiber", type=int, default=10_000_000, show_default=True,
               help="Word cap for fiber enumeration.")
 @click.option("--workers", type=int, default=1, show_default=True,

@@ -44,6 +44,14 @@ class SearchLimits:
     max_states: int = 10_000_000
     max_fiber: int = 10_000_000
 
+    def __post_init__(self) -> None:
+        # The equivalence search holds both of its roots before it tests the
+        # limit, so no search keeps to a state limit below 2.
+        if self.max_states < 2:
+            raise ValueError(f"max_states must be at least 2, got {self.max_states}")
+        if self.max_fiber < 1:
+            raise ValueError(f"max_fiber must be at least 1, got {self.max_fiber}")
+
 
 DEFAULT_LIMITS = SearchLimits()
 

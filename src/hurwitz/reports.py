@@ -47,8 +47,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_states < 1 or self.max_fiber < 1 or self.workers < 1:
-            raise ValueError("limits and worker count must be positive")
+        if self.workers < 1:
+            raise ValueError("worker count must be positive")
+        SearchLimits(max_states=self.max_states, max_fiber=self.max_fiber)  # validates both
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 

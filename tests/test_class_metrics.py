@@ -1,17 +1,91 @@
 """Class constants, minimal-word searches, and the stability bound."""
 import pytest
 
+import math
+
 from hurwitz.class_metrics import (
+    DEFAULT_SEARCH_DEPTH,
+    MinWordResult,
     compute_class_metrics,
     generates_full_group,
     min_factors_to_transposition,
     min_factors_to_transposition_fixing,
     stability_bound,
 )
-from hurwitz.perms import Perm
+from hurwitz.perms import (
+    Perm,
+    all_cycle_types,
+    canonical_class_element,
+    class_elements,
+    class_fixed_points,
+    class_parity,
+    closure,
+    format_cycle_type,
+    transpositions,
+)
 from hurwitz.words import Factorization
 
 import oracle
+
+ODD_CLASSES = [(d, ct) for d in range(2, 8) for ct in all_cycle_types(d) if class_parity(ct)]
+
+
+def class_ids(classes):
+    return [f"d{d}-{format_cycle_type(ct)}" for d, ct in classes]
+
+
+def reference_level_search(degree, generators, target, limit):
+    """The plain minimal-word search as it was before the class algebra: a
+    meet-in-the-middle scan that materialises every product of up to
+    ceil(m/2) generators as a ``Perm``."""
+    ident = Perm.identity(degree)
+    levels = [{ident: None}]
+
+    def extend_to(k):
+        while len(levels) <= k:
+            nxt = {}
+            for x in levels[-1]:
+                for g in generators:
+                    y = x * g
+                    if y not in nxt:
+                        nxt[y] = (x, g)
+            levels.append(nxt)
+
+    def word_of(x, k):
+        out = []
+        while k > 0:
+            x, g = levels[k][x]
+            out.append(g)
+            k -= 1
+        out.reverse()
+        return out
+
+    for m in range(1, limit + 1):
+        if (m * generators[0].parity()) % 2 != target.parity():
+            continue
+        a = (m + 1) // 2
+        b = m - a
+        extend_to(a)
+        for p in levels[a]:
+            q = p.inverse() * target
+            if q in levels[b]:
+                return MinWordResult(m, tuple(word_of(p, a) + word_of(q, b)))
+    return MinWordResult(None, None, limit=limit)
+
+
+def closure_generates_full_group(degree, ct):
+    """The full-group test by explicit closure: close one class member and its
+    conjugates by transpositions, adding missed class members until the whole
+    class lies inside the closure."""
+    elements = class_elements(degree, ct)
+    seed = canonical_class_element(degree, ct)
+    gens = [seed] + [t.conjugate(seed) for t in transpositions(degree)]
+    while True:
+        group = closure(degree, gens)
+        missing = [e for e in elements if e not in group]
+        if not missing:
+            return len(group) == math.factorial(degree)
+        gens.append(missing[0])
 
 
 class TestMinWord:
@@ -52,6 +126,21 @@ class TestMinWord:
             target = oracle.from_perm(Perm.transposition(d, 1, 2))
             assert oracle.o_min_word(d, ct, target, r.length) == r.length
 
+    @pytest.mark.parametrize("d, ct", ODD_CLASSES, ids=class_ids(ODD_CLASSES))
+    def test_class_algebra_matches_reference_and_oracle(self, d, ct):
+        r = min_factors_to_transposition(d, ct)
+        target = Perm.transposition(d, 1, 2)
+        ref = reference_level_search(d, class_elements(d, ct), target, DEFAULT_SEARCH_DEPTH)
+        assert r.length == ref.length
+        assert oracle.o_min_word(d, ct, oracle.from_perm(target), r.length) == r.length
+        assert len(r.witness) == r.length
+        assert Factorization(d, r.witness).product() == target
+        assert all(f.cycle_type() == ct for f in r.witness)
+        if r.length > 1:
+            short = r.length - 1
+            assert min_factors_to_transposition(d, ct, limit=short) == \
+                MinWordResult(None, None, limit=short)
+
 
 class TestConstrainedMinWord:
     def test_examples(self):
@@ -66,6 +155,15 @@ class TestConstrainedMinWord:
         for f in r.witness:
             assert f(5) == 5 and f(6) == 6
             assert f.cycle_type() == (4, 1, 1)
+
+    ANCHORED = [(d, ct) for d, ct in ODD_CLASSES if d >= 4 and class_fixed_points(ct) >= 2]
+
+    @pytest.mark.parametrize("d, ct", ANCHORED, ids=class_ids(ANCHORED))
+    def test_anchored_search_is_the_class_search_of_degree_d_minus_2(self, d, ct):
+        # The members fixing 3 and 4 are the class of S_{d-2} on the other points.
+        smaller = ct[:-2]    # non-increasing, so the last two parts are 1-cycles
+        assert min_factors_to_transposition_fixing(d, ct, (3, 4)).length == \
+            min_factors_to_transposition(d - 2, smaller).length
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -84,17 +182,19 @@ class TestFullGroup:
         assert not generates_full_group(4, (2, 2))
         assert not generates_full_group(4, (1, 1, 1, 1))
         assert generates_full_group(4, (4,))
+        assert generates_full_group(1, (1,))             # S_1 is trivial
 
     def test_matches_odd_rule_small(self):
-        # every odd class generates the full group; even ones never do
-        from hurwitz.perms import all_cycle_types, class_parity
-        for d in (3, 4, 5):
+        # the parity rule against the explicit closure of every class
+        for d in range(1, 8):
             for ct in all_cycle_types(d):
-                got = generates_full_group(d, ct)
-                if class_parity(ct) == 1:
-                    assert got
-                else:
-                    assert not got
+                want = closure_generates_full_group(d, ct)
+                assert want == (d == 1 or class_parity(ct) == 1)
+                assert generates_full_group(d, ct) == want
+
+    def test_answers_past_the_exhaustive_degree(self):
+        assert generates_full_group(9, (2,) + (1,) * 7)
+        assert not generates_full_group(9, (3,) + (1,) * 6)
 
 
 class TestMetricsAndBound:

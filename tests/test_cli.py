@@ -202,6 +202,8 @@ class TestPlumbing:
         assert run(capsys, "class-info", "--d", "4", "--class", "9,9")[0] == 3
         assert run(capsys, "orbit", "--d", "3", "--word", "(1,2")[0] == 3
         assert run(capsys, "nonsense")[0] == 3
+        assert run(capsys, "--max-states", "1", "orbit", "--d", "3",
+                   "--word", "(1,2)(2,3)")[0] == 3
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

@@ -116,7 +116,7 @@ class TestEquivalence:
         eq = are_equivalent(big1, big2, SearchLimits(max_states=3))
         assert eq.status == "unknown"
 
-    @pytest.mark.parametrize("max_states", [10, 1000])
+    @pytest.mark.parametrize("max_states", [2, 10, 1000])
     def test_limit_is_checked_per_state(self, max_states):
         rng = random.Random(3)
         gens = class_elements(4, (2, 1, 1))

@@ -92,8 +92,9 @@ class TestSerialization:
         assert k1 == cache_key("orbit", {"d": 3}, CFG)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(max_states=0)
+        for bad in ({"max_states": 0}, {"max_states": 1}, {"max_fiber": 0}, {"workers": 0}):
+            with pytest.raises(ValueError):
+                RunConfig(**bad)
         with pytest.raises(ValueError):
             RunConfig(output_format="yaml")
 

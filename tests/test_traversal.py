@@ -179,7 +179,13 @@ def test_expand_walks_a_growing_frontier_once():
     assert all(parents[c] == root for c in level)
 
 
-@pytest.mark.parametrize("max_states", [1, 2, 7, 100])
+@pytest.mark.parametrize("limits", [{"max_states": 0}, {"max_states": 1}, {"max_fiber": 0}])
+def test_limits_below_the_floor_are_rejected(limits):
+    with pytest.raises(ValueError):
+        SearchLimits(**limits)
+
+
+@pytest.mark.parametrize("max_states", [2, 7, 100])
 def test_incomplete_orbit_holds_exactly_the_limit(max_states):
     w = Factorization.parse_word(4, "(1,2)(2,3)(3,4)(1,2)(2,3)(3,4)")
     r = enumerate_orbit(w, SearchLimits(max_states=max_states))
