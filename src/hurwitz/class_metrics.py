@@ -8,14 +8,14 @@ with all factors required to fix two chosen points), and the stability bound
     3^(d-3) * (2d-1) * (d-1) * m  +  n_C * k_C  +  1
 
 beyond which any word with enough C-factors is determined by its product and
-type.  The first two answers come from the class algebra: C is closed under
+type.  The answers come from the class algebra: C is closed under
 conjugation, so it generates a normal subgroup, and every product set C^k is
-a union of classes, carried as a set of cycle types.  Only the anchored
-search, whose factors must fix two points and so are not closed under
-conjugation by S_d, is still a meet-in-the-middle scan over level sets of the
-Cayley graph: a length-m word exists exactly when some product of ceil(m/2)
-generators, times a product of the remaining floor(m/2), hits the target, so
-only levels up to half the depth limit are ever materialized.
+a union of classes, carried as a set of cycle types.  The members of C that
+fix two points outside {1, 2} are the class of the point stabiliser S_{d-2}
+(C with two 1-cycles removed), which contains (1,2); so the anchored answer
+is the plain search at degree d-2, carried back by the increasing map of the
+remaining points.  Every witness is the least minimal word in the
+lexicographic order of one-line notation.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ from .perms import (
 )
 
 DEFAULT_SEARCH_DEPTH = 8
+ANCHORS = (3, 4)    # the two points every anchored witness factor fixes
 
 
 @dataclass(frozen=True)
@@ -53,66 +54,9 @@ class MinWordResult:
         return self.length is not None
 
 
-def _level_search(degree: int, generators: tuple[Perm, ...], target: Perm,
-                  limit: int) -> MinWordResult:
-    # levels[k] maps each product of k generators to (previous product, generator)
-    ident = Perm.identity(degree)
-    levels: list[dict[Perm, tuple[Perm, Perm] | None]] = [{ident: None}]
-
-    def extend_to(k: int) -> None:
-        while len(levels) <= k:
-            prev = levels[-1]
-            nxt: dict[Perm, tuple[Perm, Perm] | None] = {}
-            for x in prev:
-                for g in generators:
-                    y = x * g
-                    if y not in nxt:
-                        nxt[y] = (x, g)
-            levels.append(nxt)
-
-    def word_of(x: Perm, k: int) -> list[Perm]:
-        out: list[Perm] = []
-        while k > 0:
-            entry = levels[k][x]
-            assert entry is not None
-            x, g = entry
-            out.append(g)
-            k -= 1
-        out.reverse()
-        return out
-
-    target_parity = target.parity()
-    gen_parity = generators[0].parity()
-    for m in range(1, limit + 1):
-        if (m * gen_parity) % 2 != target_parity:
-            continue
-        a = (m + 1) // 2
-        b = m - a
-        extend_to(a)
-        # target = P * Q with P a product of a generators and Q of b.
-        for p in levels[a]:
-            q = p.inverse() * target
-            if q in levels[b]:
-                witness = word_of(p, a) + word_of(q, b)
-                return MinWordResult(m, tuple(witness))
-    return MinWordResult(None, None, limit=limit)
-
-
-def min_factors_to_transposition(degree: int, cycle_type: CycleType,
-                                 limit: int = DEFAULT_SEARCH_DEPTH) -> MinWordResult:
-    """Least m with (1,2) a product of m class members, plus one witness word.
-
-    Only odd classes can reach a transposition; even classes are rejected.
-    Level k holds the cycle types of C^k; level k+1 is read off the products
-    of one representative per type with every class member.  The witness is
-    found by descent from (1,2): at each level, the first member g with
-    x * g^-1 in the level below.
-    """
-    ct = validate_cycle_type(cycle_type, degree)
-    if degree < 2:
-        raise ValueError("need degree >= 2 for a transposition target")
-    if class_parity(ct) == 0:
-        raise ValueError(f"class {ct} is even: no product of its members is odd")
+def _min_word(degree: int, ct: CycleType, limit: int) -> MinWordResult:
+    # Level k holds the cycle types of C^k; level k+1 is read off the products
+    # of one representative per type with every class member.
     gens = class_elements(degree, ct)
     target = Perm.transposition(degree, 1, 2)
     levels: list[set[CycleType]] = [{(1,) * degree}]
@@ -120,21 +64,41 @@ def min_factors_to_transposition(degree: int, cycle_type: CycleType,
         reps = [canonical_class_element(degree, t) for t in levels[-1]]
         levels.append({(r * g).cycle_type() for r in reps for g in gens})
         if target.cycle_type() in levels[m]:
+            # Forward descent: at each position the first member g whose
+            # remaining product (x*g)^-1 * (1,2) lies in the level below.
             word: list[Perm] = []
-            x = target
-            for k in range(m, 0, -1):
-                g = next(g for g in gens if (x * g.inverse()).cycle_type() in levels[k - 1])
+            x = Perm.identity(degree)
+            for k in range(m - 1, -1, -1):
+                g = next(g for g in gens
+                         if ((x * g).inverse() * target).cycle_type() in levels[k])
                 word.append(g)
-                x = x * g.inverse()
-            return MinWordResult(m, tuple(reversed(word)))
+                x = x * g
+            return MinWordResult(m, tuple(word))
     return MinWordResult(None, None, limit=limit)
+
+
+def min_factors_to_transposition(degree: int, cycle_type: CycleType,
+                                 limit: int = DEFAULT_SEARCH_DEPTH) -> MinWordResult:
+    """Least m with (1,2) a product of m class members, plus the least such
+    word.  Only odd classes can reach a transposition; even classes are
+    rejected."""
+    ct = validate_cycle_type(cycle_type, degree)
+    if degree < 2:
+        raise ValueError("need degree >= 2 for a transposition target")
+    if class_parity(ct) == 0:
+        raise ValueError(f"class {ct} is even: no product of its members is odd")
+    return _min_word(degree, ct, limit)
 
 
 def min_factors_to_transposition_fixing(degree: int, cycle_type: CycleType,
                                         fixed: tuple[int, int],
                                         limit: int = DEFAULT_SEARCH_DEPTH) -> MinWordResult:
     """Like :func:`min_factors_to_transposition` with every factor required to
-    fix both points of ``fixed`` (which must avoid 1 and 2)."""
+    fix both points of ``fixed`` (which must avoid 1 and 2).
+
+    >>> [str(f) for f in min_factors_to_transposition_fixing(6, (4, 1, 1), (3, 5)).witness]
+    ['(1,2,4,6)', '(1,2,4,6)', '(1,6,2,4)']
+    """
     ct = validate_cycle_type(cycle_type, degree)
     i3, i4 = fixed
     if len({i3, i4}) != 2 or {i3, i4} & {1, 2} or not all(1 <= p <= degree for p in (i3, i4)):
@@ -143,11 +107,19 @@ def min_factors_to_transposition_fixing(degree: int, cycle_type: CycleType,
         raise ValueError(f"class {ct} is even: no product of its members is odd")
     if class_fixed_points(ct) < 2:
         raise ValueError(f"class {ct} has f_C < 2: no member fixes two points")
-    gens = tuple(g for g in class_elements(degree, ct)
-                 if g[i3 - 1] == i3 and g[i4 - 1] == i4)
-    assert gens, "a class with f_C >= 2 always has members fixing any two points"
-    target = Perm.transposition(degree, 1, 2)
-    return _level_search(degree, gens, target, limit)
+    result = _min_word(degree - 2, ct[:-2], limit)    # ct less two 1-cycles
+    if result.witness is None:
+        return result
+    # The increasing map of {1..d-2} onto the points other than ``fixed``
+    # sends (1,2) to (1,2) and keeps one-line order.
+    points = [p for p in range(1, degree + 1) if p not in fixed]
+    lifted = []
+    for g in result.witness:
+        img = list(range(1, degree + 1))
+        for p, q in zip(points, g):
+            img[p - 1] = points[q - 1]
+        lifted.append(Perm(img))
+    return MinWordResult(result.length, tuple(lifted))
 
 
 def generates_full_group(degree: int, cycle_type: CycleType) -> bool:
@@ -178,8 +150,7 @@ class ClassMetrics:
     parity: str                # "even" or "odd"
     generates_full: bool
     min_word: MinWordResult | None             # m_C; None for even classes
-    min_word_fixing: MinWordResult | None      # m_C with factors fixing two anchors
-    anchors: tuple[int, int] | None
+    min_word_fixing: MinWordResult | None      # m_C with factors fixing ANCHORS
 
     @property
     def m_values_differ(self) -> bool:
@@ -189,18 +160,15 @@ class ClassMetrics:
 
 
 def compute_class_metrics(degree: int, cycle_type: CycleType,
-                          limit: int = DEFAULT_SEARCH_DEPTH,
-                          anchors: tuple[int, int] = (3, 4)) -> ClassMetrics:
+                          limit: int = DEFAULT_SEARCH_DEPTH) -> ClassMetrics:
     ct = validate_cycle_type(cycle_type, degree)
     parity = "odd" if class_parity(ct) else "even"
     min_word = None
     min_word_fixing = None
-    used_anchors: tuple[int, int] | None = None
     if parity == "odd" and degree >= 2:
         min_word = min_factors_to_transposition(degree, ct, limit)
         if class_fixed_points(ct) >= 2 and degree >= 4:
-            used_anchors = anchors
-            min_word_fixing = min_factors_to_transposition_fixing(degree, ct, anchors, limit)
+            min_word_fixing = min_factors_to_transposition_fixing(degree, ct, ANCHORS, limit)
     return ClassMetrics(
         degree=degree,
         cycle_type=ct,
@@ -211,7 +179,6 @@ def compute_class_metrics(degree: int, cycle_type: CycleType,
         generates_full=generates_full_group(degree, ct),
         min_word=min_word,
         min_word_fixing=min_word_fixing,
-        anchors=used_anchors,
     )
 
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .class_metrics import (
+    ANCHORS,
     DEFAULT_SEARCH_DEPTH,
     min_factors_to_transposition,
     min_factors_to_transposition_fixing,
@@ -60,8 +61,6 @@ from .orbits import (
     trace_moves,
 )
 from .words import Coded, Factorization, Move, MoveKernel, State, apply_moves_state
-
-ANCHORS = (3, 4)
 
 
 def conjugator(degree: int, i: int, j: int) -> Perm:
@@ -550,7 +549,6 @@ def check_stable_tail(degree: int, cycle_type, limits: SearchLimits = DEFAULT_LI
 def _pigeonhole_row(word: Factorization, cycle_type: CycleType) -> ClaimRow:
     """A word with more than n_C * k_C class factors must repeat some class
     member at least n_C + 1 times; verify that on the concrete word."""
-    from .perms import class_size
     n_c = class_order(cycle_type)
     k_c = class_size(word.degree, cycle_type)
     in_class = [f for f in word.factors if f.cycle_type() == cycle_type]

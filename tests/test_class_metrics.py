@@ -35,9 +35,10 @@ def class_ids(classes):
 
 
 def reference_level_search(degree, generators, target, limit):
-    """The plain minimal-word search as it was before the class algebra: a
-    meet-in-the-middle scan that materialises every product of up to
-    ceil(m/2) generators as a ``Perm``."""
+    """The minimal-word search as it was before the class algebra (for the
+    anchored search, before its reduction to S_{d-2}): a meet-in-the-middle
+    scan that materialises every product of up to ceil(m/2) generators as a
+    ``Perm``."""
     ident = Perm.identity(degree)
     levels = [{ident: None}]
 
@@ -131,7 +132,7 @@ class TestMinWord:
         r = min_factors_to_transposition(d, ct)
         target = Perm.transposition(d, 1, 2)
         ref = reference_level_search(d, class_elements(d, ct), target, DEFAULT_SEARCH_DEPTH)
-        assert r.length == ref.length
+        assert r == ref
         assert oracle.o_min_word(d, ct, oracle.from_perm(target), r.length) == r.length
         assert len(r.witness) == r.length
         assert Factorization(d, r.witness).product() == target
@@ -147,6 +148,8 @@ class TestConstrainedMinWord:
         r = min_factors_to_transposition_fixing(4, (2, 1, 1), (3, 4))
         assert r.length == 1 and r.witness == (Perm.transposition(4, 1, 2),)
         assert min_factors_to_transposition_fixing(5, (2, 1, 1, 1), (3, 4)).length == 1
+        r = min_factors_to_transposition_fixing(8, (3, 2, 1, 1, 1), (3, 4))
+        assert [str(f) for f in r.witness] == ["(2,5)(6,7,8)", "(2,5)(6,7,8)", "(1,2)(6,7,8)"]
 
     def test_four_cycles_fixing_two_points(self):
         # matches the degree-4 answer: the search lives inside S_4 on {1,2,3,4}
@@ -156,14 +159,25 @@ class TestConstrainedMinWord:
             assert f(5) == 5 and f(6) == 6
             assert f.cycle_type() == (4, 1, 1)
 
-    ANCHORED = [(d, ct) for d, ct in ODD_CLASSES if d >= 4 and class_fixed_points(ct) >= 2]
+    ANCHORED = [(d, ct, fixed) for d in range(4, 9) for ct in all_cycle_types(d)
+                if class_parity(ct) and class_fixed_points(ct) >= 2
+                for fixed in [(3, 4), (5, 6)] if max(fixed) <= d]
 
-    @pytest.mark.parametrize("d, ct", ANCHORED, ids=class_ids(ANCHORED))
-    def test_anchored_search_is_the_class_search_of_degree_d_minus_2(self, d, ct):
-        # The members fixing 3 and 4 are the class of S_{d-2} on the other points.
+    @pytest.mark.parametrize("d, ct, fixed", ANCHORED,
+                             ids=[f"d{d}-{format_cycle_type(ct)}-{a}{b}" for d, ct, (a, b) in ANCHORED])
+    def test_anchored_search_is_the_class_search_of_degree_d_minus_2(self, d, ct, fixed):
+        # The members fixing both anchors are the class of S_{d-2} on the other points.
+        r = min_factors_to_transposition_fixing(d, ct, fixed)
         smaller = ct[:-2]    # non-increasing, so the last two parts are 1-cycles
-        assert min_factors_to_transposition_fixing(d, ct, (3, 4)).length == \
-            min_factors_to_transposition(d - 2, smaller).length
+        assert r.length == min_factors_to_transposition(d - 2, smaller).length
+        a, b = fixed
+        gens = tuple(g for g in class_elements(d, ct) if g(a) == a and g(b) == b)
+        target = Perm.transposition(d, 1, 2)
+        assert r == reference_level_search(d, gens, target, DEFAULT_SEARCH_DEPTH)
+        if r.length > 1:
+            short = r.length - 1
+            assert min_factors_to_transposition_fixing(d, ct, fixed, limit=short) == \
+                MinWordResult(None, None, limit=short)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -172,6 +186,8 @@ class TestConstrainedMinWord:
             min_factors_to_transposition_fixing(5, (2, 1, 1, 1), (1, 3))
         with pytest.raises(ValueError):
             min_factors_to_transposition_fixing(5, (2, 1, 1, 1), (3, 3))
+        with pytest.raises(ValueError):
+            min_factors_to_transposition_fixing(8, (3, 2, 1, 1, 1), (3, 9))
 
 
 class TestFullGroup:
