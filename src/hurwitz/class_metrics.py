@@ -195,7 +195,12 @@ def stability_bound(metrics: ClassMetrics) -> int:
         raise ValueError(f"stability bound needs f_C >= 2, got {metrics.fixed_points}")
     if metrics.min_word is None or not metrics.min_word.known:
         raise ValueError("stability bound needs a known m_C")
-    d = metrics.degree
     m = metrics.min_word.length
     assert m is not None
-    return 3 ** (d - 3) * (2 * d - 1) * (d - 1) * m + metrics.order * metrics.size + 1
+    return ladder_cube_length(metrics.degree, m) + metrics.order * metrics.size + 1
+
+
+def ladder_cube_length(degree: int, witness_length: int) -> int:
+    """The length of the stable tail block, the embedded ladder cube built
+    from a witness of ``witness_length`` factors."""
+    return 3 ** (degree - 3) * (2 * degree - 1) * (degree - 1) * witness_length

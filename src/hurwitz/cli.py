@@ -12,17 +12,18 @@ import click
 
 from . import constructions as cons
 from . import reports
-from .class_metrics import compute_class_metrics
-from .orbits import FiberSpec, are_equivalent, count_orbits_in_fiber, enumerate_orbit, stable_length_scan
+from .class_metrics import DEFAULT_SEARCH_DEPTH, compute_class_metrics
+from .orbits import (DEFAULT_LIMITS, FiberSpec, SearchLimits, are_equivalent, count_orbits_in_fiber,
+                     enumerate_orbit, stable_length_scan)
 from .perms import LimitExceededError, Perm, format_cycle_type, parse_cycle_type
 from .reports import RunConfig, make_report
 from .words import Factorization, TypeVector
 
 
 @click.group()
-@click.option("--max-states", type=int, default=10_000_000, show_default=True,
+@click.option("--max-states", type=int, default=DEFAULT_LIMITS.max_states, show_default=True,
               help="State cap for orbit and equivalence searches (at least 2).")
-@click.option("--max-fiber", type=int, default=10_000_000, show_default=True,
+@click.option("--max-fiber", type=int, default=DEFAULT_LIMITS.max_fiber, show_default=True,
               help="Word cap for fiber enumeration.")
 @click.option("--workers", type=int, default=1, show_default=True,
               help="Accepted for interface compatibility; results never depend on it.")
@@ -37,8 +38,11 @@ def cli(ctx: click.Context, max_states: int, max_fiber: int, workers: int,
         cache_dir: str | None, output_format: str, seed: int) -> None:
     """Compute with permutation factorizations: orbits of the braid moves,
     fiber component counts, stable words, and class constants."""
+    # --workers is checked and otherwise ignored: every search runs in-process.
+    if workers < 1:
+        raise click.UsageError("worker count must be positive")
     try:
-        ctx.obj = RunConfig(max_states=max_states, max_fiber=max_fiber, workers=workers,
+        ctx.obj = RunConfig(limits=SearchLimits(max_states=max_states, max_fiber=max_fiber),
                             cache_dir=cache_dir, output_format=output_format, seed=seed)
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -86,7 +90,7 @@ def _parse_perm(degree: int, text: str) -> Perm:
 @cli.command("class-info")
 @click.option("--d", "degree", type=int, required=True)
 @click.option("--class", "class_text", required=True, help="Cycle type, e.g. 2,1,1")
-@click.option("--limit", type=int, default=8, show_default=True,
+@click.option("--limit", type=int, default=DEFAULT_SEARCH_DEPTH, show_default=True,
               help="Depth limit for the minimal-word searches.")
 @click.pass_obj
 def class_info_cmd(cfg: RunConfig, degree: int, class_text: str, limit: int) -> int:
@@ -354,9 +358,9 @@ def components_cmd(cfg: RunConfig, degree: int, length: int, type_text: str | No
 @cli.command("theorem1-report")
 @click.option("--d", "degree", type=int, required=True)
 @click.option("--class", "class_text", required=True)
-@click.option("--from", "scan_from", type=int, default=2, show_default=True)
-@click.option("--to", "scan_to", type=int, default=8, show_default=True)
-@click.option("--limit", "search_limit", type=int, default=8, show_default=True)
+@click.option("--from", "scan_from", type=int, default=reports.SCAN_FROM, show_default=True)
+@click.option("--to", "scan_to", type=int, default=reports.SCAN_TO, show_default=True)
+@click.option("--limit", "search_limit", type=int, default=DEFAULT_SEARCH_DEPTH, show_default=True)
 @click.pass_obj
 def theorem_report_cmd(cfg: RunConfig, degree: int, class_text: str,
                        scan_from: int, scan_to: int, search_limit: int) -> int:

@@ -36,6 +36,7 @@ from itertools import combinations
 from .class_metrics import (
     ANCHORS,
     DEFAULT_SEARCH_DEPTH,
+    ladder_cube_length,
     min_factors_to_transposition,
     min_factors_to_transposition_fixing,
 )
@@ -111,21 +112,21 @@ class ConstructionContext:
             raise ValueError("witness does not multiply to (1,2)")
 
     @classmethod
-    def create(cls, degree: int, cycle_type, search_limit: int = DEFAULT_SEARCH_DEPTH) -> "ConstructionContext":
+    def create(cls, degree: int, cycle_type) -> "ConstructionContext":
         """Build a context for an odd class, searching for the minimal anchored
         witness when the class fixes at least two points."""
         ct = validate_cycle_type(cycle_type, degree)
         if class_parity(ct) == 0:
             raise ValueError(f"class {ct} is even; constructions need an odd class")
         if class_fixed_points(ct) >= 2 and degree >= 4:
-            result = min_factors_to_transposition_fixing(degree, ct, ANCHORS, search_limit)
+            result = min_factors_to_transposition_fixing(degree, ct, ANCHORS)
             anchors: tuple[int, int] | None = ANCHORS
         else:
-            result = min_factors_to_transposition(degree, ct, search_limit)
+            result = min_factors_to_transposition(degree, ct)
             anchors = None
         if not result.known:
             raise ValueError(
-                f"no word of <= {search_limit} class-{format_cycle_type(ct)} factors reaches (1,2)")
+                f"no word of <= {DEFAULT_SEARCH_DEPTH} class-{format_cycle_type(ct)} factors reaches (1,2)")
         assert result.witness is not None
         return cls(degree, ct, result.witness, anchors)
 
@@ -178,6 +179,10 @@ def square_ladder(ctx: ConstructionContext) -> Factorization:
     return out
 
 
+def invariant_stage_length(degree: int, k: int, witness_length: int) -> int:
+    return 3 ** (k - 4) * (2 * degree - 1) * witness_length
+
+
 def centralizer_invariant(ctx: ConstructionContext, k: int) -> Factorization:
     """Stage k of the doubling recursion; product (1,2) and length exactly
     3^(k-4) * (2d-1) * witness_length."""
@@ -189,7 +194,7 @@ def centralizer_invariant(ctx: ConstructionContext, k: int) -> Factorization:
     for stage in range(4, k):
         mirrored = word.conjugated_by(Perm.transposition(d, stage, stage + 1))
         word = word.concat(word).concat(mirrored)
-    assert len(word) == 3 ** (k - 4) * (2 * d - 1) * ctx.witness_length
+    assert len(word) == invariant_stage_length(d, k, ctx.witness_length)
     assert word.product() == Perm.transposition(d, 1, 2)
     return word
 
@@ -209,16 +214,8 @@ def embedded_ladder_cube(ctx: ConstructionContext) -> Factorization:
     for i in range(1, d):
         ladder = ladder.concat(embedded_transposition(ctx, i, i + 1))
     word = ladder.repeated(3)
-    assert len(word) == 3 ** (d - 3) * (2 * d - 1) * (d - 1) * ctx.witness_length
+    assert len(word) == ladder_cube_length(d, ctx.witness_length)
     return word
-
-
-def invariant_stage_length(degree: int, k: int, witness_length: int) -> int:
-    return 3 ** (k - 4) * (2 * degree - 1) * witness_length
-
-
-def ladder_cube_length(degree: int, witness_length: int) -> int:
-    return 3 ** (degree - 3) * (2 * degree - 1) * (degree - 1) * witness_length
 
 
 # -- block-shift certificates --------------------------------------------------
@@ -282,16 +279,14 @@ def _certified_row(name: str, w1: Factorization, w2: Factorization,
                    limits: SearchLimits, expected: str = "yes") -> ClaimRow:
     eq = are_equivalent(w1, w2, limits)
     moves = eq.certificate
-    if eq.status == "yes" and moves is not None:
-        if apply_moves_state(w1.factors, moves) != w2.factors:
-            raise RuntimeError(f"{name}: certificate replay failed")
+    if eq.status == "yes" and (moves is None or apply_moves_state(w1.factors, moves) != w2.factors):
+        raise RuntimeError(f"{name}: certificate replay failed")
     return ClaimRow(name, expected, eq.status, moves,
                     detail=eq.reason or f"states_explored={eq.states_explored}")
 
 
 def check_centralizer_invariance(ctx: ConstructionContext,
-                                 limits: SearchLimits = DEFAULT_LIMITS,
-                                 include_negative: bool = True) -> ClaimReport:
+                                 limits: SearchLimits = DEFAULT_LIMITS) -> ClaimReport:
     """Certify that conjugating the embedded (1,2)-letter by any generator of
     the centralizer of (1,2) leaves it equivalent, with move certificates;
     plus one negative control where the product changes."""
@@ -303,10 +298,9 @@ def check_centralizer_invariance(ctx: ConstructionContext,
     for g in gens:
         report.rows.append(_certified_row(
             f"conjugate by {g} ~ original", z.conjugated_by(g), z, limits))
-    if include_negative and d >= 3:
-        g = Perm.transposition(d, 1, 3)
-        report.rows.append(_certified_row(
-            f"conjugate by {g} ~ original", z.conjugated_by(g), z, limits, expected="no"))
+    g = Perm.transposition(d, 1, 3)
+    report.rows.append(_certified_row(
+        f"conjugate by {g} ~ original", z.conjugated_by(g), z, limits, expected="no"))
     return report
 
 
@@ -334,12 +328,12 @@ def check_conjugation_classes(ctx: ConstructionContext,
         for state in states[1:]:
             matched = False
             for rep in classes:
-                eq = are_equivalent(Factorization.from_state(d, state),
-                                    Factorization.from_state(d, rep), limits)
-                if eq.status == "yes":
+                row = _certified_row(f"product {alpha}", Factorization.from_state(d, state),
+                                     Factorization.from_state(d, rep), limits)
+                if row.status == "yes":
                     matched = True
                     break
-                if eq.status == "unknown":
+                if row.status == "unknown":
                     unknown = True
             if not matched and not unknown:
                 classes.append(state)
@@ -368,8 +362,10 @@ def _relation_row(name: str, lhs: Factorization, rhs: Factorization,
                   cache: dict[tuple[State, State], EquivalenceReport]) -> ClaimRow:
     """Certify lhs ~ rhs as: block shift, then a searched certificate between
     the two short conjugate blocks, embedded at ``mini_offset``; replay the
-    composite on lhs and require it to land exactly on rhs."""
-    assert lhs.product() == rhs.product(), "relation sides must share a product"
+    composite on lhs and require it to land exactly on rhs; a mismatch is a
+    fault of the program, not a falsification, and raises."""
+    if lhs.product() != rhs.product():
+        raise RuntimeError(f"{name}: relation sides must share a product")
     key = (mini_src.factors, mini_dst.factors)
     mini = cache.get(key)
     if mini is None:
@@ -385,7 +381,7 @@ def _relation_row(name: str, lhs: Factorization, rhs: Factorization,
     moves += [m.shifted(mini_offset) for m in mini.certificate]
     final = apply_moves_state(lhs.factors, moves)
     if final != rhs.factors:
-        return ClaimRow(name, "yes", "no", detail="composite certificate replay mismatch")
+        raise RuntimeError(f"{name}: composite certificate replay failed")
     return ClaimRow(name, "yes", "yes", tuple(moves),
                     detail=f"{len(moves)} moves ({left_len * right_len} block + searched)")
 
@@ -481,8 +477,7 @@ def rewrite_with_stable_tail(word: Factorization, tail: Factorization,
 
 
 def check_stable_tail(degree: int, cycle_type, limits: SearchLimits = DEFAULT_LIMITS,
-                      samples: int = 3, sample_length: int | None = None,
-                      seed: int = 0) -> ClaimReport:
+                      samples: int = 3, seed: int = 0) -> ClaimReport:
     """Desk-scale demonstrations that long enough words rewrite to end in the
     stable block.
 
@@ -526,7 +521,7 @@ def check_stable_tail(degree: int, cycle_type, limits: SearchLimits = DEFAULT_LI
         raise ValueError(
             f"no desk-scale stable-tail demonstration for class {ct} at degree {degree}")
     tail = ladder_cube(degree)
-    length = sample_length or len(tail) + 1
+    length = len(tail) + 1
     gens = transpositions(degree)
     full = frozenset(all_perms(degree))
     report.summary = {"mode": "ladder", "tail_length": len(tail), "word_length": length}
@@ -565,38 +560,29 @@ def _pigeonhole_row(word: Factorization, cycle_type: CycleType) -> ClaimRow:
                            f"max multiplicity {most} >= {n_c + 1}")
 
 
-def check_length_formulas(degree: int, cycle_type=None,
-                          search_limit: int = DEFAULT_SEARCH_DEPTH) -> ClaimReport:
+def check_length_formulas(degree: int, cycle_type=None) -> ClaimReport:
     """Exact (tolerance zero) length checks for every builder."""
     report = ClaimReport("lengths")
+
+    def check(name: str, word: Factorization, want: int) -> None:
+        got = len(word)
+        report.rows.append(ClaimRow(name, "yes", "yes" if got == want else "no",
+                                    detail=f"got {got}, want {want}"))
+
     for d in range(2, 9):
-        got = len(ladder_cube(d))
-        report.rows.append(ClaimRow(
-            f"ladder cube length at degree {d}", "yes",
-            "yes" if got == 3 * (d - 1) else "no",
-            detail=f"got {got}, want {3 * (d - 1)}"))
+        check(f"ladder cube length at degree {d}", ladder_cube(d), 3 * (d - 1))
     if cycle_type is not None:
         ct = validate_cycle_type(cycle_type, degree)
-        ctx = ConstructionContext.create(degree, ct, search_limit)
+        ctx = ConstructionContext.create(degree, ct)
         m = ctx.witness_length
         report.summary = {"witness_length": m}
         if ctx.anchors is not None:
             for k in range(4, degree + 1):
-                got = len(centralizer_invariant(ctx, k))
-                want = invariant_stage_length(degree, k, m)
-                report.rows.append(ClaimRow(
-                    f"invariant stage {k} length", "yes",
-                    "yes" if got == want else "no", detail=f"got {got}, want {want}"))
-            got = len(embedded_ladder_cube(ctx))
-            want = ladder_cube_length(degree, m)
-            report.rows.append(ClaimRow(
-                "embedded ladder cube length", "yes",
-                "yes" if got == want else "no", detail=f"got {got}, want {want}"))
-        got = len(square_ladder(ctx))
-        want = 2 * (degree - 1) * m
-        report.rows.append(ClaimRow(
-            "square ladder length", "yes",
-            "yes" if got == want else "no", detail=f"got {got}, want {want}"))
+                check(f"invariant stage {k} length", centralizer_invariant(ctx, k),
+                      invariant_stage_length(degree, k, m))
+            check("embedded ladder cube length", embedded_ladder_cube(ctx),
+                  ladder_cube_length(degree, m))
+        check("square ladder length", square_ladder(ctx), 2 * (degree - 1) * m)
     return report
 
 

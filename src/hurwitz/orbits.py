@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .perms import Perm, class_elements, class_reflection_length, closure, is_transitive, transpositions, validate_cycle_type
+from .perms import (MAX_EXHAUSTIVE_DEGREE, Perm, class_elements, class_reflection_length, closure,
+                    is_transitive, transpositions, validate_cycle_type)
 from .words import (
     Coded,
     Factorization,
@@ -172,7 +173,7 @@ def _assert_orbit_invariants(start: Factorization, states: list[State],
     want_type = start.type_vector()
     want_len = len(start)
     want_product = start.product()
-    want_group = start.generated_subgroup() if d <= 8 else None
+    want_group = start.generated_subgroup() if d <= MAX_EXHAUSTIVE_DEGREE else None
     for s in states:
         if len(s) != want_len:
             raise RuntimeError("orbit word changed length")
@@ -216,7 +217,7 @@ def are_equivalent(s1: Factorization, s2: Factorization,
         return EquivalenceReport("no", None, 0, "products differ")
     if s1.type_vector() != s2.type_vector():
         return EquivalenceReport("no", None, 0, "types differ")
-    if s1.degree <= 8 and s1.generated_subgroup() != s2.generated_subgroup():
+    if s1.degree <= MAX_EXHAUSTIVE_DEGREE and s1.generated_subgroup() != s2.generated_subgroup():
         return EquivalenceReport("no", None, 0, "generated subgroups differ")
     if s1.factors == s2.factors:
         return EquivalenceReport("yes", (), 0)
@@ -310,10 +311,11 @@ class FiberReport:
 def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> FiberReport:
     """All words matching the spec, by backtracking with prefix-product pruning.
 
-    The pruning is exact in both directions it uses: the suffix still needed
-    must not require more transpositions than the remaining factors can carry
-    (reflection length is subadditive), and its parity must equal the summed
-    parity of the remaining factors.
+    A prefix is pruned when the suffix still needed requires more
+    transpositions than the remaining factors can carry (reflection length is
+    subadditive).  Parity is checked once, at the root: the needed suffix and
+    the remaining factors then have the same parity at every node, because a
+    factor changes both by its own parity.
 
     The search runs on kernel codes: the prefix product is carried as a code
     through ``kernel.mul``, and the reflection distance from a prefix product
@@ -382,7 +384,7 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
                 need_refl = distance.get(child)
                 if need_refl is None:
                     need_refl = distance_miss(child)
-                if need_refl > child_budget or (need_refl - child_budget) % 2 != 0:
+                if need_refl > child_budget:
                     continue
                 prefix.append(g)
                 rec(child, remaining - 1, child_budget)

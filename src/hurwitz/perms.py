@@ -31,7 +31,7 @@ CycleType = tuple[int, ...]
 
 
 class LimitExceededError(RuntimeError):
-    """An exhaustive computation would exceed its configured limit."""
+    """An exhaustive computation was asked for above ``MAX_EXHAUSTIVE_DEGREE``."""
 
 
 class Perm(tuple):
@@ -55,11 +55,6 @@ class Perm(tuple):
             raise ValueError("a permutation needs degree >= 1")
         if sorted(images) != list(range(1, d + 1)):
             raise ValueError(f"not a permutation of 1..{d}: {images!r}")
-        return tuple.__new__(cls, images)
-
-    @classmethod
-    def _raw(cls, images: Iterable[int]) -> "Perm":
-        # Internal fast path: caller guarantees images is a valid one-line tuple.
         return tuple.__new__(cls, images)
 
     # -- constructors ------------------------------------------------------
@@ -251,7 +246,7 @@ class Perm(tuple):
 def all_perms(degree: int) -> Iterator[Perm]:
     """All elements of S_degree in lexicographic one-line order."""
     for images in itertools.permutations(range(1, degree + 1)):
-        yield Perm._raw(images)
+        yield tuple.__new__(Perm, images)
 
 
 @functools.lru_cache(maxsize=None)
@@ -347,8 +342,7 @@ def _class_elements_cached(degree: int, cycle_type: CycleType) -> tuple[Perm, ..
     return tuple(sorted(p for p in all_perms(degree) if p.cycle_type() == cycle_type))
 
 
-def class_elements(degree: int, cycle_type: Iterable[int],
-                   limit: int | None = None) -> tuple[Perm, ...]:
+def class_elements(degree: int, cycle_type: Iterable[int]) -> tuple[Perm, ...]:
     """All permutations of S_degree with the given cycle type, sorted.
 
     >>> [str(p) for p in class_elements(3, (2, 1))]
@@ -358,16 +352,12 @@ def class_elements(degree: int, cycle_type: Iterable[int],
     if degree > MAX_EXHAUSTIVE_DEGREE:
         raise LimitExceededError(
             f"class enumeration is exhaustive and limited to degree <= {MAX_EXHAUSTIVE_DEGREE}")
-    size = class_size(degree, ct)
-    if limit is not None and size > limit:
-        raise LimitExceededError(f"class has {size} elements, over the limit {limit}")
     return _class_elements_cached(degree, ct)
 
 
 # -- subgroup machinery (small-degree exhaustion only) -----------------------
 
-def closure(degree: int, generators: Iterable[Perm],
-            limit: int | None = None) -> frozenset[Perm]:
+def closure(degree: int, generators: Iterable[Perm]) -> frozenset[Perm]:
     """The subgroup generated by ``generators`` as an explicit element set.
 
     Breadth-first closure under right multiplication; valid for finite groups
@@ -387,8 +377,6 @@ def closure(degree: int, generators: Iterable[Perm],
         for g in gens:
             y = x * g
             if y not in seen:
-                if limit is not None and len(seen) >= limit:
-                    raise LimitExceededError(f"subgroup closure exceeded limit {limit}")
                 seen.add(y)
                 order_.append(y)
     return frozenset(seen)

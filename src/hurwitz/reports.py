@@ -2,8 +2,8 @@
 
 Reports are plain dicts with a fixed construction order and a
 ``schema_version`` field; JSON output is byte-deterministic given the query,
-seed, and limits (worker count never appears in a report).  CSV is available
-for tabular bodies (anything carrying ``rows``), text is a readable summary.
+seed, and limits.  CSV is available for tabular bodies (anything carrying
+``rows``), text is a readable summary.
 
 The cache maps a content hash of (schema version, package version, package
 sources, command, query, seed, limits, format) to the exact serialized
@@ -26,9 +26,9 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 from . import __version__
-from .class_metrics import ClassMetrics, MinWordResult, compute_class_metrics, stability_bound
+from .class_metrics import DEFAULT_SEARCH_DEPTH, ClassMetrics, MinWordResult, compute_class_metrics, stability_bound
 from .constructions import ClaimReport
-from .orbits import FiberSpec, ScanRow, SearchLimits, count_orbits_in_fiber, stable_length_scan
+from .orbits import DEFAULT_LIMITS, FiberSpec, ScanRow, SearchLimits, count_orbits_in_fiber, stable_length_scan
 from .perms import CycleType, Perm, all_cycle_types, format_cycle_type, validate_cycle_type
 from .words import Factorization, TypeVector
 
@@ -39,23 +39,14 @@ SCHEMA_VERSION = 1
 class RunConfig:
     """Per-invocation knobs; only seed and limits influence report content."""
 
-    max_states: int = 10_000_000
-    max_fiber: int = 10_000_000
-    workers: int = 1
+    limits: SearchLimits = DEFAULT_LIMITS
     cache_dir: str | None = None
     output_format: str = "json"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("worker count must be positive")
-        SearchLimits(max_states=self.max_states, max_fiber=self.max_fiber)  # validates both
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-
-    @property
-    def limits(self) -> SearchLimits:
-        return SearchLimits(max_states=self.max_states, max_fiber=self.max_fiber)
 
 
 # -- serialization helpers -----------------------------------------------------
@@ -76,7 +67,7 @@ def make_report(command: str, query: dict, cfg: RunConfig, body: dict) -> dict:
         "command": command,
         "query": query,
         "seed": cfg.seed,
-        "limits": {"max_states": cfg.max_states, "max_fiber": cfg.max_fiber},
+        "limits": {"max_states": cfg.limits.max_states, "max_fiber": cfg.limits.max_fiber},
     }
     report.update(body)
     return report
@@ -155,7 +146,7 @@ def cache_key(command: str, query: dict, cfg: RunConfig) -> str:
         "command": command,
         "query": query,
         "seed": cfg.seed,
-        "limits": [cfg.max_states, cfg.max_fiber],
+        "limits": [cfg.limits.max_states, cfg.limits.max_fiber],
         "format": cfg.output_format,
     }, sort_keys=True)
     return _sha256(material)
@@ -253,19 +244,15 @@ def scan_rows_to_dicts(rows: list[ScanRow]) -> list[dict]:
 
 # -- claim reports -----------------------------------------------------------------
 
-def claim_report_body(report: ClaimReport, include_certificates: bool = True) -> dict:
-    rows = []
-    for row in report.rows:
-        entry = {
-            "check": row.name,
-            "expected": row.expected,
-            "status": row.status,
-            "certificate_moves": len(row.moves) if row.moves is not None else None,
-            "detail": row.detail,
-        }
-        if include_certificates:
-            entry["certificate"] = moves_to_list(row.moves)
-        rows.append(entry)
+def claim_report_body(report: ClaimReport) -> dict:
+    rows = [{
+        "check": row.name,
+        "expected": row.expected,
+        "status": row.status,
+        "certificate_moves": len(row.moves) if row.moves is not None else None,
+        "detail": row.detail,
+        "certificate": moves_to_list(row.moves),
+    } for row in report.rows]
     return {
         "claim": report.claim,
         "summary": report.summary,
@@ -371,9 +358,13 @@ def components_exit_code(body: dict) -> int:
 
 # -- stability report ----------------------------------------------------------------
 
+#: The word lengths n that the theorem report scans when none are given.
+SCAN_FROM, SCAN_TO = 2, 8
+
+
 def theorem_report(degree: int, cycle_type: CycleType, limits: SearchLimits,
-                   scan_from: int = 2, scan_to: int = 8,
-                   search_limit: int = 8) -> dict:
+                   scan_from: int = SCAN_FROM, scan_to: int = SCAN_TO,
+                   search_limit: int = DEFAULT_SEARCH_DEPTH) -> dict:
     """Class metrics, the stability bound, and an orbit-count scan; any
     complete scan row at or past the bound with more than one orbit is a
     falsification (none is expected)."""

@@ -311,9 +311,9 @@ class Factorization:
     def __len__(self) -> int:
         return len(self.factors)
 
-    def generated_subgroup(self, limit: int | None = None) -> frozenset[Perm]:
+    def generated_subgroup(self) -> frozenset[Perm]:
         """The subgroup generated by the factors, as an explicit element set."""
-        return closure(self.degree, self.factors, limit=limit)
+        return closure(self.degree, self.factors)
 
     def generates(self, subgroup: Iterable[Perm]) -> bool:
         """Whether the generated subgroup equals ``subgroup`` exactly."""

@@ -204,6 +204,10 @@ class TestPlumbing:
         assert run(capsys, "nonsense")[0] == 3
         assert run(capsys, "--max-states", "1", "orbit", "--d", "3",
                    "--word", "(1,2)(2,3)")[0] == 3
+        assert run(capsys, "--max-fiber", "0", "orbit", "--d", "3",
+                   "--word", "(1,2)(2,3)")[0] == 3
+        assert run(capsys, "--workers", "0", "orbit", "--d", "3",
+                   "--word", "(1,2)(2,3)")[0] == 3
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

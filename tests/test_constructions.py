@@ -25,7 +25,7 @@ from hurwitz.constructions import (
 )
 from hurwitz.orbits import FiberSpec, SearchLimits, count_orbits_in_fiber
 from hurwitz.perms import Perm, class_elements, transpositions
-from hurwitz.words import Factorization, TypeVector
+from hurwitz.words import Factorization, Move, TypeVector
 
 LIM = SearchLimits(max_states=300_000, max_fiber=300_000)
 
@@ -232,6 +232,27 @@ class TestClaims:
         ctx = ConstructionContext.create(4, (2, 1, 1))
         with pytest.raises(RuntimeError, match="certificate replay failed"):
             check_centralizer_invariance(ctx, LIM)
+
+    def test_claim_two_replays_its_certificates(self, monkeypatch):
+        # claim 2 compares conjugates through the same replaying row as claim 1
+        import hurwitz.constructions as constructions
+        from hurwitz.orbits import EquivalenceReport
+        monkeypatch.setattr(constructions, "are_equivalent",
+                            lambda w1, w2, limits: EquivalenceReport("yes", (Move(1, "R"),), 0))
+        ctx = ConstructionContext.create(4, (2, 1, 1))
+        with pytest.raises(RuntimeError, match="certificate replay failed"):
+            check_conjugation_classes(ctx, LIM)
+
+    def test_composite_replay_mismatch_is_an_error(self, monkeypatch):
+        # a composite certificate that misses its target is a program fault,
+        # not a falsification of claim 3
+        import hurwitz.constructions as constructions
+        shift = constructions.block_shift_right_cert
+        monkeypatch.setattr(constructions, "block_shift_right_cert",
+                            lambda left_len, right_len: shift(left_len, right_len)[:-1])
+        ctx = ConstructionContext.create(4, (2, 1, 1))
+        with pytest.raises(RuntimeError, match="composite certificate replay failed"):
+            check_braid_relations(ctx, LIM, max_triples=1, max_quadruples=0)
 
     def test_length_formulas_report(self):
         report = check_length_formulas(5, (2, 1, 1, 1))

@@ -155,10 +155,6 @@ class TestClasses:
                     assert size == len(class_elements(d, ct))
             assert total == math.factorial(d)
 
-    def test_class_element_limit(self):
-        with pytest.raises(LimitExceededError):
-            class_elements(6, (2, 1, 1, 1, 1), limit=10)
-
     def test_canonical_element(self):
         p = canonical_class_element(8, (3, 2, 1, 1, 1))
         assert str(p) == "(1,2,3)(4,5)"

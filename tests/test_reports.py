@@ -26,7 +26,7 @@ from hurwitz.words import TypeVector
 import oracle
 
 LIM = SearchLimits(max_states=200_000, max_fiber=200_000)
-CFG = RunConfig(max_states=200_000, max_fiber=200_000)
+CFG = RunConfig(limits=LIM)
 
 
 class TestExitCodes:
@@ -62,11 +62,6 @@ class TestSerialization:
         assert parsed["schema_version"] == 1
         assert list(parsed)[:5] == ["schema_version", "command", "query", "seed", "limits"]
 
-    def test_no_worker_count_in_reports(self):
-        cfg = RunConfig(workers=4)
-        text = to_json(make_report("orbit", {"d": 3}, cfg, {"x": 1}))
-        assert "workers" not in text
-
     def test_csv_row_count(self):
         report = {"rows": [{"n": 2, "orbits": 0}, {"n": 4, "orbits": 1}]}
         lines = to_csv(report).strip().splitlines()
@@ -92,9 +87,6 @@ class TestSerialization:
         assert k1 == cache_key("orbit", {"d": 3}, CFG)
 
     def test_config_validation(self):
-        for bad in ({"max_states": 0}, {"max_states": 1}, {"max_fiber": 0}, {"workers": 0}):
-            with pytest.raises(ValueError):
-                RunConfig(**bad)
         with pytest.raises(ValueError):
             RunConfig(output_format="yaml")
 
