@@ -2,7 +2,15 @@
 
 Subcommands: class-info, orbit, equiv, fiber-count, stable-length, construct,
 verify, components, theorem1-report.  Exit codes: 0 success, 1 falsification
-found, 2 limits exceeded (every row unknown), 3 usage error.
+found, 2 limits exceeded (every row unknown), 3 usage error (invalid input to
+any command), 4 program fault (never a falsification).
+
+Each kind of error becomes an exit code in one place.  ``_Command.invoke``
+reads a ``ValueError`` raised anywhere in a command as invalid input (exit 3);
+the library raises it only for that, so a bug that surfaces as a builtin
+``ValueError`` is also reported as a usage error.  ``main`` turns every other
+exception, ``LimitExceededError`` aside, into one ``internal error`` line
+(exit 4), so no fault can exit 1.
 """
 from __future__ import annotations
 
@@ -20,7 +28,22 @@ from .reports import RunConfig, make_report
 from .words import Factorization, TypeVector
 
 
-@click.group()
+class _Command(click.Command):
+    """A command whose invalid input, wherever it is detected, is a usage
+    error reported with this command's own usage line."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from None
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 @click.option("--max-states", type=int, default=DEFAULT_LIMITS.max_states, show_default=True,
               help="State cap for orbit and equivalence searches (at least 2).")
 @click.option("--max-fiber", type=int, default=DEFAULT_LIMITS.max_fiber, show_default=True,
@@ -41,11 +64,8 @@ def cli(ctx: click.Context, max_states: int, max_fiber: int, workers: int,
     # --workers is checked and otherwise ignored: every search runs in-process.
     if workers < 1:
         raise click.UsageError("worker count must be positive")
-    try:
-        ctx.obj = RunConfig(limits=SearchLimits(max_states=max_states, max_fiber=max_fiber),
-                            cache_dir=cache_dir, output_format=output_format, seed=seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    ctx.obj = RunConfig(limits=SearchLimits(max_states=max_states, max_fiber=max_fiber),
+                        cache_dir=cache_dir, output_format=output_format, seed=seed)
 
 
 def _finish(cfg: RunConfig, command: str, query: dict, compute) -> int:
@@ -57,34 +77,10 @@ def _finish(cfg: RunConfig, command: str, query: dict, compute) -> int:
         click.echo(payload, nl=False)
         return code
     body, code = compute()
-    try:
-        payload = reports.emit(make_report(command, query, cfg, body), cfg)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    payload = reports.emit(make_report(command, query, cfg, body), cfg)
     reports.cache_put(cfg, key, payload, code)
     click.echo(payload, nl=False)
     return code
-
-
-def _parse_class(text: str, degree: int):
-    try:
-        return parse_cycle_type(text, degree)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-def _parse_word(degree: int, text: str) -> Factorization:
-    try:
-        return Factorization.parse_word(degree, text)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-def _parse_perm(degree: int, text: str) -> Perm:
-    try:
-        return Perm.parse(text, degree)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
 
 
 @cli.command("class-info")
@@ -95,7 +91,7 @@ def _parse_perm(degree: int, text: str) -> Perm:
 @click.pass_obj
 def class_info_cmd(cfg: RunConfig, degree: int, class_text: str, limit: int) -> int:
     """Class constants: order, size, fixed points, minimal words, bound."""
-    ct = _parse_class(class_text, degree)
+    ct = parse_cycle_type(class_text, degree)
     query = {"d": degree, "class": format_cycle_type(ct), "limit": limit}
 
     def compute():
@@ -113,7 +109,7 @@ def class_info_cmd(cfg: RunConfig, degree: int, class_text: str, limit: int) -> 
 @click.pass_obj
 def orbit_cmd(cfg: RunConfig, degree: int, word_text: str, conj: bool) -> int:
     """Enumerate the move orbit of a word."""
-    word = _parse_word(degree, word_text)
+    word = Factorization.parse_word(degree, word_text)
     query = {"d": degree, "word": reports.word_to_list(word), "conj": conj}
 
     def compute():
@@ -137,8 +133,8 @@ def orbit_cmd(cfg: RunConfig, degree: int, word_text: str, conj: bool) -> int:
 @click.pass_obj
 def equiv_cmd(cfg: RunConfig, degree: int, word1: str, word2: str) -> int:
     """Decide move equivalence of two words, with a certificate on yes."""
-    w1 = _parse_word(degree, word1)
-    w2 = _parse_word(degree, word2)
+    w1 = Factorization.parse_word(degree, word1)
+    w2 = Factorization.parse_word(degree, word2)
     query = {"d": degree, "word1": reports.word_to_list(w1), "word2": reports.word_to_list(w2)}
 
     def compute():
@@ -168,12 +164,9 @@ def equiv_cmd(cfg: RunConfig, degree: int, word1: str, word2: str) -> int:
 def fiber_count_cmd(cfg: RunConfig, degree: int, type_text: str, product_text: str,
                     constraint: str, conj: bool) -> int:
     """Enumerate a (type, product) fiber and count its move orbits."""
-    try:
-        tv = TypeVector.parse(type_text, degree)
-        product = _parse_perm(degree, product_text)
-        spec = FiberSpec(degree, tv, product, constraint, conj)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    tv = TypeVector.parse(type_text, degree)
+    product = Perm.parse(product_text, degree)
+    spec = FiberSpec(degree, tv, product, constraint, conj)
     query = {"d": degree, "type": str(tv), "product": str(product),
              "constraint": constraint, "conj": conj}
 
@@ -201,10 +194,8 @@ def fiber_count_cmd(cfg: RunConfig, degree: int, type_text: str, product_text: s
 def stable_length_cmd(cfg: RunConfig, degree: int, class_text: str, product_text: str,
                       n_from: int, n_to: int) -> int:
     """Orbit counts of full-group fibers with n class factors, n in a range."""
-    ct = _parse_class(class_text, degree)
-    product = _parse_perm(degree, product_text)
-    if n_from < 1 or n_to < n_from:
-        raise click.UsageError("need 1 <= from <= to")
+    ct = parse_cycle_type(class_text, degree)
+    product = Perm.parse(product_text, degree)
     query = {"d": degree, "class": format_cycle_type(ct), "product": str(product),
              "from": n_from, "to": n_to}
 
@@ -239,26 +230,22 @@ def construct_cmd(cfg: RunConfig, degree: int, class_text: str | None, element: 
              "i": point_i, "j": point_j, "k": stage_k}
 
     def compute():
-        try:
-            if element == "h":
-                word = cons.ladder_cube(degree)
+        if element == "h":
+            word = cons.ladder_cube(degree)
+        else:
+            if class_text is None:
+                raise ValueError(f"element {element} needs --class")
+            ctx = cons.ConstructionContext.create(degree, parse_cycle_type(class_text, degree))
+            if element == "sbar":
+                word = cons.transposition_word(ctx, point_i, point_j)
+            elif element == "c":
+                word = cons.square_ladder(ctx)
+            elif element == "y":
+                word = cons.centralizer_invariant(ctx, stage_k or degree)
+            elif element == "z":
+                word = cons.embedded_transposition(ctx, point_i, point_j)
             else:
-                if class_text is None:
-                    raise ValueError(f"element {element} needs --class")
-                ct = parse_cycle_type(class_text, degree)
-                ctx = cons.ConstructionContext.create(degree, ct)
-                if element == "sbar":
-                    word = cons.transposition_word(ctx, point_i, point_j)
-                elif element == "c":
-                    word = cons.square_ladder(ctx)
-                elif element == "y":
-                    word = cons.centralizer_invariant(ctx, stage_k or degree)
-                elif element == "z":
-                    word = cons.embedded_transposition(ctx, point_i, point_j)
-                else:
-                    word = cons.embedded_ladder_cube(ctx)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+                word = cons.embedded_ladder_cube(ctx)
         body = {
             "word": reports.word_to_list(word),
             "length": len(word),
@@ -293,30 +280,27 @@ def verify_cmd(cfg: RunConfig, degree: int, class_text: str | None, claim: str,
     query = {"d": degree, "class": class_text, "claim": claim, "samples": samples}
 
     def compute():
-        try:
-            if claim in ("1", "2", "3"):
-                if class_text is None:
-                    raise ValueError(f"claim {claim} needs --class")
-                ctx = cons.ConstructionContext.create(degree, parse_cycle_type(class_text, degree))
-                check = {
-                    "1": cons.check_centralizer_invariance,
-                    "2": cons.check_conjugation_classes,
-                    "3": cons.check_braid_relations,
-                }[claim]
-                report = check(ctx, cfg.limits)
-            elif claim == "5":
-                if class_text is None:
-                    raise ValueError("claim 5 needs --class")
-                report = cons.check_stable_tail(degree, parse_cycle_type(class_text, degree),
-                                                cfg.limits, samples=samples, seed=cfg.seed)
-            elif claim == "lengths":
-                ct = parse_cycle_type(class_text, degree) if class_text else None
-                report = cons.check_length_formulas(degree, ct)
-            else:
-                report = cons.check_defining_relation(degree, cfg.limits,
-                                                      samples=samples, seed=cfg.seed)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        if claim in ("1", "2", "3"):
+            if class_text is None:
+                raise ValueError(f"claim {claim} needs --class")
+            ctx = cons.ConstructionContext.create(degree, parse_cycle_type(class_text, degree))
+            check = {
+                "1": cons.check_centralizer_invariance,
+                "2": cons.check_conjugation_classes,
+                "3": cons.check_braid_relations,
+            }[claim]
+            report = check(ctx, cfg.limits)
+        elif claim == "5":
+            if class_text is None:
+                raise ValueError("claim 5 needs --class")
+            report = cons.check_stable_tail(degree, parse_cycle_type(class_text, degree),
+                                            cfg.limits, samples=samples, seed=cfg.seed)
+        elif claim == "lengths":
+            ct = parse_cycle_type(class_text, degree) if class_text else None
+            report = cons.check_length_formulas(degree, ct)
+        else:
+            report = cons.check_defining_relation(degree, cfg.limits,
+                                                  samples=samples, seed=cfg.seed)
         body = reports.claim_report_body(report)
         return body, reports.claim_exit_code(report)
 
@@ -340,11 +324,8 @@ def components_cmd(cfg: RunConfig, degree: int, length: int, type_text: str | No
     """Count irreducible component classes of length-b identity-product fibers."""
     if conj is None:
         conj = not full_group
-    try:
-        tv = TypeVector.parse(type_text, degree) if type_text else None
-        query_obj = reports.ComponentQuery(degree, length, tv, full_group, transitive, conj)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    tv = TypeVector.parse(type_text, degree) if type_text else None
+    query_obj = reports.ComponentQuery(degree, length, tv, full_group, transitive, conj)
     query = {"d": degree, "b": length, "type": str(tv) if tv else "all",
              "galois_full": full_group, "transitive_only": transitive, "conj": conj}
 
@@ -366,16 +347,12 @@ def theorem_report_cmd(cfg: RunConfig, degree: int, class_text: str,
                        scan_from: int, scan_to: int, search_limit: int) -> int:
     """Stability bound for a class plus an orbit-count scan; exits 1 if any
     complete row at or past the bound has more than one orbit."""
-    ct = _parse_class(class_text, degree)
+    ct = parse_cycle_type(class_text, degree)
     query = {"d": degree, "class": format_cycle_type(ct),
              "from": scan_from, "to": scan_to, "limit": search_limit}
 
     def compute():
-        try:
-            body = reports.theorem_report(degree, ct, cfg.limits,
-                                          scan_from, scan_to, search_limit)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        body = reports.theorem_report(degree, ct, cfg.limits, scan_from, scan_to, search_limit)
         return body, reports.theorem_exit_code(body)
 
     return _finish(cfg, "theorem1-report", query, compute)
@@ -396,6 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     except LimitExceededError as exc:
         click.echo(f"limit exceeded: {exc}", err=True)
         return 2
+    except Exception as exc:
+        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        return 4
 
 
 if __name__ == "__main__":

@@ -134,9 +134,6 @@ class ConstructionContext:
     def witness_length(self) -> int:
         return len(self.witness)
 
-    def conjugator(self, i: int, j: int) -> Perm:
-        return conjugator(self.degree, i, j)
-
     def require_anchors(self) -> tuple[int, int]:
         if self.anchors is None:
             raise ValueError(
@@ -161,7 +158,7 @@ def ladder_cube(degree: int) -> Factorization:
 
 def transposition_word(ctx: ConstructionContext, i: int, j: int) -> Factorization:
     """The witness conjugated to have product (i,j); all factors stay in class."""
-    word = Factorization(ctx.degree, ctx.witness).conjugated_by(ctx.conjugator(i, j))
+    word = Factorization(ctx.degree, ctx.witness).conjugated_by(conjugator(ctx.degree, i, j))
     assert word.product() == Perm.transposition(ctx.degree, i, j)
     return word
 
@@ -201,7 +198,7 @@ def centralizer_invariant(ctx: ConstructionContext, k: int) -> Factorization:
 
 def embedded_transposition(ctx: ConstructionContext, i: int, j: int) -> Factorization:
     """The stage-d invariant word conjugated so its product is (i,j)."""
-    word = centralizer_invariant(ctx, ctx.degree).conjugated_by(ctx.conjugator(i, j))
+    word = centralizer_invariant(ctx, ctx.degree).conjugated_by(conjugator(ctx.degree, i, j))
     assert word.product() == Perm.transposition(ctx.degree, i, j)
     return word
 
@@ -220,24 +217,23 @@ def embedded_ladder_cube(ctx: ConstructionContext) -> Factorization:
 
 # -- block-shift certificates --------------------------------------------------
 
-def block_shift_right_cert(left_len: int, right_len: int, offset: int = 0) -> list[Move]:
-    """Moves turning A ++ B into rho(product(A))(B) ++ A, where A has
-    ``left_len`` factors starting at 1-based position offset+1 and B has
-    ``right_len`` factors after it.  One R move per factor pair: left_len *
-    right_len moves in total."""
+def block_shift_right_cert(left_len: int, right_len: int) -> list[Move]:
+    """Moves turning A ++ B into rho(product(A))(B) ++ A, where A is the
+    first ``left_len`` factors and B the ``right_len`` factors after it.
+    One R move per factor pair: left_len * right_len moves in total."""
     moves = []
     for a in range(left_len, 0, -1):
         for step in range(right_len):
-            moves.append(Move(offset + a + step, "R"))
+            moves.append(Move(a + step, "R"))
     return moves
 
 
-def block_shift_left_cert(left_len: int, right_len: int, offset: int = 0) -> list[Move]:
+def block_shift_left_cert(left_len: int, right_len: int) -> list[Move]:
     """Moves turning A ++ B into B ++ rho(product(B)^-1)(A)."""
     moves = []
     for b in range(1, right_len + 1):
         for pos in range(left_len + b - 1, b - 1, -1):
-            moves.append(Move(offset + pos, "L"))
+            moves.append(Move(pos, "L"))
     return moves
 
 
@@ -387,9 +383,7 @@ def _relation_row(name: str, lhs: Factorization, rhs: Factorization,
 
 
 def check_braid_relations(ctx: ConstructionContext,
-                          limits: SearchLimits = DEFAULT_LIMITS,
-                          max_triples: int | None = None,
-                          max_quadruples: int | None = None) -> ClaimReport:
+                          limits: SearchLimits = DEFAULT_LIMITS) -> ClaimReport:
     """Certify the transposition-letter relations between embedded letters:
     for each triple i<j<k both rewritings of the overlapping product, and for
     each quadruple the commutation of disjoint letters."""
@@ -400,8 +394,6 @@ def check_braid_relations(ctx: ConstructionContext,
     cache: dict[tuple[State, State], EquivalenceReport] = {}
     report = ClaimReport("3", summary={"letter_length": L})
     triples = list(combinations(range(1, d + 1), 3))
-    if max_triples is not None:
-        triples = triples[:max_triples]
     for (a, b, c) in triples:
         zab, zac, zbc = letters[(a, b)], letters[(a, c)], letters[(b, c)]
         tab = Perm.transposition(d, a, b)
@@ -416,8 +408,6 @@ def check_braid_relations(ctx: ConstructionContext,
             lhs, zac.concat(zbc), "L", L, L,
             zab.conjugated_by(tac), zbc, L, limits, cache))
     quadruples = list(combinations(range(1, d + 1), 4))
-    if max_quadruples is not None:
-        quadruples = quadruples[:max_quadruples]
     for (a, b, c, e) in quadruples:
         zab, zce = letters[(a, b)], letters[(c, e)]
         tab = Perm.transposition(d, a, b)

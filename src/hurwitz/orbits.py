@@ -284,6 +284,8 @@ class FiberSpec:
         if len(self.product) != self.degree:
             raise ValueError("product degree mismatch")
         self.type_vector.check_degree(self.degree)
+        if (1,) * self.degree in self.type_vector.as_dict():
+            raise ValueError(f"type {self.type_vector} holds the identity class, which no factor has")
         if self.conjugation_quotient and self.degree >= 3 and not self.product.is_identity():
             raise ValueError(
                 "conjugation quotient needs a conjugation-invariant product "
@@ -545,6 +547,8 @@ def stable_length_scan(degree: int, cycle_type, product: Perm,
     in the range.  The least n from which every nonempty fiber is a single
     orbit witnesses a lower bound for the stability threshold."""
     ct = validate_cycle_type(cycle_type, degree)
+    if n_from < 1 or n_to < n_from:
+        raise ValueError("need 1 <= from <= to")
     rows: list[ScanRow] = []
     for n in range(n_from, n_to + 1):
         spec = FiberSpec(degree, TypeVector.single(ct, n), product, "full_group")

@@ -91,6 +91,15 @@ class TestFiberScan:
         assert (r["fiber_size"], r["orbit_count"]) == (24, 1)
         assert len(r["representatives"]) == 1
 
+    def test_fiber_count_unconstrained_by_default(self, capsys):
+        # with no constraint flag every word of the fiber counts, (t, t) for each t
+        code, r = run_json(capsys, "fiber-count", "--d", "3", "--type", "2,1:2")
+        assert code == 0 and r["query"]["constraint"] == "none"
+        assert (r["fiber_size"], r["orbit_count"]) == (3, 3)
+        code, r = run_json(capsys, "fiber-count", "--d", "3", "--type", "2,1:2", "--full-group")
+        assert code == 0 and r["query"]["constraint"] == "full_group"
+        assert (r["fiber_size"], r["orbit_count"]) == (0, 0)
+
     def test_fiber_parity_empty(self, capsys):
         code, r = run_json(capsys, "fiber-count", "--d", "3", "--type", "2,1:2",
                            "--product", "(1,2)")
@@ -208,6 +217,38 @@ class TestPlumbing:
                    "--word", "(1,2)(2,3)")[0] == 3
         assert run(capsys, "--workers", "0", "orbit", "--d", "3",
                    "--word", "(1,2)(2,3)")[0] == 3
+        # a type never holds the identity class, and a scan range is never empty
+        assert run(capsys, "fiber-count", "--d", "3", "--type", "1,1,1:2")[0] == 3
+        assert run(capsys, "stable-length", "--d", "1", "--class", "1",
+                   "--from", "1", "--to", "2")[0] == 3
+        assert run(capsys, "components", "--d", "3", "--b", "2", "--type", "1,1,1:2",
+                   "--no-transitive")[0] == 3
+        assert run(capsys, "theorem1-report", "--d", "4", "--class", "2,1,1",
+                   "--from", "5", "--to", "3")[0] == 3
+
+    def test_program_fault_exits_4(self, capsys, monkeypatch):
+        # a certificate that does not replay is a fault, not a falsification (exit 1)
+        import hurwitz.constructions as constructions
+        from hurwitz.orbits import EquivalenceReport
+        from hurwitz.words import Move
+        monkeypatch.setattr(constructions, "are_equivalent",
+                            lambda w1, w2, limits: EquivalenceReport("yes", (Move(1, "R"),), 0))
+        assert main(["verify", "--d", "4", "--class", "2,1,1", "--claim", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:")
+
+    def test_any_exception_is_a_fault(self, capsys, monkeypatch):
+        # a short-block certificate missing on "yes" breaks an assert (a TypeError
+        # under python -O); either way a fault, never exit 1
+        import hurwitz.constructions as constructions
+        from hurwitz.orbits import EquivalenceReport
+        monkeypatch.setattr(constructions, "are_equivalent",
+                            lambda w1, w2, limits: EquivalenceReport("yes", None, 0))
+        assert main(["verify", "--d", "4", "--class", "2,1,1", "--claim", "3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:")
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

@@ -213,9 +213,9 @@ class TestClaims:
 
     def test_braid_relations_d4(self):
         ctx = ConstructionContext.create(4, (2, 1, 1))
-        report = check_braid_relations(ctx, LIM, max_triples=2, max_quadruples=1)
+        report = check_braid_relations(ctx, LIM)
         assert not report.falsified and report.complete
-        assert report.summary["triples_checked"] == 2
+        assert report.summary["triples_checked"] == 4
         assert report.summary["quadruples_checked"] == 1
 
     def test_defining_relation_d3(self):
@@ -252,7 +252,7 @@ class TestClaims:
                             lambda left_len, right_len: shift(left_len, right_len)[:-1])
         ctx = ConstructionContext.create(4, (2, 1, 1))
         with pytest.raises(RuntimeError, match="composite certificate replay failed"):
-            check_braid_relations(ctx, LIM, max_triples=1, max_quadruples=0)
+            check_braid_relations(ctx, LIM)
 
     def test_length_formulas_report(self):
         report = check_length_formulas(5, (2, 1, 1, 1))

@@ -195,6 +195,16 @@ class TestFiber:
             FiberSpec(3, TypeVector.single((2, 1), 3), Perm.transposition(3, 1, 2),
                       conjugation_quotient=True)
 
+    @pytest.mark.parametrize("degree,counts", [
+        (1, {(1,): 2}),
+        (3, {(1, 1, 1): 2}),
+        (3, {(1, 1, 1): 1, (2, 1): 2}),
+    ])
+    def test_identity_class_is_not_a_type(self, degree, counts):
+        # a monodromy type lists local monodromies, never the identity class
+        with pytest.raises(ValueError, match="identity class"):
+            FiberSpec(degree, TypeVector.from_counts(counts), Perm.identity(degree))
+
 
 class TestOrbitCounts:
     def test_isolated_pairs(self):
@@ -295,3 +305,8 @@ class TestScan:
         rows = stable_length_scan(3, (2, 1), Perm.identity(3), 4, 4,
                                   SearchLimits(max_fiber=5))
         assert not rows[0].complete and rows[0].orbit_count is None
+
+    @pytest.mark.parametrize("n_from,n_to", [(0, 3), (5, 3)])
+    def test_empty_or_nonpositive_range_rejected(self, n_from, n_to):
+        with pytest.raises(ValueError, match="need 1 <= from <= to"):
+            stable_length_scan(3, (2, 1), Perm.identity(3), n_from, n_to, LIM)

@@ -152,6 +152,8 @@ class TestTheoremReport:
             theorem_report(4, (4,), LIM)
         with pytest.raises(ValueError):
             theorem_report(4, (3, 1), LIM)
+        with pytest.raises(ValueError, match="need 1 <= from <= to"):
+            theorem_report(4, (2, 1, 1), LIM, 5, 3)
 
     def test_emit_csv_of_scan(self):
         body = theorem_report(4, (2, 1, 1), LIM, scan_from=2, scan_to=4)
