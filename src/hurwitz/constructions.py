@@ -479,6 +479,8 @@ def check_stable_tail(degree: int, cycle_type, limits: SearchLimits = DEFAULT_LI
     and random generating words one longer are rewritten outright.
     """
     ct = validate_cycle_type(cycle_type, degree)
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     report = ClaimReport("5")
     if class_parity(ct) == 0:
@@ -582,6 +584,8 @@ def check_defining_relation(degree: int, limits: SearchLimits = DEFAULT_LIMITS,
     concatenation s1 ++ s2 is move-equivalent to rho(product(s1))(s2) ++ s1."""
     if degree > 4:
         raise ValueError("relation spot checks are sized for degree <= 4")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     pool = [p for p in all_perms(degree) if not p.is_identity()]
     report = ClaimReport("relations", summary={"samples": samples})

@@ -11,8 +11,10 @@ equivalence search and the stable-tail search in
 :mod:`hurwitz.constructions` all run on :func:`expand`, the one breadth-first
 traversal: it records each new word's parent word, and :func:`trace_moves`
 reads the moves back off those records.  Fiber enumeration carries its
-prefix products as codes through ``kernel.mul``, and the fiber union-find
-joins coded words through ``kernel.conjugate``.
+prefix products as codes through ``kernel.mul`` and looks the last factor
+up from the product, and the fiber union-find joins each coded word to its
+images under two braid generators, R_1 and the rotation, through
+``kernel.conjugate``.
 ``Perm`` words appear only at the boundaries: coding the inputs, decoding
 the results, and replaying certificates.  Coding keeps order, so the least
 coded word of an orbit decodes to its least word, and a fiber's coded words
@@ -317,7 +319,10 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
     transpositions than the remaining factors can carry (reflection length is
     subadditive).  Parity is checked once, at the root: the needed suffix and
     the remaining factors then have the same parity at every node, because a
-    factor changes both by its own parity.
+    factor changes both by its own parity.  The product fixes the last
+    factor as prefix^-1 target, so at one factor left that factor is looked
+    up, once per distinct prefix product, and kept if it lies in the one
+    class left; no class is looped over.
 
     The search runs on kernel codes: the prefix product is carried as a code
     through ``kernel.mul``, and the reflection distance from a prefix product
@@ -329,6 +334,7 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
     kernel = MoveKernel(d)
     counts = dict(spec.type_vector.counts)
     per_class = {ct: kernel.encode_word(class_elements(d, ct)) for ct in counts}
+    class_of = {g: ct for ct, members in per_class.items() for g in members}
     refl = {ct: class_reflection_length(ct) for ct in counts}
     order = sorted(counts)  # fixed class iteration order
     target = spec.product
@@ -344,6 +350,7 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
     constraint_memo: dict[frozenset[int], bool] = {}
     mul = kernel.mul
     distance: dict[int, int] = {}  # prefix product code -> reflection distance to target
+    last: dict[int, int] = {}  # prefix product code -> code of prefix^-1 target
 
     def satisfies_constraint(state: Coded) -> bool:
         if spec.constraint == "none":
@@ -376,6 +383,17 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
                     return
                 words.append(state)
             return
+        if remaining == 1:
+            g = last.get(prefix_product)
+            if g is None:
+                g = last[prefix_product] = kernel.encode(
+                    kernel.decode(prefix_product).inverse() * target)
+            # Only the class left has a nonzero count.
+            if counts.get(class_of.get(g)):
+                prefix.append(g)
+                rec(goal, 0, 0)
+                prefix.pop()
+            return
         for ct in order:
             if counts[ct] == 0:
                 continue
@@ -398,6 +416,7 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
                 break
 
     root = kernel.encode(Perm.identity(d))
+    goal = kernel.encode(target)
     if distance_miss(root) <= budget:  # the parity was checked above
         rec(root, spec.type_vector.total(), budget)
     # rec refers to itself through its closure, a cycle that only the cyclic
@@ -448,15 +467,30 @@ class FiberOrbitReport:
 def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS,
                           want_partition: bool = False) -> FiberOrbitReport:
     """Partition the fiber into move orbits with a union-find over the coded
-    fiber; R moves alone supply every edge (L is their inverse).
+    fiber, joining each word to its images under two braid generators: R at
+    the first position, and the rotation D, which applies R at positions
+    1, 2, ..., n-1 in turn:
+
+        D:  (g_1, ..., g_n) -> (g_1 g_2 g_1^-1, ..., g_1 g_n g_1^-1, g_1).
+
+    That is exact: the R moves generate the braid group's action (L undoes
+    R), R_1 and D generate the same group (applying D k times, then R_1,
+    then D^-1 k times is R at position k + 1), and the orbits of a finite
+    set are the components of its Schreier graph on any generating set.
+    For n = 2, D is R_1; a word of one factor has no moves.  Both images
+    must lie in the fiber; a finite set closed under two bijections is
+    closed under the group they generate.
 
     When the spec asks for the conjugation quotient, conjugation edges are
-    added after the R edges, and only from one word per braid orbit: for each
-    orbit root, one edge to its conjugate by each transposition.  That is
-    exact because conjugation commutes with the moves, so conjugating a whole
-    braid orbit by g gives exactly the braid orbit of any one conjugated
-    member.  The quotient classes are the orbits of S_d on the braid orbits,
-    and the transpositions generate S_d.
+    added after the braid edges, and only from one word per braid orbit: for
+    each orbit root, one edge to its conjugate by each transposition.  That
+    is exact because conjugation commutes with the moves, so conjugating a
+    whole braid orbit by g gives exactly the braid orbit of any one
+    conjugated member.  The quotient classes are the orbits of S_d on the
+    braid orbits, and the transpositions generate S_d.
+
+    Each class is represented by its least word.  Only ``want_partition``
+    collects the member lists.
     """
     fr = enumerate_fiber(spec, limits)
     if not fr.complete:
@@ -468,13 +502,15 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
     lookup = {w: i for i, w in enumerate(coded)}.get
     uf = UnionFind(len(coded))
     union = uf.union
-    for i, w in enumerate(coded):
-        for i0 in range(len(w) - 1):
-            a = w[i0]
-            j = lookup(w[:i0] + (conjugate[a, w[i0 + 1]], a) + w[i0 + 2:])
-            if j is None:
+    if len(coded[0]) >= 2:
+        for i, w in enumerate(coded):
+            a = w[0]
+            j = lookup((conjugate[a, w[1]], a) + w[2:])
+            k = lookup(tuple([conjugate[a, x] for x in w[1:]]) + (a,))
+            if j is None or k is None:
                 raise RuntimeError("moves must stay inside the fiber")
             union(i, j)
+            union(i, k)
     if spec.conjugation_quotient:
         conj_gens = kernel.encode_word(transpositions(spec.degree))
         roots = [i for i, p in enumerate(uf.parent) if p == i]
@@ -485,19 +521,23 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
                 if j is None:
                     raise RuntimeError("conjugation must stay inside this fiber")
                 union(root, j)
-    classes: dict[int, list[Coded]] = {}
+    find = uf.find
+    least: dict[int, Coded] = {}
     for i, w in enumerate(coded):
-        classes.setdefault(uf.find(i), []).append(w)
-    reps = sorted(min(members) for members in classes.values())
+        r = find(i)
+        if r not in least or w < least[r]:
+            least[r] = w
     partition = None
     if want_partition:
-        partition = [frozenset(map(kernel.decode_word, m))
-                     for m in sorted(classes.values(), key=min)]
+        classes: dict[int, list[State]] = {r: [] for r in least}
+        for i, w in enumerate(coded):
+            classes[find(i)].append(kernel.decode_word(w))
+        partition = [frozenset(classes[r]) for r in sorted(least, key=least.__getitem__)]
     return FiberOrbitReport(
         fiber_size=len(coded),
-        orbit_count=len(classes),
-        representatives=[Factorization.from_state(spec.degree, kernel.decode_word(r))
-                         for r in reps],
+        orbit_count=len(least),
+        representatives=[Factorization.from_state(spec.degree, kernel.decode_word(w))
+                         for w in sorted(least.values())],
         complete=True,
         partition=partition,
     )

@@ -225,6 +225,11 @@ class TestPlumbing:
                    "--no-transitive")[0] == 3
         assert run(capsys, "theorem1-report", "--d", "4", "--class", "2,1,1",
                    "--from", "5", "--to", "3")[0] == 3
+        # a sampled claim checks at least one sample
+        assert run(capsys, "verify", "--d", "3", "--claim", "relations",
+                   "--samples", "-1")[0] == 3
+        assert run(capsys, "verify", "--d", "3", "--class", "2,1", "--claim", "5",
+                   "--samples", "0")[0] == 3
 
     def test_program_fault_exits_4(self, capsys, monkeypatch):
         # a certificate that does not replay is a fault, not a falsification (exit 1)

@@ -222,6 +222,15 @@ class TestClaims:
         report = check_defining_relation(3, LIM, samples=4, seed=11)
         assert not report.falsified and report.complete
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sampled_claims_need_a_sample(self, samples):
+        # no sample checked is no verification, so it cannot read complete
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            check_defining_relation(3, LIM, samples=samples)
+        for degree, ct in ((3, (2, 1)), (4, (2, 1, 1))):
+            with pytest.raises(ValueError, match="samples must be at least 1"):
+                check_stable_tail(degree, ct, LIM, samples=samples)
+
     def test_wrong_certificate_is_an_error(self, monkeypatch):
         # an empty certificate between different words cannot replay; the
         # guard is a raise, not an assert, so it also holds under python -O

@@ -1,36 +1,42 @@
 """Differential tests for the coded fiber engine.
 
 ``enumerate_fiber`` runs on kernel codes with memoized prefix products and
-reflection distances, and ``count_orbits_in_fiber`` unions coded words and
-adds conjugation edges once per braid orbit.  Each is checked here against a
-plain reference written in this file or against the oracle: a backtracking
-over ``Perm`` values without pruning (same words, same order), a
-prefix-product count (same size), and two independent partitioners (same
-orbits, with and without the conjugation quotient).
+reflection distances and looks the last factor up, and
+``count_orbits_in_fiber`` unions each coded word with its images under R_1
+and the rotation and adds conjugation edges once per braid orbit.  Each is
+checked here against a plain reference written in this file or against the
+oracle: a backtracking over ``Perm`` values without pruning (same words, same
+order), a prefix-product count (same size), a union-find over the R move at
+every position (same orbits), and two independent partitioners (same orbits,
+with and without the conjugation quotient).
 """
 import functools
 import math
 
 import pytest
 
+from hurwitz import orbits
 from hurwitz.orbits import (
     CONSTRAINTS,
+    FiberReport,
     FiberSpec,
     SearchLimits,
     count_orbits_in_fiber,
     enumerate_fiber,
     orbit_partition_by_sweeps,
 )
-from hurwitz.perms import Perm, class_elements
-from hurwitz.words import TypeVector
+from hurwitz.perms import Perm, class_elements, transpositions
+from hurwitz.words import TypeVector, conjugate_state, move_right_state
 
 import oracle
 
 LIM = SearchLimits(max_states=200_000, max_fiber=200_000)
 
 # (degree, type, product): identity and non-identity products, one class
-# and mixed types, degrees 3 to 5.
+# and mixed types, one to five factors, degrees 3 to 5.
 CASES = [
+    (3, "2,1:1", "(1,2)"),
+    (4, "4:1", "(1,2,3,4)"),
     (3, "2,1:2", "()"),
     (3, "2,1:4", "()"),
     (3, "2,1:3", "(1,2)"),
@@ -44,11 +50,16 @@ CASES = [
     (4, "2,2:2;2,1,1:2", "()"),
     (4, "3,1:3", "()"),
     (4, "4:2", "(1,3)(2,4)"),
+    # two odd classes: the last factor's class must be the one left
+    (4, "2,1,1:1;4:1", "(1,2)(3,4)"),
+    # orbits whose least word starts in the later class
+    (4, "2,2:1;4:2", "()"),
     (5, "2,1,1,1:4", "()"),
     (5, "2,1,1,1:4", "(1,2,3)"),
     (5, "2,1,1,1:4", "(1,2,3,4,5)"),
     (5, "3,1,1:3", "()"),
     (5, "5:3", "()"),
+    (5, "2,1,1,1:2;3,1,1:1", "()"),
 ]
 
 
@@ -116,6 +127,30 @@ def prefix_product_count(spec):
     return sum(n for (_, product), n in layer.items() if product == spec.product)
 
 
+def all_positions_partition(words, d, conj):
+    """The fiber's orbits by a union-find over ``Perm`` words that joins each
+    word to its R image at every position and, under the quotient, to its
+    conjugate by every transposition."""
+    index = {w: i for i, w in enumerate(words)}
+    parent = list(range(len(words)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, w in enumerate(words):
+        images = [move_right_state(w, k) for k in range(len(w) - 1)]
+        if conj:
+            images += [conjugate_state(w, t) for t in transpositions(d)]
+        for image in images:
+            parent[find(index[image])] = find(i)
+    classes = {}
+    for i, w in enumerate(words):
+        classes.setdefault(find(i), set()).add(w)
+    return sorted(map(frozenset, classes.values()), key=min)
+
+
 @pytest.mark.parametrize("constraint", CONSTRAINTS)
 @pytest.mark.parametrize("d,type_text,product", CASES)
 def test_enumeration_matches_perm_backtracking(d, type_text, product, constraint):
@@ -147,12 +182,42 @@ def test_partition_matches_sweeps_and_oracle(d, type_text, product, constraint, 
     r = count_orbits_in_fiber(spec, LIM, want_partition=True)
     assert r.complete and r.fiber_size == len(words)
     sweeps = orbit_partition_by_sweeps(words, d, LIM, conjugation_quotient=conj)
-    assert r.partition == sweeps
+    assert r.partition == sweeps == all_positions_partition(words, d, conj)
     want = oracle.o_partition([oracle.from_word(w) for w in words], conj, d)
     got = sorted((frozenset(map(oracle.from_word, part)) for part in r.partition), key=min)
     assert got == want
     assert r.orbit_count == len(r.partition)
     assert [rep.factors for rep in r.representatives] == [min(p) for p in r.partition]
+    # without the partition, the count and representatives are the same
+    plain = count_orbits_in_fiber(spec, LIM)
+    assert plain.partition is None
+    assert (plain.orbit_count, plain.representatives) == (r.orbit_count, r.representatives)
+
+
+@pytest.mark.parametrize("d,type_text,product", CASES)
+def test_capped_enumeration_is_a_prefix(d, type_text, product):
+    spec = spec_of(d, type_text, product)
+    full = enumerate_fiber(spec, LIM).coded
+    n = len(full)
+    for k in sorted({1, 2, n // 2, n - 1, n} & set(range(1, n + 1))):
+        r = enumerate_fiber(spec, SearchLimits(max_fiber=k))
+        assert r.coded == full[:k]
+        assert r.complete == (k == n)
+        assert r.limit_hit == (None if k == n else f"max_fiber={k}")
+
+
+def test_every_missing_word_is_detected(monkeypatch):
+    # one braid orbit of 24 words: each word is the R_1 or the rotation
+    # image of another, so dropping any one leaves an image outside
+    spec = spec_of(3, "2,1:4", "()", "full_group")
+    full = enumerate_fiber(spec, LIM)
+    assert count_orbits_in_fiber(spec, LIM).orbit_count == 1
+    for k in range(full.size):
+        kept = full.coded[:k] + full.coded[k + 1:]
+        monkeypatch.setattr(orbits, "enumerate_fiber",
+                            lambda spec, limits, kept=kept: FiberReport(kept, full.kernel, True))
+        with pytest.raises(RuntimeError, match="moves must stay inside the fiber"):
+            count_orbits_in_fiber(spec, LIM)
 
 
 @pytest.mark.parametrize("d,type_text", [(3, "2,1:2"), (4, "2,1,1:4"), (4, "3,1:3")])
