@@ -12,9 +12,13 @@ equivalence search and the stable-tail search in
 traversal: it records each new word's parent word, and :func:`trace_moves`
 reads the moves back off those records.  Fiber enumeration carries its
 prefix products as codes through ``kernel.mul`` and looks the last factor
-up from the product, and the fiber union-find joins each coded word to its
-images under two braid generators, R_1 and the rotation, through
-``kernel.conjugate``.
+up from the product.  The fiber's orbits come from one labelling search that
+follows each coded word to its images under two braid generators, R_1 and
+the rotation, through conjugation rows filled from ``kernel.conjugate``.
+Under the conjugation quotient that search runs on the sub-fiber of words
+whose first factor is the least member of its class, with the images
+conjugated back into it and conjugation by the centraliser of that factor
+as the remaining edges.
 ``Perm`` words appear only at the boundaries: coding the inputs, decoding
 the results, and replaying certificates.  Coding keeps order, so the least
 coded word of an orbit decodes to its least word, and a fiber's coded words
@@ -24,10 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
-from .perms import (MAX_EXHAUSTIVE_DEGREE, Perm, class_elements, class_reflection_length, closure,
-                    is_transitive, transpositions, validate_cycle_type)
+from .perms import (MAX_EXHAUSTIVE_DEGREE, Perm, all_perms, class_elements, class_reflection_length,
+                    class_size, closure, is_transitive, transpositions, validate_cycle_type)
 from .words import (
     Coded,
     Factorization,
@@ -296,7 +300,8 @@ class FiberSpec:
 
 @dataclass
 class FiberReport:
-    """The words of a fiber, kept coded by the kernel that enumerated them."""
+    """The words of a fiber, or of its first-factor sub-fiber, kept coded by
+    the kernel that enumerated them."""
 
     coded: list[Coded]
     kernel: MoveKernel
@@ -312,7 +317,8 @@ class FiberReport:
         return len(self.coded)
 
 
-def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> FiberReport:
+def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
+                    sub_fiber: bool = False) -> FiberReport:
     """All words matching the spec, by backtracking with prefix-product pruning.
 
     A prefix is pruned when the suffix still needed requires more
@@ -329,6 +335,17 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
     to the target is computed once per distinct prefix product.  Class
     elements are tried in sorted order, so the words come out in the same
     order as a backtracking over ``Perm`` values would give them.
+
+    With ``sub_fiber``, only the words whose first factor is the least member
+    c_X of its class X are kept: the top level tries c_X alone.  The
+    quotient search runs on this sub-fiber.  When the fiber is closed under
+    conjugation, conjugating by an h with h x h^-1 = c_X maps the words
+    starting with x onto those starting with c_X, so each kept word stands
+    for |X| fiber words, and ``max_fiber`` still caps the whole fiber: the
+    enumeration is complete exactly when the whole fiber has at most
+    ``max_fiber`` words.  (A one-factor quotient fiber exists only for
+    degree <= 2, whose classes are single elements, so the looked-up last
+    factor needs no such restriction.)
     """
     d = spec.degree
     kernel = MoveKernel(d)
@@ -345,7 +362,10 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
         return FiberReport([], kernel, True)
 
     budget = sum(refl[ct] * n for ct, n in counts.items())
+    total = spec.type_vector.total()
     words: list[Coded] = []
+    size = 0  # fiber words counted so far
+    weight = 1  # fiber words each kept word stands for
     prefix: list[int] = []
     constraint_memo: dict[frozenset[int], bool] = {}
     mul = kernel.mul
@@ -375,12 +395,14 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
 
     def rec(prefix_product: int, remaining: int, budget_left: int) -> None:
         # The prefix is admissible: children are pruned before the call.
+        nonlocal size, weight
         if remaining == 0:
             state = tuple(prefix)
             if satisfies_constraint(state):
-                if len(words) >= limits.max_fiber:
+                if size + weight > limits.max_fiber:
                     limit_hit.append(f"max_fiber={limits.max_fiber}")
                     return
+                size += weight
                 words.append(state)
             return
         if remaining == 1:
@@ -399,7 +421,11 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
                 continue
             counts[ct] -= 1
             child_budget = budget_left - refl[ct]
-            for g in per_class[ct]:
+            members = per_class[ct]
+            if sub_fiber and remaining == total:
+                weight = len(members)
+                members = members[:1]
+            for g in members:
                 child = mul[prefix_product, g]
                 need_refl = distance.get(child)
                 if need_refl is None:
@@ -418,7 +444,7 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
     root = kernel.encode(Perm.identity(d))
     goal = kernel.encode(target)
     if distance_miss(root) <= budget:  # the parity was checked above
-        rec(root, spec.type_vector.total(), budget)
+        rec(root, total, budget)
     # rec refers to itself through its closure, a cycle that only the cyclic
     # collector frees, and it holds the word list: break it, so the words go
     # with the report and not at some later full collection.
@@ -428,30 +454,103 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> F
     return FiberReport(words, kernel, True)
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by size."""
+class _ConjugationRow(dict):
+    """The codes of g x g^-1 for one g, keyed by the code of x, filled from
+    ``kernel.conjugate`` on a miss.  A rotation maps a whole word through
+    one row instead of making one pair-keyed memo lookup per factor."""
 
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
+    __slots__ = ("g", "conjugate")
 
-    def find(self, a: int) -> int:
-        parent = self.parent
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
+    def __init__(self, conjugate: dict, g: int) -> None:
+        super().__init__()
+        self.conjugate = conjugate
+        self.g = g
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+    def __missing__(self, x: int) -> int:
+        value = self[x] = self.conjugate[self.g, x]
+        return value
+
+
+class _Rows(dict):
+    """Conjugation rows by conjugator code, each made on first use."""
+
+    __slots__ = ("conjugate",)
+
+    def __init__(self, kernel: MoveKernel) -> None:
+        super().__init__()
+        self.conjugate = kernel.conjugate
+
+    def __missing__(self, g: int) -> _ConjugationRow:
+        row = self[g] = _ConjugationRow(self.conjugate, g)
+        return row
+
+
+def _cycles_with_fixed_points(p: Perm) -> list[tuple[int, ...]]:
+    """Every cycle of ``p``, fixed points included, longest first (ties by
+    least point)."""
+    covered = {x for c in p.cycles() for x in c}
+    cycles = p.cycles() + [(x,) for x in range(1, len(p) + 1) if x not in covered]
+    return sorted(cycles, key=len, reverse=True)
+
+
+def _conjugator(p: Perm, q: Perm) -> Perm:
+    """A permutation h with h p h^-1 = q, for p and q of one cycle type:
+    h maps the j-th point of each cycle of p to the j-th point of the
+    matching cycle of q."""
+    images = [0] * len(p)
+    for cp, cq in zip(_cycles_with_fixed_points(p), _cycles_with_fixed_points(q)):
+        for a, b in zip(cp, cq):
+            images[a - 1] = b
+    return Perm(images)
+
+
+def _centraliser_generators(c: Perm) -> list[Perm]:
+    """Generators of the centraliser of ``c`` in S_d.
+
+    The centraliser is the product over cycle lengths k of C_k wr S_{m_k},
+    with m_k the number of k-cycles.  The cycles of ``c`` generate the base
+    group, and the involutions that swap two neighbouring k-cycles point by
+    point generate each S_{m_k}.
+    """
+    cycles = _cycles_with_fixed_points(c)
+    gens = [Perm.from_cycles(len(c), [cyc]) for cyc in cycles if len(cyc) > 1]
+    for p, q in zip(cycles, cycles[1:]):
+        if len(p) == len(q):
+            gens.append(Perm.from_cycles(len(c), list(zip(p, q))))
+    return gens
+
+
+def _label_orbits(words: list[Coded],
+                  images: Callable[[Coded], Iterable[Coded]]) -> list[list[int]]:
+    """The orbits of the forward search along ``images`` on ``words``, as
+    lists of indices into ``words``.
+
+    Each word not yet reached starts a new orbit, and the search labels
+    every word it reaches from there.  That is the partition into classes
+    whenever, for any two words of one class, each is reached forward from
+    the other; :func:`count_orbits_in_fiber` shows this for its two edge
+    sets.  A search then never meets a word of an earlier orbit.  An image
+    outside ``words`` is a fault.  The orbits hold indices, not the images
+    themselves, so no word is kept twice.
+    """
+    index = {w: i for i, w in enumerate(words)}.get
+    reached = bytearray(len(words))
+    orbits = []
+    for i, w in enumerate(words):
+        if reached[i]:
+            continue
+        reached[i] = 1
+        orbit = [i]
+        for j in orbit:  # grows while it is walked
+            for v in images(words[j]):
+                k = index(v)
+                if k is None:
+                    raise RuntimeError("moves must stay inside the fiber")
+                if not reached[k]:
+                    reached[k] = 1
+                    orbit.append(k)
+        orbits.append(orbit)
+    return orbits
 
 
 @dataclass
@@ -466,78 +565,119 @@ class FiberOrbitReport:
 
 def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS,
                           want_partition: bool = False) -> FiberOrbitReport:
-    """Partition the fiber into move orbits with a union-find over the coded
-    fiber, joining each word to its images under two braid generators: R at
-    the first position, and the rotation D, which applies R at positions
+    """Partition the fiber into move orbits by one labelling search over the
+    coded fiber (:func:`_label_orbits`) along two braid generators: R at the
+    first position, and the rotation D, which applies R at positions
     1, 2, ..., n-1 in turn:
 
         D:  (g_1, ..., g_n) -> (g_1 g_2 g_1^-1, ..., g_1 g_n g_1^-1, g_1).
 
     That is exact: the R moves generate the braid group's action (L undoes
-    R), R_1 and D generate the same group (applying D k times, then R_1,
-    then D^-1 k times is R at position k + 1), and the orbits of a finite
-    set are the components of its Schreier graph on any generating set.
-    For n = 2, D is R_1; a word of one factor has no moves.  Both images
-    must lie in the fiber; a finite set closed under two bijections is
-    closed under the group they generate.
+    R), and R_1 and D generate the same group (applying D k times, then R_1,
+    then D^-1 k times is R at position k + 1).  R_1 and D are bijections of
+    the finite fiber, so a power of each is its inverse, and the words
+    reached forward from a word are its whole orbit.  For n = 2, D is R_1; a
+    word of one factor has no moves.  Every image must lie in the fiber; a
+    finite set closed under two bijections is closed under the group they
+    generate.
 
-    When the spec asks for the conjugation quotient, conjugation edges are
-    added after the braid edges, and only from one word per braid orbit: for
-    each orbit root, one edge to its conjugate by each transposition.  That
-    is exact because conjugation commutes with the moves, so conjugating a
-    whole braid orbit by g gives exactly the braid orbit of any one
-    conjugated member.  The quotient classes are the orbits of S_d on the
-    braid orbits, and the transpositions generate S_d.
+    With the conjugation quotient, the classes are the orbits of B_n x S_d,
+    and the search runs on the sub-fiber F_0 of words whose first factor is
+    the least member c_X of its class X (``enumerate_fiber(sub_fiber=True)``).
+    Let pi conjugate a word whose first factor x lies in X by a fixed h_x
+    with h_x x h_x^-1 = c_X.  The edges from a word w of F_0 are pi(R_1 w),
+    pi(D w), and conjugation of w by each generator of the centraliser
+    Z(c_X).  That is exact:
 
-    Each class is represented by its least word.  Only ``want_partition``
-    collects the member lists.
+    * every class meets F_0, since pi maps each word into F_0;
+    * every edge stays in its class, since the moves commute with
+      conjugation;
+    * the search reaches forward from u every v of F_0 in u's class.  Write
+      v = g b(u), with b a positive word in R_1 and D and g in S_d, and
+      follow b's letters through pi: the walk ends at g' b(u) for some g' in
+      S_d, a word of F_0 that conjugation by g g'^-1 maps to v.  That
+      conjugation fixes the first factor c_X, so it lies in Z(c_X) and is
+      a positive word in the generators.
+
+    The fiber size is the sum over X of |X| times the number of words of F_0
+    starting with c_X.  A class is represented by its least word, which
+    starts with some c_X (conjugating its first factor to c_X would give a
+    smaller word) and so lies in F_0.  Only ``want_partition`` collects the
+    member lists; under the quotient it conjugates each class's sub-fiber
+    words by all of S_d.
     """
-    fr = enumerate_fiber(spec, limits)
-    if not fr.complete:
-        return FiberOrbitReport(fr.size, None, [], False, fr.limit_hit)
+    d = spec.degree
+    n = spec.type_vector.total()
+    quotient = spec.conjugation_quotient and n > 0  # the empty word has no first factor
+    fr = enumerate_fiber(spec, limits, sub_fiber=True) if quotient else enumerate_fiber(spec, limits)
     coded, kernel = fr.coded, fr.kernel
-    if not coded:
-        return FiberOrbitReport(0, 0, [], True, partition=[] if want_partition else None)
-    conjugate = kernel.conjugate
-    lookup = {w: i for i, w in enumerate(coded)}.get
-    uf = UnionFind(len(coded))
-    union = uf.union
-    if len(coded[0]) >= 2:
-        for i, w in enumerate(coded):
+    encode = kernel.encode
+    if quotient:
+        c_of = {ct: class_elements(d, ct)[0] for ct in spec.type_vector.as_dict()}
+        weight = {encode(c): class_size(d, ct) for ct, c in c_of.items()}
+        fiber_size = sum(weight[w[0]] for w in coded)
+    else:
+        fiber_size = len(coded)
+    if not fr.complete:
+        return FiberOrbitReport(fiber_size, None, [], False, fr.limit_hit)
+
+    rows = _Rows(kernel)
+    if n < 2:
+        # No moves; under the quotient the sub-fiber's one-factor words
+        # start with the least members of distinct classes, so none is
+        # conjugate to another.
+        def images(w: Coded) -> tuple[Coded, ...]:
+            return ()
+    elif not quotient:
+        def images(w: Coded) -> tuple[Coded, ...]:
             a = w[0]
-            j = lookup((conjugate[a, w[1]], a) + w[2:])
-            k = lookup(tuple([conjugate[a, x] for x in w[1:]]) + (a,))
-            if j is None or k is None:
-                raise RuntimeError("moves must stay inside the fiber")
-            union(i, j)
-            union(i, k)
-    if spec.conjugation_quotient:
-        conj_gens = kernel.encode_word(transpositions(spec.degree))
-        roots = [i for i, p in enumerate(uf.parent) if p == i]
-        for root in roots:
-            w = coded[root]
-            for g in conj_gens:
-                j = lookup(tuple([conjugate[g, x] for x in w]))
-                if j is None:
-                    raise RuntimeError("conjugation must stay inside this fiber")
-                union(root, j)
-    find = uf.find
-    least: dict[int, Coded] = {}
-    for i, w in enumerate(coded):
-        r = find(i)
-        if r not in least or w < least[r]:
-            least[r] = w
+            row = rows[a]
+            return (row[w[1]], a) + w[2:], tuple(map(row.__getitem__, w[1:])) + (a,)
+    else:
+        conjugate, mul = kernel.conjugate, kernel.mul
+        back = {}  # x -> h_x, for every member x of the type's classes
+        for ct, c in c_of.items():
+            for x in class_elements(d, ct):
+                back[encode(x)] = encode(_conjugator(x, c))
+        centraliser = {encode(c): [rows[encode(z)] for z in _centraliser_generators(c)]
+                       for c in c_of.values()}
+        steps: dict[Coded, tuple] = {}  # (c, g) -> what the images of (c, g, ...) need
+
+        def step_of(c: int, g: int) -> tuple:
+            # Both braid images of (c, g, ...) start with x = c g c^-1, and pi
+            # conjugates them by h = h_x: R_1's image becomes
+            # (h x h^-1, h c h^-1) followed by the rest conjugated by h, and
+            # D's image becomes (g, ...) conjugated by h c, then h c h^-1.
+            x = conjugate[c, g]
+            h = back[x]
+            row_h = rows[h]
+            head = (row_h[x], row_h[c])
+            return head, row_h, rows[mul[h, c]], head[1:], centraliser[c]
+
+        def images(w: Coded) -> list[Coded]:
+            step = steps.get(w[:2])
+            if step is None:
+                step = steps[w[:2]] = step_of(w[0], w[1])
+            head, row_h, row_hc, tail, z_rows = step
+            out = [head + tuple(map(row_h.__getitem__, w[2:])),
+                   tuple(map(row_hc.__getitem__, w[1:])) + tail]
+            out += [tuple(map(z.__getitem__, w)) for z in z_rows]
+            return out
+
+    orbits = _label_orbits(coded, images)
+    least = sorted(min(map(coded.__getitem__, orbit)) for orbit in orbits)
     partition = None
     if want_partition:
-        classes: dict[int, list[State]] = {r: [] for r in least}
-        for i, w in enumerate(coded):
-            classes[find(i)].append(kernel.decode_word(w))
-        partition = [frozenset(classes[r]) for r in sorted(least, key=least.__getitem__)]
+        classes = sorted(([coded[i] for i in orbit] for orbit in orbits), key=min)
+        if quotient:
+            every = [rows[encode(g)] for g in all_perms(d)]
+            classes = [{tuple(map(r.__getitem__, w)) for w in members for r in every}
+                       for members in classes]
+        partition = [frozenset(map(kernel.decode_word, members)) for members in classes]
     return FiberOrbitReport(
-        fiber_size=len(coded),
-        orbit_count=len(least),
-        representatives=[Factorization.from_state(spec.degree, kernel.decode_word(w))
-                         for w in sorted(least.values())],
+        fiber_size=fiber_size,
+        orbit_count=len(orbits),
+        representatives=[Factorization.from_state(d, kernel.decode_word(w)) for w in least],
         complete=True,
         partition=partition,
     )

@@ -2,16 +2,21 @@
 
 ``enumerate_fiber`` runs on kernel codes with memoized prefix products and
 reflection distances and looks the last factor up, and
-``count_orbits_in_fiber`` unions each coded word with its images under R_1
-and the rotation and adds conjugation edges once per braid orbit.  Each is
-checked here against a plain reference written in this file or against the
-oracle: a backtracking over ``Perm`` values without pruning (same words, same
-order), a prefix-product count (same size), a union-find over the R move at
-every position (same orbits), and two independent partitioners (same orbits,
-with and without the conjugation quotient).
+``count_orbits_in_fiber`` labels orbits by one forward search along R_1 and
+the rotation; under the conjugation quotient it searches only the sub-fiber
+of words whose first factor is its class's least member, adding conjugation
+by that factor's centraliser.  Each is checked here against a plain
+reference written in this file or against the oracle: a backtracking over
+``Perm`` values without pruning (same words, same order), a prefix-product
+count (same size), a union-find over the R move at every position (same
+orbits), and two independent partitioners (same orbits, with and without the
+conjugation quotient); the quotient's count, representatives and size are
+also checked against sweeps of the full fiber, and its cap against the full
+fiber's size.
 """
 import functools
 import math
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -25,7 +30,7 @@ from hurwitz.orbits import (
     enumerate_fiber,
     orbit_partition_by_sweeps,
 )
-from hurwitz.perms import Perm, class_elements, transpositions
+from hurwitz.perms import Perm, all_cycle_types, class_elements, transpositions
 from hurwitz.words import TypeVector, conjugate_state, move_right_state
 
 import oracle
@@ -223,8 +228,67 @@ def test_every_missing_word_is_detected(monkeypatch):
 @pytest.mark.parametrize("d,type_text", [(3, "2,1:2"), (4, "2,1,1:4"), (4, "3,1:3")])
 def test_conjugation_merges_braid_orbits(d, type_text):
     # The quotient merges braid orbits here, so its count rests on the
-    # conjugation edges added once per braid-orbit root; the partition test
-    # above checks the merged classes.
+    # sub-fiber search: braid images conjugated back to a least first factor
+    # and conjugation by that factor's centraliser.  The partition test above
+    # checks the merged classes.
     braid = count_orbits_in_fiber(spec_of(d, type_text, "()"), LIM)
     quotient = count_orbits_in_fiber(spec_of(d, type_text, "()", conj=True), LIM)
     assert quotient.orbit_count < braid.orbit_count
+
+
+def all_types(d, b):
+    """Every type of b factors from the non-identity classes of S_d."""
+    classes = [ct for ct in all_cycle_types(d) if ct != (1,) * d]
+    return [str(TypeVector.from_counts({ct: combo.count(ct) for ct in set(combo)}))
+            for combo in combinations_with_replacement(classes, b)]
+
+
+# `components --d 4 --b 5` types of three cost strata of the benchmark
+STRATUM_TYPES = ["2,1,1:1;2,2:1;4:3", "2,1,1:2;2,2:2;3,1:1", "2,2:2;3,1:1;4:2",
+                 "3,1:5", "2,2:2;3,1:3", "2,1,1:4;3,1:1", "2,2:1;4:4", "2,1,1:1;2,2:3;4:1"]
+
+
+def quotient_cases():
+    for d, b in [(3, 6), (4, 4)]:
+        for type_text in all_types(d, b):
+            yield d, type_text, "transitive"
+    for type_text in STRATUM_TYPES:
+        yield 4, type_text, "transitive"
+    for d, type_text, product in CASES:
+        if d == 5 and product == "()":
+            yield d, type_text, "none"
+
+
+@pytest.mark.parametrize("d,type_text,constraint", list(quotient_cases()))
+def test_quotient_matches_sweeps_on_the_full_fiber(d, type_text, constraint):
+    # The quotient searches only the sub-fiber of words whose first factor
+    # is its class's least member; the reference sweeps the full fiber.
+    spec = spec_of(d, type_text, "()", constraint, conj=True)
+    words = enumerate_fiber(spec, LIM).words
+    r = count_orbits_in_fiber(spec, LIM)
+    assert r.complete and r.fiber_size == len(words)
+    sweeps = orbit_partition_by_sweeps(words, d, LIM, conjugation_quotient=True)
+    assert r.orbit_count == len(sweeps)
+    assert [rep.factors for rep in r.representatives] == [min(p) for p in sweeps]
+
+
+@pytest.mark.parametrize("d,type_text,constraint", [
+    (3, "2,1:4", "none"),
+    (3, "2,1:2;3:1", "none"),
+    (4, "2,1,1:4", "none"),
+    (4, "2,2:2;2,1,1:2", "transitive"),
+    (4, "2,1,1:1;2,2:1;4:3", "transitive"),
+])
+def test_quotient_cap_counts_the_full_fiber(d, type_text, constraint):
+    # Under the quotient, max_fiber still caps the full fiber: a row is
+    # incomplete exactly when the full fiber has more than max_fiber words.
+    spec = spec_of(d, type_text, "()", constraint, conj=True)
+    n = enumerate_fiber(spec, LIM).size
+    full = count_orbits_in_fiber(spec, LIM)
+    capped = count_orbits_in_fiber(spec, SearchLimits(max_fiber=n - 1))
+    assert not capped.complete and capped.orbit_count is None
+    assert capped.limit_hit == f"max_fiber={n - 1}"
+    exact = count_orbits_in_fiber(spec, SearchLimits(max_fiber=n))
+    assert exact.complete and exact.limit_hit is None
+    assert (exact.fiber_size, exact.orbit_count, exact.representatives) == \
+        (full.fiber_size, full.orbit_count, full.representatives)

@@ -222,18 +222,18 @@ class TestOrbitCounts:
         r = count_orbits_in_fiber(spec, LIM, want_partition=True)
         assert [rep.factors for rep in r.representatives] == sorted(min(p) for p in r.partition)
 
-    def test_union_find_equals_sweeps_and_oracle(self):
+    def test_labelling_equals_sweeps_and_oracle(self):
         for n in (2, 3, 4):
             for product in [Perm.identity(3), Perm.transposition(3, 1, 2),
                             Perm.parse("(1,2,3)", 3)]:
                 spec = FiberSpec(3, TypeVector.single((2, 1), n), product)
                 fiber = enumerate_fiber(spec, LIM)
-                uf = count_orbits_in_fiber(spec, LIM, want_partition=True)
+                r = count_orbits_in_fiber(spec, LIM, want_partition=True)
                 sweeps = orbit_partition_by_sweeps(fiber.words, 3, LIM)
-                assert uf.partition == sweeps
+                assert r.partition == sweeps
                 want = oracle.o_partition([oracle.from_word(w) for w in fiber.words])
                 got = sorted((frozenset(oracle.from_word(w) for w in part)
-                              for part in uf.partition), key=min)
+                              for part in r.partition), key=min)
                 assert got == want
 
     def test_conjugation_quotient_counts(self):
@@ -268,14 +268,21 @@ class TestOrbitCounts:
             count_orbits_in_fiber(spec, LIM)
 
     def test_missing_conjugate_raises(self, monkeypatch):
-        # (t, t) words are fixed by the moves, so only conjugation leaves them
-        spec = FiberSpec(3, TypeVector.single((2, 1), 2), Perm.identity(3),
+        # The quotient searches the sub-fiber of words whose first factor is
+        # its class's least member.  Here that is one class of seven words,
+        # each reached from another, so dropping any one leaves an image
+        # outside.
+        spec = FiberSpec(3, TypeVector.parse("2,1:2;3:1", 3), Perm.identity(3),
                          conjugation_quotient=True)
-        full = enumerate_fiber(spec, LIM)
-        monkeypatch.setattr(orbits, "enumerate_fiber", lambda spec, limits: FiberReport(
-            full.coded[:-1], full.kernel, True))
-        with pytest.raises(RuntimeError, match="conjugation must stay inside this fiber"):
-            count_orbits_in_fiber(spec, LIM)
+        sub = enumerate_fiber(spec, LIM, sub_fiber=True)
+        assert sub.size == 7 and count_orbits_in_fiber(spec, LIM).orbit_count == 1
+        for k in range(sub.size):
+            kept = sub.coded[:k] + sub.coded[k + 1:]
+            monkeypatch.setattr(orbits, "enumerate_fiber",
+                                lambda spec, limits, sub_fiber, kept=kept: FiberReport(
+                                    kept, sub.kernel, True))
+            with pytest.raises(RuntimeError, match="moves must stay inside the fiber"):
+                count_orbits_in_fiber(spec, LIM)
 
     def test_incomplete_fiber_reports_unknown(self):
         spec = FiberSpec(3, TypeVector.single((2, 1), 4), Perm.identity(3))
