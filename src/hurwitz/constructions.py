@@ -54,14 +54,13 @@ from .perms import (
 )
 from .orbits import (
     DEFAULT_LIMITS,
-    EquivalenceReport,
     Parents,
     SearchLimits,
     are_equivalent,
     expand,
     trace_moves,
 )
-from .words import Coded, Factorization, Move, MoveKernel, State, apply_moves_state
+from .words import Coded, Factorization, Memo, Move, MoveKernel, State, apply_moves_state
 
 
 def conjugator(degree: int, i: int, j: int) -> Perm:
@@ -354,19 +353,15 @@ def check_conjugation_classes(ctx: ConstructionContext,
 def _relation_row(name: str, lhs: Factorization, rhs: Factorization,
                   block: str, left_len: int, right_len: int,
                   mini_src: Factorization, mini_dst: Factorization, mini_offset: int,
-                  limits: SearchLimits,
-                  cache: dict[tuple[State, State], EquivalenceReport]) -> ClaimRow:
+                  cache: Memo) -> ClaimRow:
     """Certify lhs ~ rhs as: block shift, then a searched certificate between
-    the two short conjugate blocks, embedded at ``mini_offset``; replay the
+    the two short conjugate blocks (read from ``cache``, which maps a pair of
+    blocks to their equivalence report), embedded at ``mini_offset``; replay the
     composite on lhs and require it to land exactly on rhs; a mismatch is a
     fault of the program, not a falsification, and raises."""
     if lhs.product() != rhs.product():
         raise RuntimeError(f"{name}: relation sides must share a product")
-    key = (mini_src.factors, mini_dst.factors)
-    mini = cache.get(key)
-    if mini is None:
-        mini = are_equivalent(mini_src, mini_dst, limits)
-        cache[key] = mini
+    mini = cache[mini_src, mini_dst]
     if mini.status != "yes":
         return ClaimRow(name, "yes", mini.status, detail="short-block search " + (mini.reason or ""))
     if block == "R":
@@ -391,7 +386,8 @@ def check_braid_relations(ctx: ConstructionContext,
     letters = {(i, j): embedded_transposition(ctx, i, j)
                for i in range(1, d + 1) for j in range(i + 1, d + 1)}
     L = len(next(iter(letters.values())))
-    cache: dict[tuple[State, State], EquivalenceReport] = {}
+    # short-block pair -> its equivalence report
+    cache = Memo(lambda pair: are_equivalent(*pair, limits))
     report = ClaimReport("3", summary={"letter_length": L})
     triples = list(combinations(range(1, d + 1), 3))
     for (a, b, c) in triples:
@@ -402,11 +398,11 @@ def check_braid_relations(ctx: ConstructionContext,
         report.rows.append(_relation_row(
             f"z({a},{b})*z({a},{c}) ~ z({b},{c})*z({a},{b})",
             lhs, zbc.concat(zab), "R", L, L,
-            zac.conjugated_by(tab), zbc, 0, limits, cache))
+            zac.conjugated_by(tab), zbc, 0, cache))
         report.rows.append(_relation_row(
             f"z({a},{b})*z({a},{c}) ~ z({a},{c})*z({b},{c})",
             lhs, zac.concat(zbc), "L", L, L,
-            zab.conjugated_by(tac), zbc, L, limits, cache))
+            zab.conjugated_by(tac), zbc, L, cache))
     quadruples = list(combinations(range(1, d + 1), 4))
     for (a, b, c, e) in quadruples:
         zab, zce = letters[(a, b)], letters[(c, e)]
@@ -414,7 +410,7 @@ def check_braid_relations(ctx: ConstructionContext,
         report.rows.append(_relation_row(
             f"z({a},{b})*z({c},{e}) ~ z({c},{e})*z({a},{b})",
             zab.concat(zce), zce.concat(zab), "R", L, L,
-            zce.conjugated_by(tab), zce, 0, limits, cache))
+            zce.conjugated_by(tab), zce, 0, cache))
     report.summary["triples_checked"] = len(triples)
     report.summary["quadruples_checked"] = len(quadruples)
     return report
@@ -582,8 +578,8 @@ def check_defining_relation(degree: int, limits: SearchLimits = DEFAULT_LIMITS,
                             samples: int = 5, seed: int = 0) -> ClaimReport:
     """Spot-check the exchange law: for random short words s1, s2, the
     concatenation s1 ++ s2 is move-equivalent to rho(product(s1))(s2) ++ s1."""
-    if degree > 4:
-        raise ValueError("relation spot checks are sized for degree <= 4")
+    if not 2 <= degree <= 4:
+        raise ValueError(f"relation spot checks need a degree in 2..4, got {degree}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)

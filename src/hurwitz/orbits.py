@@ -11,10 +11,12 @@ equivalence search and the stable-tail search in
 :mod:`hurwitz.constructions` all run on :func:`expand`, the one breadth-first
 traversal: it records each new word's parent word, and :func:`trace_moves`
 reads the moves back off those records.  Fiber enumeration carries its
-prefix products as codes through ``kernel.mul`` and looks the last factor
-up from the product.  The fiber's orbits come from one labelling search that
-follows each coded word to its images under two braid generators, R_1 and
-the rotation, through conjugation rows filled from ``kernel.conjugate``.
+prefix products as codes, reading one row of ``kernel.mul`` per node, and
+looks the last factor up from the product.  The fiber's orbits come from one
+labelling search that follows each coded word to its images under two braid
+generators, R_1 and the rotation, each image mapped through one row of
+``kernel.conjugate``.  Every lazily filled table here is a
+:class:`~hurwitz.words.Memo`.
 Under the conjugation quotient that search runs on the sub-fiber of words
 whose first factor is the least member of its class, with the images
 conjugated back into it and conjugation by the centraliser of that factor
@@ -35,6 +37,7 @@ from .perms import (MAX_EXHAUSTIVE_DEGREE, Perm, all_perms, class_elements, clas
 from .words import (
     Coded,
     Factorization,
+    Memo,
     Move,
     MoveKernel,
     State,
@@ -78,10 +81,10 @@ def neighbors(kernel: MoveKernel, state: Coded, conj: Coded = ()) -> list[Coded]
         b = state[i + 1]
         head = state[:i]
         tail = state[i + 2:]
-        append(head + (conjugate[a, b], a) + tail)
-        append(head + (b, left[a, b]) + tail)
+        append(head + (conjugate[a][b], a) + tail)
+        append(head + (b, left[a][b]) + tail)
     for g in conj:
-        append(tuple([conjugate[g, x] for x in state]))
+        append(tuple(map(conjugate[g].__getitem__, state)))
     return out
 
 
@@ -330,9 +333,10 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     up, once per distinct prefix product, and kept if it lies in the one
     class left; no class is looped over.
 
-    The search runs on kernel codes: the prefix product is carried as a code
-    through ``kernel.mul``, and the reflection distance from a prefix product
-    to the target is computed once per distinct prefix product.  Class
+    The search runs on kernel codes: the prefix product is carried as a code,
+    and a node's children read their products off the node's row of
+    ``kernel.mul``.  The reflection distance from a prefix product to the
+    target, like the constraint test of a factor set, is computed once.  Class
     elements are tried in sorted order, so the words come out in the same
     order as a backtracking over ``Perm`` values would give them.
 
@@ -367,38 +371,28 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     size = 0  # fiber words counted so far
     weight = 1  # fiber words each kept word stands for
     prefix: list[int] = []
-    constraint_memo: dict[frozenset[int], bool] = {}
     mul = kernel.mul
-    distance: dict[int, int] = {}  # prefix product code -> reflection distance to target
-    last: dict[int, int] = {}  # prefix product code -> code of prefix^-1 target
+    unconstrained = spec.constraint == "none"
 
-    def satisfies_constraint(state: Coded) -> bool:
-        if spec.constraint == "none":
-            return True
-        key = frozenset(state)
-        cached = constraint_memo.get(key)
-        if cached is None:
-            gens = kernel.decode_word(tuple(key))
-            if spec.constraint == "transitive":
-                cached = is_transitive(d, gens)
-            else:
-                cached = len(closure(d, gens)) == math.factorial(d)
-            constraint_memo[key] = cached
-        return cached
+    def satisfies_constraint(factors: frozenset[int]) -> bool:
+        gens = kernel.decode_word(tuple(factors))
+        if spec.constraint == "transitive":
+            return is_transitive(d, gens)
+        return len(closure(d, gens)) == math.factorial(d)
 
+    constraint = Memo(satisfies_constraint)  # keyed by the set of factor codes
+    # Keyed by prefix product code: the reflection distance to the target,
+    # and the code of the last factor prefix^-1 target.
+    distance = Memo(lambda code: (kernel.decode(code).inverse() * target).reflection_length())
+    last = Memo(lambda code: kernel.encode(kernel.decode(code).inverse() * target))
     limit_hit: list[str] = []
-
-    def distance_miss(prefix_product: int) -> int:
-        needed = kernel.decode(prefix_product).inverse() * target
-        distance[prefix_product] = needed.reflection_length()
-        return distance[prefix_product]
 
     def rec(prefix_product: int, remaining: int, budget_left: int) -> None:
         # The prefix is admissible: children are pruned before the call.
         nonlocal size, weight
         if remaining == 0:
             state = tuple(prefix)
-            if satisfies_constraint(state):
+            if unconstrained or constraint[frozenset(state)]:
                 if size + weight > limits.max_fiber:
                     limit_hit.append(f"max_fiber={limits.max_fiber}")
                     return
@@ -406,16 +400,14 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
                 words.append(state)
             return
         if remaining == 1:
-            g = last.get(prefix_product)
-            if g is None:
-                g = last[prefix_product] = kernel.encode(
-                    kernel.decode(prefix_product).inverse() * target)
+            g = last[prefix_product]
             # Only the class left has a nonzero count.
             if counts.get(class_of.get(g)):
                 prefix.append(g)
                 rec(goal, 0, 0)
                 prefix.pop()
             return
+        row = mul[prefix_product]
         for ct in order:
             if counts[ct] == 0:
                 continue
@@ -426,11 +418,8 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
                 weight = len(members)
                 members = members[:1]
             for g in members:
-                child = mul[prefix_product, g]
-                need_refl = distance.get(child)
-                if need_refl is None:
-                    need_refl = distance_miss(child)
-                if need_refl > child_budget:
+                child = row[g]
+                if distance[child] > child_budget:
                     continue
                 prefix.append(g)
                 rec(child, remaining - 1, child_budget)
@@ -443,7 +432,7 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
 
     root = kernel.encode(Perm.identity(d))
     goal = kernel.encode(target)
-    if distance_miss(root) <= budget:  # the parity was checked above
+    if distance[root] <= budget:  # the parity was checked above
         rec(root, total, budget)
     # rec refers to itself through its closure, a cycle that only the cyclic
     # collector frees, and it holds the word list: break it, so the words go
@@ -452,37 +441,6 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     if limit_hit:
         return FiberReport(words, kernel, False, limit_hit[0])
     return FiberReport(words, kernel, True)
-
-
-class _ConjugationRow(dict):
-    """The codes of g x g^-1 for one g, keyed by the code of x, filled from
-    ``kernel.conjugate`` on a miss.  A rotation maps a whole word through
-    one row instead of making one pair-keyed memo lookup per factor."""
-
-    __slots__ = ("g", "conjugate")
-
-    def __init__(self, conjugate: dict, g: int) -> None:
-        super().__init__()
-        self.conjugate = conjugate
-        self.g = g
-
-    def __missing__(self, x: int) -> int:
-        value = self[x] = self.conjugate[self.g, x]
-        return value
-
-
-class _Rows(dict):
-    """Conjugation rows by conjugator code, each made on first use."""
-
-    __slots__ = ("conjugate",)
-
-    def __init__(self, kernel: MoveKernel) -> None:
-        super().__init__()
-        self.conjugate = kernel.conjugate
-
-    def __missing__(self, g: int) -> _ConjugationRow:
-        row = self[g] = _ConjugationRow(self.conjugate, g)
-        return row
 
 
 def _cycles_with_fixed_points(p: Perm) -> list[tuple[int, ...]]:
@@ -621,7 +579,7 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
     if not fr.complete:
         return FiberOrbitReport(fiber_size, None, [], False, fr.limit_hit)
 
-    rows = _Rows(kernel)
+    rows = kernel.conjugate
     if n < 2:
         # No moves; under the quotient the sub-fiber's one-factor words
         # start with the least members of distinct classes, so none is
@@ -634,31 +592,30 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
             row = rows[a]
             return (row[w[1]], a) + w[2:], tuple(map(row.__getitem__, w[1:])) + (a,)
     else:
-        conjugate, mul = kernel.conjugate, kernel.mul
         back = {}  # x -> h_x, for every member x of the type's classes
         for ct, c in c_of.items():
             for x in class_elements(d, ct):
                 back[encode(x)] = encode(_conjugator(x, c))
         centraliser = {encode(c): [rows[encode(z)] for z in _centraliser_generators(c)]
                        for c in c_of.values()}
-        steps: dict[Coded, tuple] = {}  # (c, g) -> what the images of (c, g, ...) need
 
-        def step_of(c: int, g: int) -> tuple:
-            # Both braid images of (c, g, ...) start with x = c g c^-1, and pi
-            # conjugates them by h = h_x: R_1's image becomes
-            # (h x h^-1, h c h^-1) followed by the rest conjugated by h, and
-            # D's image becomes (g, ...) conjugated by h c, then h c h^-1.
-            x = conjugate[c, g]
+        def step_of(pair: Coded) -> tuple:
+            # What the images of (c, g, ...) need.  Both braid images start
+            # with x = c g c^-1, and pi conjugates them by h = h_x: R_1's
+            # image becomes (h x h^-1, h c h^-1) followed by the rest
+            # conjugated by h, and D's image becomes (g, ...) conjugated by
+            # h c, then h c h^-1.
+            c, g = pair
+            x = rows[c][g]
             h = back[x]
             row_h = rows[h]
             head = (row_h[x], row_h[c])
-            return head, row_h, rows[mul[h, c]], head[1:], centraliser[c]
+            return head, row_h, rows[kernel.mul[h][c]], head[1:], centraliser[c]
+
+        steps = Memo(step_of)  # keyed by a word's first two factors
 
         def images(w: Coded) -> list[Coded]:
-            step = steps.get(w[:2])
-            if step is None:
-                step = steps[w[:2]] = step_of(w[0], w[1])
-            head, row_h, row_hc, tail, z_rows = step
+            head, row_h, row_hc, tail, z_rows = steps[w[:2]]
             out = [head + tuple(map(row_h.__getitem__, w[2:])),
                    tuple(map(row_hc.__getitem__, w[1:])) + tail]
             out += [tuple(map(z.__getitem__, w)) for z in z_rows]

@@ -223,12 +223,6 @@ class Perm(tuple):
         """0 for even, 1 for odd: (degree - number of cycles) mod 2."""
         return (len(self) - self.cycle_count()) % 2
 
-    def order(self) -> int:
-        return math.lcm(*self.cycle_type())
-
-    def fixed_point_count(self) -> int:
-        return sum(1 for i, img in enumerate(self) if img == i + 1)
-
     def reflection_length(self) -> int:
         """Least number of transpositions whose product is this permutation."""
         return len(self) - self.cycle_count()

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .perms import CycleType, Perm, closure, format_cycle_type, is_transitive, parse_cycle_type, validate_cycle_type
 
@@ -54,17 +54,18 @@ def conjugate_state(state: State, g: Perm) -> State:
     return tuple(g.conjugate(f) for f in state)
 
 
-class _Memo(dict):
-    """A dict that fills a missing pair key ``(a, b)`` with ``compute(a, b)``."""
+class Memo(dict):
+    """A dict that fills a missing key with ``compute(key)``: it stores the
+    value and returns it.  Every lazily filled table of the searches is one."""
 
     __slots__ = ("compute",)
 
-    def __init__(self, compute) -> None:
+    def __init__(self, compute: Callable[[Any], Any]) -> None:
         super().__init__()
         self.compute = compute
 
-    def __missing__(self, key: tuple[int, int]) -> int:
-        value = self[key] = self.compute(*key)
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.compute(key)
         return value
 
 
@@ -78,17 +79,18 @@ class MoveKernel:
     least word.  Codes are assigned on first sight and nothing is sized by
     the order of S_d, so every degree takes the same path.
 
-    The moves are memoized per code pair on first use, so a search pays
-    ``Perm`` arithmetic only once per distinct pair:
+    The moves are tables of rows, each row a :class:`Memo` made on first use
+    and filled per entry, so a search pays ``Perm`` arithmetic only once per
+    distinct pair, and a loop that holds one row looks each entry up once:
 
-    * ``conjugate[g, x]`` is the code of g x g^-1.  It is also the new first
-      factor of R at a pair (g, x), and conjugation of a word by g.
-    * ``left[a, b]`` is the code of b^-1 a b, the new second factor of L at
+    * ``conjugate[g][x]`` is the code of g x g^-1.  It is also the new first
+      factor of R at a pair (g, x), and row g conjugates a word by g.
+    * ``left[a][b]`` is the code of b^-1 a b, the new second factor of L at
       a pair (a, b).
-    * ``mul[a, b]`` is the code of the product a b; fiber enumeration carries
+    * ``mul[a][b]`` is the code of the product a b; fiber enumeration carries
       its prefix products with it.
 
-    ``encode`` and the memos' fill functions close over the code tables, not
+    ``encode`` and the tables' fill functions close over the code tables, not
     over the kernel, so nothing refers back to the kernel and it is freed as
     soon as its search drops it.
     """
@@ -96,22 +98,20 @@ class MoveKernel:
     def __init__(self, degree: int) -> None:
         self.degree = degree
         perms: dict[int, Perm] = {}
-        codes: dict[Perm, int] = {}
 
-        def encode(p: Perm) -> int:
-            code = codes.get(p)
-            if code is None:
-                if len(p) != degree:
-                    raise ValueError(f"degree mismatch: {len(p)} vs {degree}")
-                code = codes[p] = _lex_rank(p)
-                perms[code] = p
+        def code_of(p: Perm) -> int:
+            if len(p) != degree:
+                raise ValueError(f"degree mismatch: {len(p)} vs {degree}")
+            code = _lex_rank(p)
+            perms[code] = p
             return code
 
+        encode = Memo(code_of).__getitem__
         self._perms = perms
         self.encode = encode
-        self.conjugate = _Memo(lambda g, x: encode(perms[g].conjugate(perms[x])))
-        self.left = _Memo(lambda a, b: encode(perms[b].inverse().conjugate(perms[a])))
-        self.mul = _Memo(lambda a, b: encode(perms[a] * perms[b]))
+        self.conjugate = Memo(lambda g: Memo(lambda x: encode(perms[g].conjugate(perms[x]))))
+        self.left = Memo(lambda a: Memo(lambda b: encode(perms[b].inverse().conjugate(perms[a]))))
+        self.mul = Memo(lambda a: Memo(lambda b: encode(perms[a] * perms[b])))
 
     def encode_word(self, state: State) -> Coded:
         return tuple(map(self.encode, state))
@@ -314,13 +314,6 @@ class Factorization:
     def generated_subgroup(self) -> frozenset[Perm]:
         """The subgroup generated by the factors, as an explicit element set."""
         return closure(self.degree, self.factors)
-
-    def generates(self, subgroup: Iterable[Perm]) -> bool:
-        """Whether the generated subgroup equals ``subgroup`` exactly."""
-        return self.generated_subgroup() == frozenset(subgroup)
-
-    def product_in(self, gamma: Iterable[Perm]) -> bool:
-        return self.product() in set(gamma)
 
     def is_transitive(self) -> bool:
         return is_transitive(self.degree, self.factors)

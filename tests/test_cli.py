@@ -230,6 +230,7 @@ class TestPlumbing:
                    "--samples", "-1")[0] == 3
         assert run(capsys, "verify", "--d", "3", "--class", "2,1", "--claim", "5",
                    "--samples", "0")[0] == 3
+        assert run(capsys, "verify", "--d", "1", "--claim", "relations")[0] == 3
 
     def test_program_fault_exits_4(self, capsys, monkeypatch):
         # a certificate that does not replay is a fault, not a falsification (exit 1)

@@ -88,8 +88,6 @@ class TestHomomorphisms:
 
     def test_predicates(self):
         w = W(3, "(1,2)(2,3)")
-        assert w.generates(w.generated_subgroup())
-        assert W(3, "(1,2)(1,2)").product_in([Perm.identity(3)])
         assert not Factorization.of(4, ["(1,2)(3,4)"]).is_transitive()
         assert w.is_transitive()
 
@@ -183,6 +181,33 @@ class TestMoveKernel:
         for x, y in ((a, b), (b, a), (a, a)):
             assert (x < y) == (kernel.encode_word(x) < kernel.encode_word(y))
 
+    @staticmethod
+    def check_tables(kernel, pairs):
+        for a, b in pairs:
+            ca, cb = kernel.encode(a), kernel.encode(b)
+            assert kernel.decode(kernel.mul[ca][cb]) == a * b
+            assert kernel.decode(kernel.conjugate[ca][cb]) == a * b * a.inverse()
+            assert kernel.decode(kernel.left[ca][cb]) == b.inverse() * a * b
+
+    def test_tables_match_perm_arithmetic_on_every_pair_d3(self):
+        pool = [Perm(p) for p in itertools.permutations(range(1, 4))]
+        kernel = MoveKernel(3)
+        self.check_tables(kernel, itertools.product(pool, repeat=2))
+        # every row is full now, and a second pass is served from the rows
+        assert all(len(table) == 6 and all(len(row) == 6 for row in table.values())
+                   for table in (kernel.mul, kernel.conjugate, kernel.left))
+        self.check_tables(kernel, itertools.product(pool, repeat=2))
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=30)
+    def test_tables_match_perm_arithmetic_on_random_pairs_d5(self, seed):
+        rng = random.Random(seed)
+        pool = [Perm(p) for p in itertools.permutations(range(1, 6))]
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(40)]
+        kernel = MoveKernel(5)
+        self.check_tables(kernel, pairs)
+        self.check_tables(kernel, pairs)
+
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MoveKernel(3).encode(Perm.identity(4))
@@ -192,7 +217,7 @@ class TestMoveKernel:
         try:
             kernel = MoveKernel(4)
             a, b = kernel.encode_word(W(4, "(1,2)(2,3,4)").factors)
-            kernel.conjugate[a, b], kernel.left[a, b], kernel.mul[a, b]
+            kernel.conjugate[a][b], kernel.left[a][b], kernel.mul[a][b]
             ref = weakref.ref(kernel)
             del kernel
             assert ref() is None
