@@ -117,7 +117,7 @@ def orbit_cmd(cfg: RunConfig, degree: int, word_text: str, conj: bool) -> int:
         body = {
             "orbit_size": report.size,
             "complete": report.complete,
-            "canonical": reports.word_to_list(report.canonical) if report.canonical else None,
+            "canonical": None if report.canonical is None else reports.word_to_list(report.canonical),
             "states_explored": report.states_explored,
             "limit_hit": report.limit_hit,
         }

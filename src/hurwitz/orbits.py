@@ -6,21 +6,17 @@ hitting a limit is a first-class outcome (``complete=False`` / ``"unknown"``),
 never a silent truncation.
 
 Every search runs on coded words: tuples of the integer factor codes of one
-:class:`~hurwitz.words.MoveKernel`.  The orbit closure, the bidirectional
-equivalence search and the stable-tail search in
-:mod:`hurwitz.constructions` all run on :func:`expand`, the one breadth-first
-traversal: it records each new word's parent word, and :func:`trace_moves`
-reads the moves back off those records.  Fiber enumeration carries its
-prefix products as codes, reading one row of ``kernel.mul`` per node, and
-looks the last factor up from the product.  The fiber's orbits come from one
-labelling search that follows each coded word to its images under two braid
-generators, R_1 and the rotation, each image mapped through one row of
-``kernel.conjugate``.  Every lazily filled table here is a
-:class:`~hurwitz.words.Memo`.
-Under the conjugation quotient that search runs on the sub-fiber of words
-whose first factor is the least member of its class, with the images
-conjugated back into it and conjugation by the centraliser of that factor
-as the remaining edges.
+:class:`~hurwitz.words.MoveKernel`.  The equivalence search and the
+stable-tail search in :mod:`hurwitz.constructions` certify a path, so they
+run on :func:`expand`, the breadth-first traversal over every R and L move
+that records each word's parent; :func:`trace_moves` reads the moves back.
+The orbit closure and the fiber's orbits follow each word to its images
+under two braid generators, R_1 and the rotation (:func:`orbit_images`).
+Fiber enumeration carries its prefix products as codes, reading one row of
+``kernel.mul`` per node, and looks the last factor up from the product.
+Under the conjugation quotient the fiber's orbits are searched on the
+sub-fiber of words whose first factor is the least member of its class.
+Every lazily filled table here is a :class:`~hurwitz.words.Memo`.
 ``Perm`` words appear only at the boundaries: coding the inputs, decoding
 the results, and replaying certificates.  Coding keeps order, so the least
 coded word of an orbit decodes to its least word, and a fiber's coded words
@@ -33,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .perms import (MAX_EXHAUSTIVE_DEGREE, Perm, all_perms, class_elements, class_reflection_length,
-                    class_size, closure, is_transitive, transpositions, validate_cycle_type)
+                    class_size, closure, is_transitive, validate_cycle_type)
 from .words import (
     Coded,
     Factorization,
@@ -66,12 +62,12 @@ class SearchLimits:
 DEFAULT_LIMITS = SearchLimits()
 
 
-def neighbors(kernel: MoveKernel, state: Coded, conj: Coded = ()) -> list[Coded]:
+def neighbors(kernel: MoveKernel, state: Coded) -> list[Coded]:
     """The neighbours of a coded word, in a fixed order: R then L at each
-    position, then conjugation by each code in ``conj``.
+    position.
 
     A neighbour's index in the list is its move code; :func:`trace_moves`
-    turns the codes of R and L back into :class:`Move` objects.
+    turns the codes back into :class:`Move` objects.
     """
     conjugate, left = kernel.conjugate, kernel.left
     out = []
@@ -83,8 +79,6 @@ def neighbors(kernel: MoveKernel, state: Coded, conj: Coded = ()) -> list[Coded]
         tail = state[i + 2:]
         append(head + (conjugate[a][b], a) + tail)
         append(head + (b, left[a][b]) + tail)
-    for g in conj:
-        append(tuple(map(conjugate[g].__getitem__, state)))
     return out
 
 
@@ -92,18 +86,17 @@ def neighbors(kernel: MoveKernel, state: Coded, conj: Coded = ()) -> list[Coded]
 Parents = dict[Coded, Coded | None]
 
 
-def expand(kernel: MoveKernel, frontier: list[Coded], parents: Parents,
-           conj: Coded = ()) -> Iterator[Coded]:
-    """The one breadth-first traversal: for each word of ``frontier``, in
-    order, record each neighbour not yet in ``parents`` with that word as its
-    parent, and yield it.
+def expand(kernel: MoveKernel, frontier: list[Coded], parents: Parents) -> Iterator[Coded]:
+    """The breadth-first traversal of the searches that certify a path: for
+    each word of ``frontier``, in order, record each neighbour not yet in
+    ``parents`` with that word as its parent, and yield it.
 
     The caller may append to ``frontier`` while this runs, so a search that
     feeds every yielded word back in walks its whole queue; the caller keeps
     its own stop rules and simply stops iterating.
     """
     for s in frontier:
-        for ns in neighbors(kernel, s, conj):
+        for ns in neighbors(kernel, s):
             if ns not in parents:
                 parents[ns] = s
                 yield ns
@@ -132,18 +125,63 @@ class OrbitReport:
     limit_hit: str | None = None
 
 
+def symmetric_generators(degree: int) -> tuple[Perm, ...]:
+    """(1,2) and (1 2 ... d), which generate S_d; deduplicated for d <= 2."""
+    if degree < 2:
+        return ()
+    cycle = Perm.from_cycles(degree, [tuple(range(1, degree + 1))])
+    return tuple(dict.fromkeys((Perm.transposition(degree, 1, 2), cycle)))
+
+
+def orbit_images(kernel: MoveKernel,
+                 conjugation_quotient: bool = False) -> Callable[[Coded], Iterable[Coded]]:
+    """The images of a coded word under two braid generators, read off the
+    row of its first factor in ``kernel.conjugate`` (none below two factors),
+
+        R_1:  (g_1, g_2, ..., g_n) -> (g_1 g_2 g_1^-1, g_1, g_3, ..., g_n),
+        D:    (g_1, ..., g_n) -> (g_1 g_2 g_1^-1, ..., g_1 g_n g_1^-1, g_1),
+
+    then, under the conjugation quotient, its conjugates by
+    :func:`symmetric_generators`.  The words reached forward along these
+    images are the whole orbit of the braid group (times S_d under the
+    quotient).  The R moves generate the braid action (L undoes R), and R_1
+    and D generate the same group: D applied k times, then R_1, then D^-1 k
+    times is R at position k + 1 (for n = 2, D is R_1).  Each image map is a
+    bijection of the finite set of words of one length and type, so a power
+    of each is its inverse.
+    """
+    rows = kernel.conjugate
+    conj = kernel.encode_word(symmetric_generators(kernel.degree)) if conjugation_quotient else ()
+    conj_rows = [rows[g] for g in conj]
+
+    def braid(w: Coded) -> tuple[Coded, ...]:
+        if len(w) < 2:
+            return ()
+        a = w[0]
+        row = rows[a]
+        return (row[w[1]], a) + w[2:], tuple(map(row.__getitem__, w[1:])) + (a,)
+
+    def with_conjugates(w: Coded) -> list[Coded]:
+        return [*braid(w), *[tuple(map(r.__getitem__, w)) for r in conj_rows]]
+
+    return with_conjugates if conj_rows else braid
+
+
 def _orbit_states(kernel: MoveKernel, state0: Coded, max_states: int,
-                  conj: Coded = ()) -> tuple[Parents, bool]:
-    """Breadth-first closure of ``state0`` under the moves and conjugation
-    by the codes in ``conj``.  Returns (visited, complete); an incomplete
-    closure holds exactly ``max_states`` words."""
-    visited: Parents = {state0: None}
+                  conjugation_quotient: bool = False) -> tuple[set[Coded], bool]:
+    """The orbit of ``state0`` as a set, the forward closure under
+    :func:`orbit_images`, and whether it is complete; an incomplete closure
+    holds exactly ``max_states`` words."""
+    images = orbit_images(kernel, conjugation_quotient)
+    visited = {state0}
     queue = [state0]
-    for ns in expand(kernel, queue, visited, conj):
-        if len(visited) > max_states:
-            del visited[ns]
-            return visited, False
-        queue.append(ns)
+    for w in queue:  # grows while it is walked
+        for v in images(w):
+            if v not in visited:
+                if len(visited) == max_states:
+                    return visited, False
+                visited.add(v)
+                queue.append(v)
     return visited, True
 
 
@@ -157,9 +195,8 @@ def enumerate_orbit(start: Factorization, limits: SearchLimits = DEFAULT_LIMITS,
     orbit (factors compared in one-line notation, words left to right).
     """
     kernel = MoveKernel(start.degree)
-    conj = kernel.encode_word(transpositions(start.degree)) if conjugation_quotient else ()
     visited, complete = _orbit_states(kernel, kernel.encode_word(start.factors),
-                                      limits.max_states, conj)
+                                      limits.max_states, conjugation_quotient)
     if check_invariants:
         _assert_orbit_invariants(start, [kernel.decode_word(s) for s in visited],
                                  conjugation_quotient)
@@ -179,20 +216,21 @@ def enumerate_orbit(start: Factorization, limits: SearchLimits = DEFAULT_LIMITS,
 def _assert_orbit_invariants(start: Factorization, states: list[State],
                              conjugation_quotient: bool) -> None:
     d = start.degree
-    want_type = start.type_vector()
-    want_len = len(start)
-    want_product = start.product()
-    want_group = start.generated_subgroup() if d <= MAX_EXHAUSTIVE_DEGREE else None
+
+    def invariants(word: State) -> tuple:
+        # Conjugation keeps only the product's cycle type and the subgroup's order.
+        product = product_of_state(word, d)
+        group = closure(d, word) if d <= MAX_EXHAUSTIVE_DEGREE else None
+        if conjugation_quotient:
+            product, group = product.cycle_type(), None if group is None else len(group)
+        return len(word), TypeVector.from_factors(word), product, group
+
+    want = invariants(start.factors)
     for s in states:
-        if len(s) != want_len:
-            raise RuntimeError("orbit word changed length")
-        if TypeVector.from_factors(s) != want_type:
-            raise RuntimeError("orbit word changed type")
-        if not conjugation_quotient:
-            if product_of_state(s, d) != want_product:
-                raise RuntimeError("orbit word changed product")
-            if want_group is not None and closure(d, s) != want_group:
-                raise RuntimeError("orbit word changed generated subgroup")
+        for name, got, expected in zip(("length", "type", "product", "generated subgroup"),
+                                       invariants(s), want):
+            if got != expected:
+                raise RuntimeError(f"orbit word changed {name}")
 
 
 @dataclass
@@ -524,20 +562,9 @@ class FiberOrbitReport:
 def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS,
                           want_partition: bool = False) -> FiberOrbitReport:
     """Partition the fiber into move orbits by one labelling search over the
-    coded fiber (:func:`_label_orbits`) along two braid generators: R at the
-    first position, and the rotation D, which applies R at positions
-    1, 2, ..., n-1 in turn:
-
-        D:  (g_1, ..., g_n) -> (g_1 g_2 g_1^-1, ..., g_1 g_n g_1^-1, g_1).
-
-    That is exact: the R moves generate the braid group's action (L undoes
-    R), and R_1 and D generate the same group (applying D k times, then R_1,
-    then D^-1 k times is R at position k + 1).  R_1 and D are bijections of
-    the finite fiber, so a power of each is its inverse, and the words
-    reached forward from a word are its whole orbit.  For n = 2, D is R_1; a
-    word of one factor has no moves.  Every image must lie in the fiber; a
-    finite set closed under two bijections is closed under the group they
-    generate.
+    coded fiber (:func:`_label_orbits`) along the braid generators R_1 and
+    the rotation D of :func:`orbit_images`, which reach the whole orbit.
+    Every image must lie in the fiber.
 
     With the conjugation quotient, the classes are the orbits of B_n x S_d,
     and the search runs on the sub-fiber F_0 of words whose first factor is
@@ -580,17 +607,11 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
         return FiberOrbitReport(fiber_size, None, [], False, fr.limit_hit)
 
     rows = kernel.conjugate
-    if n < 2:
-        # No moves; under the quotient the sub-fiber's one-factor words
-        # start with the least members of distinct classes, so none is
-        # conjugate to another.
-        def images(w: Coded) -> tuple[Coded, ...]:
-            return ()
-    elif not quotient:
-        def images(w: Coded) -> tuple[Coded, ...]:
-            a = w[0]
-            row = rows[a]
-            return (row[w[1]], a) + w[2:], tuple(map(row.__getitem__, w[1:])) + (a,)
+    if not quotient or n < 2:
+        # A one-factor word has no moves, and the sub-fiber's one-factor words
+        # start with the least members of distinct classes: none is conjugate
+        # to another.
+        images = orbit_images(kernel)
     else:
         back = {}  # x -> h_x, for every member x of the type's classes
         for ct, c in c_of.items():
@@ -650,7 +671,6 @@ def orbit_partition_by_sweeps(words: list[State], degree: int,
     any orbit enumeration hits the state limit.
     """
     kernel = MoveKernel(degree)
-    conj = kernel.encode_word(transpositions(degree)) if conjugation_quotient else ()
     coded = [kernel.encode_word(w) for w in words]
     fiber = set(coded)
     remaining = set(coded)
@@ -658,13 +678,13 @@ def orbit_partition_by_sweeps(words: list[State], degree: int,
     for c in coded:  # fixed order for determinism
         if c not in remaining:
             continue
-        visited, complete = _orbit_states(kernel, c, limits.max_states, conj)
+        visited, complete = _orbit_states(kernel, c, limits.max_states, conjugation_quotient)
         if not complete:
             return None
-        if not visited.keys() <= fiber:
+        if not visited <= fiber:
             raise RuntimeError("orbit escaped the fiber")
         out.append(frozenset(map(kernel.decode_word, visited)))
-        remaining -= visited.keys()
+        remaining -= visited
     return sorted(out, key=min)
 
 

@@ -60,6 +60,13 @@ class TestOrbitEquiv:
         assert r["orbit_size"] == 3 and r["complete"]
         assert r["canonical"] == ["(2,3)", "(1,3)"]
 
+    @pytest.mark.parametrize("conj", [[], ["--conj"]])
+    def test_orbit_of_the_empty_word(self, capsys, conj):
+        # the empty word is its whole orbit, and its own least word
+        code, r = run_json(capsys, "orbit", "--d", "3", "--word", "()", *conj)
+        assert code == 0
+        assert (r["orbit_size"], r["complete"], r["canonical"]) == (1, True, [])
+
     def test_orbit_limit(self, capsys):
         code, r = run_json(capsys, "--max-states", "2", "orbit", "--d", "3",
                            "--word", "(1,2)(2,3)(1,2)")

@@ -1,7 +1,11 @@
 """Orbit enumeration, equivalence certificates, fibers, and scans."""
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hurwitz import orbits
 from hurwitz.orbits import (
@@ -14,9 +18,10 @@ from hurwitz.orbits import (
     enumerate_orbit,
     orbit_partition_by_sweeps,
     stable_length_scan,
+    symmetric_generators,
 )
-from hurwitz.perms import Perm, class_elements
-from hurwitz.words import Factorization, Move, TypeVector
+from hurwitz.perms import Perm, class_elements, closure
+from hurwitz.words import Factorization, Move, MoveKernel, TypeVector
 
 import oracle
 
@@ -69,18 +74,86 @@ class TestOrbit:
         r = enumerate_orbit(W(3, "(1,2)(1,2)"), LIM, conjugation_quotient=True)
         assert r.size == 3
 
-    def test_invariant_check_raises(self, monkeypatch):
-        # a raise, not an assert: the check must hold under python -O too
+    @staticmethod
+    def add_stray_word(monkeypatch, stray):
         real = orbits._orbit_states
 
-        def with_stray_word(kernel, state0, max_states, conj=()):
-            visited, complete = real(kernel, state0, max_states, conj)
-            visited[kernel.encode_word(W(3, "(1,2)(1,2)(1,2)").factors)] = None
+        def with_stray_word(kernel, state0, max_states, conjugation_quotient=False):
+            visited, complete = real(kernel, state0, max_states, conjugation_quotient)
+            visited.add(kernel.encode_word(stray.factors))
             return visited, complete
 
         monkeypatch.setattr(orbits, "_orbit_states", with_stray_word)
+
+    def test_invariant_check_raises(self, monkeypatch):
+        # a raise, not an assert: the check must hold under python -O too
+        self.add_stray_word(monkeypatch, W(3, "(1,2)(1,2)(1,2)"))
         with pytest.raises(RuntimeError, match="product"):
             enumerate_orbit(W(3, "(1,2)(2,3)(1,2)"), LIM, check_invariants=True)
+
+    @pytest.mark.parametrize("start, stray, what", [
+        # the identity against a 3-cycle: another product class
+        ("(1,2)(1,2)", "(1,2)(2,3)", "product"),
+        # both products are the identity; the subgroups have orders 6 and 2
+        ("(1,2)(1,2)(1,3)(1,3)", "(2,3)(2,3)(2,3)(2,3)", "subgroup"),
+    ])
+    def test_quotient_invariant_check_raises(self, monkeypatch, start, stray, what):
+        # the stray word is no conjugate of an orbit word, though it keeps
+        # the length and the type
+        self.add_stray_word(monkeypatch, W(3, stray))
+        with pytest.raises(RuntimeError, match=what):
+            enumerate_orbit(W(3, start), LIM, conjugation_quotient=True, check_invariants=True)
+
+    def test_quotient_invariant_check_passes_on_conjugates(self):
+        r = enumerate_orbit(W(4, "(1,2)(2,3)(3,4)(1,2)"), LIM, conjugation_quotient=True,
+                            check_invariants=True)
+        assert r.complete
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_symmetric_generators_generate(self, d):
+        gens = symmetric_generators(d)
+        assert len(gens) == min(2, d - 1) == len(set(gens))
+        assert len(closure(d, gens)) == math.factorial(d)
+
+
+@st.composite
+def small_orbit_words(draw):
+    """A word of degree 2..5 and length 0..5 over mixed classes.  Its factors
+    move only the first k points, for a drawn k, so that most orbits stay
+    small enough for the oracle's flood."""
+    d = draw(st.integers(2, 5))
+    k = draw(st.integers(2, d))
+    pool = [Perm(p + tuple(range(k + 1, d + 1))) for p in itertools.permutations(range(1, k + 1))]
+    return Factorization(d, tuple(draw(st.lists(st.sampled_from(pool[1:]), max_size=5))))
+
+
+@given(small_orbit_words(), st.booleans(), st.integers(0, 10**6))
+@example(W(4, "(1,2,3,4)"), False, 0)  # one factor: no moves
+@example(W(4, "(1,2,3,4)"), True, 0)
+@example(W(3, "(1,2)(2,3)"), False, 0)  # two factors: D is R_1
+@example(W(3, "(1,2)(1,2)"), True, 0)
+@example(W(5, "(1,2)(3,4,5)(1,5)(2,3)(4,5)"), True, 0)
+@settings(max_examples=150, deadline=None)
+def test_orbit_matches_oracle_flood(w, conj, cut):
+    """The closure along R_1, D and two conjugators against the oracle's
+    flood over every R and L move and every conjugator."""
+    d = w.degree
+    work = 2 * len(w) + 1 + (math.factorial(d) if conj else 0)  # oracle images per word
+    r = enumerate_orbit(w, SearchLimits(max_states=max(2, 30_000 // work)),
+                        conjugation_quotient=conj)
+    assume(r.complete)
+    want = oracle.o_orbit(oracle.from_word(w.factors), conj, d)
+    assert r.size == r.states_explored == len(want)
+    assert oracle.to_word_images(min(want)) == r.canonical.factors
+    if len(want) > 2:
+        # cut short: exactly max_states words, each of the orbit
+        m = 2 + cut % (len(want) - 2)
+        kernel = MoveKernel(d)
+        visited, complete = orbits._orbit_states(kernel, kernel.encode_word(w.factors), m, conj)
+        assert not complete and len(visited) == m
+        assert {oracle.from_word(kernel.decode_word(s)) for s in visited} <= want
+        r = enumerate_orbit(w, SearchLimits(max_states=m), conjugation_quotient=conj)
+        assert (r.size, r.states_explored, r.complete, r.canonical) == (m, m, False, None)
 
 
 class TestEquivalence:

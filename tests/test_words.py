@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitz.orbits import neighbors
-from hurwitz.perms import Perm, transpositions
+from hurwitz.orbits import neighbors, orbit_images, symmetric_generators
+from hurwitz.perms import Perm
 from hurwitz.words import (
     Factorization,
     Move,
@@ -157,18 +157,36 @@ class TestMoveKernel:
     @settings(max_examples=60)
     def test_neighbors_match_reference_moves(self, w):
         kernel = MoveKernel(w.degree)
-        conj = transpositions(w.degree)
         coded = kernel.encode_word(w.factors)
         assert kernel.decode_word(coded) == w.factors
         want = []
         for i0 in range(len(w) - 1):
             want.append(move_right_state(w.factors, i0))
             want.append(move_left_state(w.factors, i0))
-        want.extend(conjugate_state(w.factors, g) for g in conj)
-        got = neighbors(kernel, coded, tuple(map(kernel.encode, conj)))
+        got = neighbors(kernel, coded)
         assert [kernel.decode_word(c) for c in got] == want
         # a second expansion is served from the memo tables
-        assert neighbors(kernel, coded, tuple(map(kernel.encode, conj))) == got
+        assert neighbors(kernel, coded) == got
+
+    @given(words(max_degree=7, max_len=6), st.booleans())
+    @settings(max_examples=60)
+    def test_orbit_images_match_reference_moves(self, w, conj):
+        # R_1, the rotation D (R at positions 1, ..., n-1 in turn), then
+        # under the quotient the conjugates by (1,2) and (1 2 ... d)
+        kernel = MoveKernel(w.degree)
+        want = []
+        if len(w) > 1:
+            rotated = w.factors
+            for i0 in range(len(w) - 1):
+                rotated = move_right_state(rotated, i0)
+            want += [move_right_state(w.factors, 0), rotated]
+        if conj:
+            want += [conjugate_state(w.factors, g) for g in symmetric_generators(w.degree)]
+        images = orbit_images(kernel, conj)
+        got = images(kernel.encode_word(w.factors))
+        assert [kernel.decode_word(c) for c in got] == want
+        # a second call is served from the memo tables
+        assert images(kernel.encode_word(w.factors)) == got
 
     @given(st.integers(2, 7), st.integers(1, 4), st.integers(0, 10**6))
     def test_coding_keeps_word_order(self, d, n, seed):
