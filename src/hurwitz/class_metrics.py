@@ -152,12 +152,6 @@ class ClassMetrics:
     min_word: MinWordResult | None             # m_C; None for even classes
     min_word_fixing: MinWordResult | None      # m_C with factors fixing ANCHORS
 
-    @property
-    def m_values_differ(self) -> bool:
-        return (self.min_word is not None and self.min_word_fixing is not None
-                and self.min_word.known and self.min_word_fixing.known
-                and self.min_word.length != self.min_word_fixing.length)
-
 
 def compute_class_metrics(degree: int, cycle_type: CycleType,
                           limit: int = DEFAULT_SEARCH_DEPTH) -> ClassMetrics:

@@ -319,7 +319,7 @@ def check_conjugation_classes(ctx: ConstructionContext,
     for alpha in sorted(by_alpha):
         states = by_alpha[alpha]
         classes: list[State] = [states[0]]
-        unknown = False
+        unknown = None  # the reason of the first undecided comparison
         for state in states[1:]:
             matched = False
             for rep in classes:
@@ -329,20 +329,22 @@ def check_conjugation_classes(ctx: ConstructionContext,
                     matched = True
                     break
                 if row.status == "unknown":
-                    unknown = True
+                    unknown = unknown or row.detail
             if not matched and not unknown:
                 classes.append(state)
         class_count += len(classes)
         alphas.append(str(alpha))
         if unknown:
+            # A comparison was cut short, so the classes found are no count.
             status = "unknown"
+            detail = f"{len(states)} conjugate words, classes undecided ({unknown})"
         else:
             status = "yes" if len(classes) == 1 else "no"
+            detail = f"{len(states)} conjugate words, {len(classes)} classes"
         report.rows.append(ClaimRow(
-            f"product {alpha}: conjugates form one element", "yes", status,
-            detail=f"{len(states)} conjugate words, {len(classes)} classes"))
+            f"product {alpha}: conjugates form one element", "yes", status, detail=detail))
     report.summary = {
-        "class_count": class_count,
+        "class_count": class_count if report.complete else None,
         "expected_count": d * (d - 1) // 2,
         "products": alphas,
         "conjugate_words": len(conjugates),
@@ -350,31 +352,26 @@ def check_conjugation_classes(ctx: ConstructionContext,
     return report
 
 
-def _relation_row(name: str, lhs: Factorization, rhs: Factorization,
-                  block: str, left_len: int, right_len: int,
+def _relation_row(name: str, lhs: Factorization, rhs: Factorization, block: list[Move],
                   mini_src: Factorization, mini_dst: Factorization, mini_offset: int,
                   cache: Memo) -> ClaimRow:
-    """Certify lhs ~ rhs as: block shift, then a searched certificate between
-    the two short conjugate blocks (read from ``cache``, which maps a pair of
-    blocks to their equivalence report), embedded at ``mini_offset``; replay the
-    composite on lhs and require it to land exactly on rhs; a mismatch is a
-    fault of the program, not a falsification, and raises."""
+    """Certify lhs ~ rhs as: the block-shift moves ``block``, then a searched
+    certificate between the two short conjugate blocks (read from ``cache``,
+    which maps a pair of blocks to their equivalence report), embedded at
+    ``mini_offset``; replay the composite on lhs and require it to land
+    exactly on rhs; a mismatch is a fault of the program, not a
+    falsification, and raises."""
     if lhs.product() != rhs.product():
         raise RuntimeError(f"{name}: relation sides must share a product")
     mini = cache[mini_src, mini_dst]
     if mini.status != "yes":
         return ClaimRow(name, "yes", mini.status, detail="short-block search " + (mini.reason or ""))
-    if block == "R":
-        moves = block_shift_right_cert(left_len, right_len)
-    else:
-        moves = block_shift_left_cert(left_len, right_len)
     assert mini.certificate is not None
-    moves += [m.shifted(mini_offset) for m in mini.certificate]
-    final = apply_moves_state(lhs.factors, moves)
-    if final != rhs.factors:
+    moves = block + [m.shifted(mini_offset) for m in mini.certificate]
+    if apply_moves_state(lhs.factors, moves) != rhs.factors:
         raise RuntimeError(f"{name}: composite certificate replay failed")
     return ClaimRow(name, "yes", "yes", tuple(moves),
-                    detail=f"{len(moves)} moves ({left_len * right_len} block + searched)")
+                    detail=f"{len(moves)} moves ({len(block)} block + searched)")
 
 
 def check_braid_relations(ctx: ConstructionContext,
@@ -386,6 +383,7 @@ def check_braid_relations(ctx: ConstructionContext,
     letters = {(i, j): embedded_transposition(ctx, i, j)
                for i in range(1, d + 1) for j in range(i + 1, d + 1)}
     L = len(next(iter(letters.values())))
+    shift_right, shift_left = block_shift_right_cert(L, L), block_shift_left_cert(L, L)
     # short-block pair -> its equivalence report
     cache = Memo(lambda pair: are_equivalent(*pair, limits))
     report = ClaimReport("3", summary={"letter_length": L})
@@ -397,11 +395,11 @@ def check_braid_relations(ctx: ConstructionContext,
         lhs = zab.concat(zac)
         report.rows.append(_relation_row(
             f"z({a},{b})*z({a},{c}) ~ z({b},{c})*z({a},{b})",
-            lhs, zbc.concat(zab), "R", L, L,
+            lhs, zbc.concat(zab), shift_right,
             zac.conjugated_by(tab), zbc, 0, cache))
         report.rows.append(_relation_row(
             f"z({a},{b})*z({a},{c}) ~ z({a},{c})*z({b},{c})",
-            lhs, zac.concat(zbc), "L", L, L,
+            lhs, zac.concat(zbc), shift_left,
             zab.conjugated_by(tac), zbc, L, cache))
     quadruples = list(combinations(range(1, d + 1), 4))
     for (a, b, c, e) in quadruples:
@@ -409,7 +407,7 @@ def check_braid_relations(ctx: ConstructionContext,
         tab = Perm.transposition(d, a, b)
         report.rows.append(_relation_row(
             f"z({a},{b})*z({c},{e}) ~ z({c},{e})*z({a},{b})",
-            zab.concat(zce), zce.concat(zab), "R", L, L,
+            zab.concat(zce), zce.concat(zab), shift_right,
             zce.conjugated_by(tab), zce, 0, cache))
     report.summary["triples_checked"] = len(triples)
     report.summary["quadruples_checked"] = len(quadruples)
@@ -422,7 +420,6 @@ def check_braid_relations(ctx: ConstructionContext,
 class TailReport:
     status: str                       # "yes" or "unknown"
     moves: tuple[Move, ...] | None
-    result: Factorization | None
     states_explored: int
     detail: str = ""
 
@@ -444,21 +441,19 @@ def rewrite_with_stable_tail(word: Factorization, tail: Factorization,
 
     start = kernel.encode_word(word.factors)
     if has_tail(start):
-        return TailReport("yes", (), word, 0, "already ends with the tail")
+        return TailReport("yes", (), 0, "already ends with the tail")
     parents: Parents = {start: None}
     queue = [start]
     for ns in expand(kernel, queue, parents):
         if has_tail(ns):
             moves = tuple(trace_moves(kernel, parents, ns))
-            final = Factorization.from_state(word.degree, kernel.decode_word(ns))
-            if apply_moves_state(word.factors, moves) != final.factors:
+            if apply_moves_state(word.factors, moves) != kernel.decode_word(ns):
                 raise RuntimeError("stable-tail certificate replay failed")
-            return TailReport("yes", moves, final, len(parents))
+            return TailReport("yes", moves, len(parents))
         if len(parents) >= limits.max_states:
-            return TailReport("unknown", None, None, len(parents),
-                              f"max_states={limits.max_states}")
+            return TailReport("unknown", None, len(parents), f"max_states={limits.max_states}")
         queue.append(ns)
-    return TailReport("unknown", None, None, len(parents),
+    return TailReport("unknown", None, len(parents),
                       "orbit fully enumerated; no member ends with the tail")
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .perms import (MAX_EXHAUSTIVE_DEGREE, Perm, all_perms, class_elements, class_reflection_length,
-                    class_size, closure, is_transitive, validate_cycle_type)
+                    closure, is_transitive, validate_cycle_type)
 from .words import (
     Coded,
     Factorization,
@@ -282,16 +282,9 @@ def are_equivalent(s1: Factorization, s2: Factorization,
 
     explored = 2
     while True:
-        if not frontiers[0] and not frontiers[1]:
-            return EquivalenceReport("no", None, explored,
-                                     "orbits fully enumerated and disjoint")
-        # Expand the smaller live frontier.
-        if not frontiers[0]:
-            side = 1
-        elif not frontiers[1]:
-            side = 0
-        else:
-            side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        # Expand the smaller frontier.  Both start non-empty, and an empty
+        # one ends the search below.
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         mine, other = sides[side], sides[1 - side]
         new_frontier: list[Coded] = []
         for ns in expand(kernel, frontiers[side], mine):
@@ -342,20 +335,22 @@ class FiberSpec:
 @dataclass
 class FiberReport:
     """The words of a fiber, or of its first-factor sub-fiber, kept coded by
-    the kernel that enumerated them."""
+    the kernel that enumerated them.
+
+    ``size`` counts the words of the whole fiber that were found, also when
+    only the sub-fiber is kept: there it is the sum over the classes X of |X|
+    times the number of kept words starting with the least member of X.
+    """
 
     coded: list[Coded]
     kernel: MoveKernel
+    size: int
     complete: bool
     limit_hit: str | None = None
 
     @property
     def words(self) -> list[State]:
         return list(map(self.kernel.decode_word, self.coded))
-
-    @property
-    def size(self) -> int:
-        return len(self.coded)
 
 
 def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
@@ -383,11 +378,11 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     quotient search runs on this sub-fiber.  When the fiber is closed under
     conjugation, conjugating by an h with h x h^-1 = c_X maps the words
     starting with x onto those starting with c_X, so each kept word stands
-    for |X| fiber words, and ``max_fiber`` still caps the whole fiber: the
-    enumeration is complete exactly when the whole fiber has at most
-    ``max_fiber`` words.  (A one-factor quotient fiber exists only for
-    degree <= 2, whose classes are single elements, so the looked-up last
-    factor needs no such restriction.)
+    for |X| fiber words.  The report's ``size`` and ``max_fiber`` both count
+    the whole fiber: the enumeration is complete exactly when the whole
+    fiber has at most ``max_fiber`` words.  (A one-factor quotient fiber
+    exists only for degree <= 2, whose classes are single elements, so the
+    looked-up last factor needs no such restriction.)
     """
     d = spec.degree
     kernel = MoveKernel(d)
@@ -401,7 +396,7 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     # Word-independent emptiness check: total parity must match the product.
     total_parity = sum(refl[ct] * n for ct, n in counts.items()) % 2
     if total_parity != target.parity():
-        return FiberReport([], kernel, True)
+        return FiberReport([], kernel, 0, True)
 
     budget = sum(refl[ct] * n for ct, n in counts.items())
     total = spec.type_vector.total()
@@ -477,8 +472,8 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     # with the report and not at some later full collection.
     del rec
     if limit_hit:
-        return FiberReport(words, kernel, False, limit_hit[0])
-    return FiberReport(words, kernel, True)
+        return FiberReport(words, kernel, size, False, limit_hit[0])
+    return FiberReport(words, kernel, size, True)
 
 
 def _cycles_with_fixed_points(p: Perm) -> list[tuple[int, ...]]:
@@ -584,27 +579,19 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
       conjugation fixes the first factor c_X, so it lies in Z(c_X) and is
       a positive word in the generators.
 
-    The fiber size is the sum over X of |X| times the number of words of F_0
-    starting with c_X.  A class is represented by its least word, which
-    starts with some c_X (conjugating its first factor to c_X would give a
-    smaller word) and so lies in F_0.  Only ``want_partition`` collects the
-    member lists; under the quotient it conjugates each class's sub-fiber
-    words by all of S_d.
+    A class is represented by its least word, which starts with some c_X
+    (conjugating its first factor to c_X would give a smaller word) and so
+    lies in F_0.  Only ``want_partition`` collects the member lists; under
+    the quotient it conjugates each class's sub-fiber words by all of S_d.
     """
     d = spec.degree
     n = spec.type_vector.total()
     quotient = spec.conjugation_quotient and n > 0  # the empty word has no first factor
-    fr = enumerate_fiber(spec, limits, sub_fiber=True) if quotient else enumerate_fiber(spec, limits)
+    fr = enumerate_fiber(spec, limits, sub_fiber=quotient)
     coded, kernel = fr.coded, fr.kernel
     encode = kernel.encode
-    if quotient:
-        c_of = {ct: class_elements(d, ct)[0] for ct in spec.type_vector.as_dict()}
-        weight = {encode(c): class_size(d, ct) for ct, c in c_of.items()}
-        fiber_size = sum(weight[w[0]] for w in coded)
-    else:
-        fiber_size = len(coded)
     if not fr.complete:
-        return FiberOrbitReport(fiber_size, None, [], False, fr.limit_hit)
+        return FiberOrbitReport(fr.size, None, [], False, fr.limit_hit)
 
     rows = kernel.conjugate
     if not quotient or n < 2:
@@ -613,6 +600,7 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
         # to another.
         images = orbit_images(kernel)
     else:
+        c_of = {ct: class_elements(d, ct)[0] for ct in spec.type_vector.as_dict()}
         back = {}  # x -> h_x, for every member x of the type's classes
         for ct, c in c_of.items():
             for x in class_elements(d, ct):
@@ -653,7 +641,7 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
                        for members in classes]
         partition = [frozenset(map(kernel.decode_word, members)) for members in classes]
     return FiberOrbitReport(
-        fiber_size=fiber_size,
+        fiber_size=fr.size,
         orbit_count=len(orbits),
         representatives=[Factorization.from_state(d, kernel.decode_word(w)) for w in least],
         complete=True,
@@ -666,9 +654,14 @@ def orbit_partition_by_sweeps(words: list[State], degree: int,
                               conjugation_quotient: bool = False) -> list[frozenset[State]] | None:
     """Partition a fiber by repeated full orbit enumerations.
 
-    An independent second algorithm for the same partition as
-    :func:`count_orbits_in_fiber`; used to cross-check it.  Returns None if
-    any orbit enumeration hits the state limit.
+    A second algorithm for the same partition as :func:`count_orbits_in_fiber`,
+    used to cross-check it.  It is independent of the labelling search, the
+    first-factor sub-fiber and the conjugation back to a least first factor,
+    but not of the moves: both follow :func:`orbit_images`.  The references
+    that share no code with this module are ``tests/oracle.py`` and the
+    union-find over every R position in ``tests/test_fiber_engine.py``.
+    Returns None if any orbit enumeration hits the state limit; an orbit
+    that leaves ``words`` is a fault.
     """
     kernel = MoveKernel(degree)
     coded = [kernel.encode_word(w) for w in words]

@@ -220,8 +220,6 @@ def class_info_body(metrics: ClassMetrics) -> dict:
     elif metrics.min_word is not None and metrics.min_word.known:
         witness = metrics.min_word.witness
     body["witness"] = [str(p) for p in witness] if witness is not None else None
-    if metrics.m_values_differ:
-        body["note"] = "m_C and its anchored variant differ; constructions use the anchored witness"
     return body
 
 
@@ -325,7 +323,6 @@ def count_components(query: ComponentQuery, limits: SearchLimits) -> dict:
     rows = []
     total = 0
     any_complete = False
-    all_unknown = True
     for tv in types:
         spec = FiberSpec(query.degree, tv, ident, constraint, query.conjugation_quotient)
         report = count_orbits_in_fiber(spec, limits)
@@ -337,7 +334,6 @@ def count_components(query: ComponentQuery, limits: SearchLimits) -> dict:
         })
         if report.complete:
             any_complete = True
-            all_unknown = False
             total += report.orbit_count or 0
     body = {
         "convention": {
@@ -346,7 +342,7 @@ def count_components(query: ComponentQuery, limits: SearchLimits) -> dict:
             "conjugation_quotient": query.conjugation_quotient,
         },
         "total_components": total if any_complete else None,
-        "all_rows_unknown": all_unknown,
+        "all_rows_unknown": not any_complete,
         "rows": rows,
     }
     return body

@@ -164,13 +164,6 @@ class Move:
     def __str__(self) -> str:
         return f"{self.direction}{self.position}"
 
-    @classmethod
-    def parse(cls, text: str) -> "Move":
-        text = text.strip()
-        if len(text) < 2 or text[0] not in "LR":
-            raise ValueError(f"bad move: {text!r}")
-        return cls(int(text[1:]), text[0])
-
 
 def apply_moves_state(state: State, moves: Iterable[Move]) -> State:
     for m in moves:

@@ -13,6 +13,7 @@ from hurwitz.class_metrics import (
     stability_bound,
 )
 from hurwitz.perms import (
+    LimitExceededError,
     Perm,
     all_cycle_types,
     canonical_class_element,
@@ -235,6 +236,19 @@ class TestMetricsAndBound:
         m = compute_class_metrics(4, (2, 2))
         with pytest.raises(ValueError):
             stability_bound(m)
+
+    def test_plain_and_anchored_m_agree_on_the_supported_degrees(self):
+        # Class info carries no note for a plain m_C that differs from the
+        # anchored one: at d = 4..8 no odd class with f_C >= 2 has one, and
+        # class metrics stop at d = 8.
+        classes = [(d, ct) for d in range(4, 9) for ct in all_cycle_types(d)
+                   if class_parity(ct) and class_fixed_points(ct) >= 2]
+        assert len(classes) == 12
+        for d, ct in classes:
+            m = compute_class_metrics(d, ct)
+            assert m.min_word.known and m.min_word.length == m.min_word_fixing.length
+        with pytest.raises(LimitExceededError):
+            compute_class_metrics(9, (2,) + (1,) * 7)
 
     def test_degree_eight_class(self):
         m = compute_class_metrics(8, (3, 2, 1, 1, 1), limit=3)

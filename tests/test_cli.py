@@ -160,6 +160,13 @@ class TestConstructVerify:
                            "--claim", "relations", "--samples", "3")
         assert code == 0 and not r["falsified"] and r["complete"]
 
+    def test_verify_claim2_at_a_state_limit(self, capsys):
+        code, r = run_json(capsys, "--max-states", "2", "verify", "--d", "4",
+                           "--class", "2,1,1", "--claim", "2")
+        assert code == 2 and not r["complete"]
+        assert r["summary"]["class_count"] is None
+        assert all("classes undecided" in row["detail"] for row in r["rows"])
+
     def test_verify_claim5_d3(self, capsys):
         code, r = run_json(capsys, "--max-states", "200000", "verify", "--d", "3",
                            "--class", "2,1", "--claim", "5", "--samples", "2")
@@ -271,6 +278,13 @@ class TestPlumbing:
                         "--class", "2,1")
         assert code == 0
         assert "n_C: 2" in out
+
+    def test_text_format_rows(self, capsys):
+        code, out = run(capsys, "--format", "text", "components", "--d", "3", "--b", "4")
+        assert code == 0
+        assert "total_components: 3\n" in out
+        assert "\n  type=2,1:4  fiber_size=24  components=1  complete=True\n" in out
+        assert "rows:" not in out
 
     def test_cache_round_trip(self, capsys, tmp_path):
         args = ["--cache-dir", str(tmp_path), "fiber-count", "--d", "3",

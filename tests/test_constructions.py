@@ -211,12 +211,57 @@ class TestClaims:
         assert sorted(report.summary["products"]) == sorted(
             str(t) for t in transpositions(4))
 
+    def test_conjugation_classes_at_a_state_limit_count_nothing(self):
+        # an undecided row states no class count, and the summary counts
+        # classes only when every row is decided
+        ctx = ConstructionContext.create(4, (2, 1, 1))
+        report = check_conjugation_classes(ctx, SearchLimits(max_states=2))
+        assert report.all_unknown and not report.falsified
+        assert [row.detail for row in report.rows] == \
+            ["4 conjugate words, classes undecided (max_states=2)"] * 6
+        assert report.summary["class_count"] is None
+        assert report.summary["expected_count"] == 6
+
+    def test_one_undecided_product_leaves_the_class_count_open(self, monkeypatch):
+        import hurwitz.constructions as constructions
+        from hurwitz.orbits import EquivalenceReport
+        real = constructions.are_equivalent
+        cut = Perm.transposition(4, 1, 2)
+
+        def equivalent(w1, w2, limits):
+            if w1.product() == cut:
+                return EquivalenceReport("unknown", None, 2, "max_states=2")
+            return real(w1, w2, limits)
+
+        monkeypatch.setattr(constructions, "are_equivalent", equivalent)
+        report = check_conjugation_classes(ConstructionContext.create(4, (2, 1, 1)), LIM)
+        by_status = {}
+        for row in report.rows:
+            by_status.setdefault(row.status, []).append(row.detail)
+        assert by_status == {
+            "yes": ["4 conjugate words, 1 classes"] * 5,
+            "unknown": ["4 conjugate words, classes undecided (max_states=2)"],
+        }
+        assert report.summary["class_count"] is None
+
     def test_braid_relations_d4(self):
         ctx = ConstructionContext.create(4, (2, 1, 1))
         report = check_braid_relations(ctx, LIM)
         assert not report.falsified and report.complete
         assert report.summary["triples_checked"] == 4
         assert report.summary["quadruples_checked"] == 1
+
+    def test_braid_relations_with_a_cut_short_block_search(self):
+        # a short-block search that hits the limit leaves its row unknown,
+        # with no certificate; rows whose short blocks are equal still certify
+        ctx = ConstructionContext.create(4, (2, 1, 1))
+        report = check_braid_relations(ctx, SearchLimits(max_states=2))
+        unknown = [row for row in report.rows if row.status == "unknown"]
+        assert unknown and not report.complete and not report.falsified
+        for row in unknown:
+            assert (row.moves, row.detail) == (None, "short-block search max_states=2")
+        for row in report.rows:
+            assert row.status in ("yes", "unknown")
 
     def test_defining_relation_d3(self):
         report = check_defining_relation(3, LIM, samples=4, seed=11)

@@ -199,6 +199,18 @@ def test_partition_matches_sweeps_and_oracle(d, type_text, product, constraint, 
     assert (plain.orbit_count, plain.representatives) == (r.orbit_count, r.representatives)
 
 
+@pytest.mark.parametrize("d,type_text,product,constraint,conj",
+                         [case for case in partition_cases() if case[-1]])
+def test_sub_fiber_size_is_the_whole_fiber_size(d, type_text, product, constraint, conj):
+    # The sub-fiber keeps fewer words, but its size counts the whole fiber,
+    # and that is the size the quotient count reports.
+    spec = spec_of(d, type_text, product, constraint, conj)
+    whole = enumerate_fiber(spec, LIM)
+    sub = enumerate_fiber(spec, LIM, sub_fiber=True)
+    assert sub.complete and set(sub.coded) <= set(whole.coded)
+    assert sub.size == whole.size == len(whole.coded) == count_orbits_in_fiber(spec, LIM).fiber_size
+
+
 @pytest.mark.parametrize("d,type_text,product", CASES)
 def test_capped_enumeration_is_a_prefix(d, type_text, product):
     spec = spec_of(d, type_text, product)
@@ -220,9 +232,24 @@ def test_every_missing_word_is_detected(monkeypatch):
     for k in range(full.size):
         kept = full.coded[:k] + full.coded[k + 1:]
         monkeypatch.setattr(orbits, "enumerate_fiber",
-                            lambda spec, limits, kept=kept: FiberReport(kept, full.kernel, True))
+                            lambda spec, limits, sub_fiber, kept=kept: FiberReport(
+                                kept, full.kernel, full.size, True))
         with pytest.raises(RuntimeError, match="moves must stay inside the fiber"):
             count_orbits_in_fiber(spec, LIM)
+
+
+def test_sweeps_stop_at_the_state_limit():
+    # one braid orbit of 24 words
+    words = enumerate_fiber(spec_of(3, "2,1:4", "()", "full_group"), LIM).words
+    assert orbit_partition_by_sweeps(words, 3, SearchLimits(max_states=23)) is None
+    assert orbit_partition_by_sweeps(words, 3, SearchLimits(max_states=24)) == [frozenset(words)]
+
+
+def test_sweeps_detect_every_missing_word():
+    words = enumerate_fiber(spec_of(3, "2,1:4", "()", "full_group"), LIM).words
+    for k in range(len(words)):
+        with pytest.raises(RuntimeError, match="orbit escaped the fiber"):
+            orbit_partition_by_sweeps(words[:k] + words[k + 1:], 3, LIM)
 
 
 @pytest.mark.parametrize("d,type_text", [(3, "2,1:2"), (4, "2,1,1:4"), (4, "3,1:3")])

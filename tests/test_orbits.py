@@ -335,8 +335,8 @@ class TestOrbitCounts:
         # a single orbit: the dropped word is the R image of another word
         spec = FiberSpec(3, TypeVector.single((2, 1), 4), Perm.identity(3), "full_group")
         full = enumerate_fiber(spec, LIM)
-        monkeypatch.setattr(orbits, "enumerate_fiber", lambda spec, limits: FiberReport(
-            full.coded[:-1], full.kernel, True))
+        monkeypatch.setattr(orbits, "enumerate_fiber", lambda spec, limits, sub_fiber: FiberReport(
+            full.coded[:-1], full.kernel, full.size, True))
         with pytest.raises(RuntimeError, match="moves must stay inside the fiber"):
             count_orbits_in_fiber(spec, LIM)
 
@@ -348,12 +348,12 @@ class TestOrbitCounts:
         spec = FiberSpec(3, TypeVector.parse("2,1:2;3:1", 3), Perm.identity(3),
                          conjugation_quotient=True)
         sub = enumerate_fiber(spec, LIM, sub_fiber=True)
-        assert sub.size == 7 and count_orbits_in_fiber(spec, LIM).orbit_count == 1
-        for k in range(sub.size):
+        assert len(sub.coded) == 7 and count_orbits_in_fiber(spec, LIM).orbit_count == 1
+        for k in range(len(sub.coded)):
             kept = sub.coded[:k] + sub.coded[k + 1:]
             monkeypatch.setattr(orbits, "enumerate_fiber",
                                 lambda spec, limits, sub_fiber, kept=kept: FiberReport(
-                                    kept, sub.kernel, True))
+                                    kept, sub.kernel, sub.size, True))
             with pytest.raises(RuntimeError, match="moves must stay inside the fiber"):
                 count_orbits_in_fiber(spec, LIM)
 
