@@ -5,12 +5,15 @@ verify, components, theorem1-report.  Exit codes: 0 success, 1 falsification
 found, 2 limits exceeded (every row unknown), 3 usage error (invalid input to
 any command), 4 program fault (never a falsification).
 
-Each kind of error becomes an exit code in one place.  ``_Command.invoke``
-reads a ``ValueError`` raised anywhere in a command as invalid input (exit 3);
-the library raises it only for that, so a bug that surfaces as a builtin
-``ValueError`` is also reported as a usage error.  ``main`` turns every other
-exception, ``LimitExceededError`` aside, into one ``internal error`` line
-(exit 4), so no fault can exit 1.
+Each exit code is decided in one place.  Every command returns
+``reports.exit_code`` over the rows of its report (the m_C values of
+class-info; one row for orbit, equiv and fiber-count; none for construct): 1
+when a falsification was found, 2 when a limit left every row undecided, 0
+otherwise.  ``_Command.invoke`` reads a ``ValueError`` raised anywhere in a
+command as invalid input (exit 3); the library raises it only for that, so a
+bug that surfaces as a builtin ``ValueError`` is also reported as a usage
+error.  ``main`` turns every other exception, ``LimitExceededError`` aside,
+into one ``internal error`` line (exit 4), so no fault can exit 1.
 """
 from __future__ import annotations
 
@@ -96,8 +99,8 @@ def class_info_cmd(cfg: RunConfig, degree: int, class_text: str, limit: int) -> 
 
     def compute():
         metrics = compute_class_metrics(degree, ct, limit=limit)
-        body = reports.class_info_body(metrics)
-        return body, reports.class_info_exit_code(body)
+        searches = [r for r in (metrics.min_word, metrics.min_word_fixing) if r is not None]
+        return reports.class_info_body(metrics), reports.exit_code([r.known for r in searches])
 
     return _finish(cfg, "class-info", query, compute)
 
@@ -121,7 +124,7 @@ def orbit_cmd(cfg: RunConfig, degree: int, word_text: str, conj: bool) -> int:
             "states_explored": report.states_explored,
             "limit_hit": report.limit_hit,
         }
-        return body, 0 if report.complete else 2
+        return body, reports.exit_code([report.complete])
 
     return _finish(cfg, "orbit", query, compute)
 
@@ -145,7 +148,7 @@ def equiv_cmd(cfg: RunConfig, degree: int, word1: str, word2: str) -> int:
             "states_explored": eq.states_explored,
             "reason": eq.reason,
         }
-        return body, 2 if eq.status == "unknown" else 0
+        return body, reports.exit_code([eq.status != "unknown"])
 
     return _finish(cfg, "equiv", query, compute)
 
@@ -173,13 +176,13 @@ def fiber_count_cmd(cfg: RunConfig, degree: int, type_text: str, product_text: s
     def compute():
         report = count_orbits_in_fiber(spec, cfg.limits)
         body = {
-            "fiber_size": report.fiber_size if report.complete else None,
+            "fiber_size": report.fiber_size,
             "orbit_count": report.orbit_count,
             "complete": report.complete,
             "limit_hit": report.limit_hit,
             "representatives": [reports.word_to_list(r) for r in report.representatives],
         }
-        return body, 0 if report.complete else 2
+        return body, reports.exit_code([report.complete])
 
     return _finish(cfg, "fiber-count", query, compute)
 
@@ -205,7 +208,7 @@ def stable_length_cmd(cfg: RunConfig, degree: int, class_text: str, product_text
             "all_rows_unknown": all(not r.complete for r in rows),
             "rows": reports.scan_rows_to_dicts(rows),
         }
-        return body, 2 if body["all_rows_unknown"] else 0
+        return body, reports.exit_code([r.complete for r in rows])
 
     return _finish(cfg, "stable-length", query, compute)
 
@@ -241,7 +244,7 @@ def construct_cmd(cfg: RunConfig, degree: int, class_text: str | None, element: 
             elif element == "c":
                 word = cons.square_ladder(ctx)
             elif element == "y":
-                word = cons.centralizer_invariant(ctx, stage_k or degree)
+                word = cons.centralizer_invariant(ctx, degree if stage_k is None else stage_k)
             elif element == "z":
                 word = cons.embedded_transposition(ctx, point_i, point_j)
             else:
@@ -252,7 +255,7 @@ def construct_cmd(cfg: RunConfig, degree: int, class_text: str | None, element: 
             "alpha": str(word.product()),
             "tau": str(word.type_vector()),
         }
-        return body, 0
+        return body, reports.exit_code([])
 
     return _finish(cfg, "construct", query, compute)
 
@@ -264,7 +267,7 @@ CLAIMS = ("1", "2", "3", "5", "lengths", "relations")
 @click.option("--d", "degree", type=int, required=True)
 @click.option("--class", "class_text", default=None)
 @click.option("--claim", type=click.Choice(CLAIMS), required=True)
-@click.option("--samples", type=int, default=3, show_default=True,
+@click.option("--samples", type=int, default=cons.DEFAULT_SAMPLES, show_default=True,
               help="Sample count for the sampled claims (5, relations).")
 @click.pass_obj
 def verify_cmd(cfg: RunConfig, degree: int, class_text: str | None, claim: str,
@@ -301,8 +304,8 @@ def verify_cmd(cfg: RunConfig, degree: int, class_text: str | None, claim: str,
         else:
             report = cons.check_defining_relation(degree, cfg.limits,
                                                   samples=samples, seed=cfg.seed)
-        body = reports.claim_report_body(report)
-        return body, reports.claim_exit_code(report)
+        decided = [row.status != "unknown" for row in report.rows]
+        return reports.claim_report_body(report), reports.exit_code(decided, report.falsified)
 
     return _finish(cfg, "verify", query, compute)
 
@@ -331,7 +334,7 @@ def components_cmd(cfg: RunConfig, degree: int, length: int, type_text: str | No
 
     def compute():
         body = reports.count_components(query_obj, cfg.limits)
-        return body, reports.components_exit_code(body)
+        return body, reports.exit_code([row["complete"] for row in body["rows"]])
 
     return _finish(cfg, "components", query, compute)
 
@@ -353,7 +356,8 @@ def theorem_report_cmd(cfg: RunConfig, degree: int, class_text: str,
 
     def compute():
         body = reports.theorem_report(degree, ct, cfg.limits, scan_from, scan_to, search_limit)
-        return body, reports.theorem_exit_code(body)
+        return body, reports.exit_code([row["complete"] for row in body["rows"]],
+                                       body["falsification_found"])
 
     return _finish(cfg, "theorem1-report", query, compute)
 

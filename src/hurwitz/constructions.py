@@ -62,6 +62,8 @@ from .orbits import (
 )
 from .words import Coded, Factorization, Memo, Move, MoveKernel, State, apply_moves_state
 
+DEFAULT_SAMPLES = 3    # the sample count of the sampled claims (5 and relations)
+
 
 def conjugator(degree: int, i: int, j: int) -> Perm:
     """The fixed permutation sending 1 to i and 2 to j, remaining points taken
@@ -262,10 +264,6 @@ class ClaimReport:
         return any(r.falsified for r in self.rows)
 
     @property
-    def all_unknown(self) -> bool:
-        return bool(self.rows) and all(r.status == "unknown" for r in self.rows)
-
-    @property
     def complete(self) -> bool:
         return all(r.status != "unknown" for r in self.rows)
 
@@ -458,7 +456,7 @@ def rewrite_with_stable_tail(word: Factorization, tail: Factorization,
 
 
 def check_stable_tail(degree: int, cycle_type, limits: SearchLimits = DEFAULT_LIMITS,
-                      samples: int = 3, seed: int = 0) -> ClaimReport:
+                      samples: int = DEFAULT_SAMPLES, seed: int = 0) -> ClaimReport:
     """Desk-scale demonstrations that long enough words rewrite to end in the
     stable block.
 
@@ -570,7 +568,7 @@ def check_length_formulas(degree: int, cycle_type=None) -> ClaimReport:
 
 
 def check_defining_relation(degree: int, limits: SearchLimits = DEFAULT_LIMITS,
-                            samples: int = 5, seed: int = 0) -> ClaimReport:
+                            samples: int = DEFAULT_SAMPLES, seed: int = 0) -> ClaimReport:
     """Spot-check the exchange law: for random short words s1, s2, the
     concatenation s1 ++ s2 is move-equivalent to rho(product(s1))(s2) ++ s1."""
     if not 2 <= degree <= 4:

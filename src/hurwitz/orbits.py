@@ -38,7 +38,6 @@ from .words import (
     MoveKernel,
     State,
     TypeVector,
-    product_of_state,
 )
 
 
@@ -186,8 +185,7 @@ def _orbit_states(kernel: MoveKernel, state0: Coded, max_states: int,
 
 
 def enumerate_orbit(start: Factorization, limits: SearchLimits = DEFAULT_LIMITS,
-                    conjugation_quotient: bool = False,
-                    check_invariants: bool = False) -> OrbitReport:
+                    conjugation_quotient: bool = False) -> OrbitReport:
     """Enumerate the move orbit of ``start`` (plus conjugation edges when
     ``conjugation_quotient``).
 
@@ -197,9 +195,6 @@ def enumerate_orbit(start: Factorization, limits: SearchLimits = DEFAULT_LIMITS,
     kernel = MoveKernel(start.degree)
     visited, complete = _orbit_states(kernel, kernel.encode_word(start.factors),
                                       limits.max_states, conjugation_quotient)
-    if check_invariants:
-        _assert_orbit_invariants(start, [kernel.decode_word(s) for s in visited],
-                                 conjugation_quotient)
     canonical = None
     if complete:
         canonical = Factorization.from_state(start.degree, kernel.decode_word(min(visited)))
@@ -211,26 +206,6 @@ def enumerate_orbit(start: Factorization, limits: SearchLimits = DEFAULT_LIMITS,
         states_explored=len(visited),
         limit_hit=None if complete else f"max_states={limits.max_states}",
     )
-
-
-def _assert_orbit_invariants(start: Factorization, states: list[State],
-                             conjugation_quotient: bool) -> None:
-    d = start.degree
-
-    def invariants(word: State) -> tuple:
-        # Conjugation keeps only the product's cycle type and the subgroup's order.
-        product = product_of_state(word, d)
-        group = closure(d, word) if d <= MAX_EXHAUSTIVE_DEGREE else None
-        if conjugation_quotient:
-            product, group = product.cycle_type(), None if group is None else len(group)
-        return len(word), TypeVector.from_factors(word), product, group
-
-    want = invariants(start.factors)
-    for s in states:
-        for name, got, expected in zip(("length", "type", "product", "generated subgroup"),
-                                       invariants(s), want):
-            if got != expected:
-                raise RuntimeError(f"orbit word changed {name}")
 
 
 @dataclass
@@ -546,7 +521,11 @@ def _label_orbits(words: list[Coded],
 
 @dataclass
 class FiberOrbitReport:
-    fiber_size: int
+    """The move orbits of one fiber.  ``fiber_size`` and ``orbit_count`` are
+    None when ``max_fiber`` cut the enumeration (``complete`` is false): the
+    words found by then do not give the fiber's size."""
+
+    fiber_size: int | None
     orbit_count: int | None
     representatives: list[Factorization]
     complete: bool
@@ -591,7 +570,7 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
     coded, kernel = fr.coded, fr.kernel
     encode = kernel.encode
     if not fr.complete:
-        return FiberOrbitReport(fr.size, None, [], False, fr.limit_hit)
+        return FiberOrbitReport(None, None, [], False, fr.limit_hit)
 
     rows = kernel.conjugate
     if not quotient or n < 2:
@@ -703,6 +682,6 @@ def stable_length_scan(degree: int, cycle_type, product: Perm,
     for n in range(n_from, n_to + 1):
         spec = FiberSpec(degree, TypeVector.single(ct, n), product, "full_group")
         report = count_orbits_in_fiber(spec, limits)
-        rows.append(ScanRow(n, report.fiber_size if report.complete else None,
-                            report.orbit_count, report.complete, report.limit_hit))
+        rows.append(ScanRow(n, report.fiber_size, report.orbit_count, report.complete,
+                            report.limit_hit))
     return rows

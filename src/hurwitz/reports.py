@@ -49,6 +49,17 @@ class RunConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
 
 
+# -- exit status -----------------------------------------------------------------
+
+def exit_code(decided: list[bool], falsified: bool = False) -> int:
+    """The exit status of every command, from whether each of its rows was
+    decided: 1 when a falsification was found, 2 when a limit left every row
+    open, 0 otherwise (also for a report with no rows)."""
+    if falsified:
+        return 1
+    return 2 if decided and not any(decided) else 0
+
+
 # -- serialization helpers -----------------------------------------------------
 
 def word_to_list(word: Factorization) -> list[str]:
@@ -223,12 +234,6 @@ def class_info_body(metrics: ClassMetrics) -> dict:
     return body
 
 
-def class_info_exit_code(body: dict) -> int:
-    unknown = any(isinstance(body[k], str) and body[k].startswith("unknown")
-                  for k in ("m_C", "m_C_constrained"))
-    return 2 if unknown else 0
-
-
 # -- scans -----------------------------------------------------------------------
 
 def scan_rows_to_dicts(rows: list[ScanRow]) -> list[dict]:
@@ -258,14 +263,6 @@ def claim_report_body(report: ClaimReport) -> dict:
         "complete": report.complete,
         "rows": rows,
     }
-
-
-def claim_exit_code(report: ClaimReport) -> int:
-    if report.falsified:
-        return 1
-    if report.all_unknown:
-        return 2
-    return 0
 
 
 # -- component counting --------------------------------------------------------------
@@ -321,35 +318,27 @@ def count_components(query: ComponentQuery, limits: SearchLimits) -> dict:
                   else "transitive" if query.transitive_only else "none")
     ident = Perm.identity(query.degree)
     rows = []
-    total = 0
-    any_complete = False
     for tv in types:
         spec = FiberSpec(query.degree, tv, ident, constraint, query.conjugation_quotient)
         report = count_orbits_in_fiber(spec, limits)
         rows.append({
             "type": str(tv),
-            "fiber_size": report.fiber_size if report.complete else None,
+            "fiber_size": report.fiber_size,
             "components": report.orbit_count,
             "complete": report.complete,
         })
-        if report.complete:
-            any_complete = True
-            total += report.orbit_count or 0
+    counts = [row["components"] for row in rows if row["complete"]]
     body = {
         "convention": {
             "product": "identity",
             "constraint": constraint,
             "conjugation_quotient": query.conjugation_quotient,
         },
-        "total_components": total if any_complete else None,
-        "all_rows_unknown": not any_complete,
+        "total_components": sum(counts) if counts else None,
+        "all_rows_unknown": not counts,
         "rows": rows,
     }
     return body
-
-
-def components_exit_code(body: dict) -> int:
-    return 2 if body["all_rows_unknown"] else 0
 
 
 # -- stability report ----------------------------------------------------------------
@@ -384,11 +373,3 @@ def theorem_report(degree: int, cycle_type: CycleType, limits: SearchLimits,
         "rows": scan_rows_to_dicts(rows),
     }
     return body
-
-
-def theorem_exit_code(body: dict) -> int:
-    if body["falsification_found"]:
-        return 1
-    if body["all_rows_unknown"]:
-        return 2
-    return 0

@@ -258,30 +258,20 @@ class Factorization:
             if len(f) != self.degree:
                 raise ValueError(f"factor degree {len(f)} != word degree {self.degree}")
             if f.is_identity():
-                raise ValueError("identity factors are not stored; use Factorization.of(..., drop_identity=True)")
+                raise ValueError("identity factors are not allowed in a word")
         object.__setattr__(self, "factors", factors)
 
     @classmethod
-    def of(cls, degree: int, factors: Iterable[Perm | str | Sequence[int]],
-           drop_identity: bool = False) -> "Factorization":
-        """Build a word, coercing strings/one-line sequences to Perm.
-
-        With ``drop_identity`` the builder silently absorbs identity factors
-        (the word x_g * x_1 equals x_g).
-        """
+    def of(cls, degree: int, factors: Iterable[Perm | str | Sequence[int]]) -> "Factorization":
+        """Build a word, coercing strings/one-line sequences to Perm."""
         coerced: list[Perm] = []
         for f in factors:
             if isinstance(f, Perm):
-                p = f
+                coerced.append(f)
             elif isinstance(f, str):
-                p = Perm.parse(f, degree)
+                coerced.append(Perm.parse(f, degree))
             else:
-                p = Perm(f)
-            if p.is_identity():
-                if drop_identity:
-                    continue
-                raise ValueError("identity factor rejected (pass drop_identity=True to absorb)")
-            coerced.append(p)
+                coerced.append(Perm(f))
         return cls(degree, tuple(coerced))
 
     @classmethod

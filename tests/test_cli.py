@@ -219,6 +219,68 @@ class TestTheoremReport:
         assert r["all_rows_unknown"] is True
 
 
+D4_WORD = "(1,2) (2,3) (3,4) (1,2) (1,3)"
+
+
+class TestExitCodes:
+    """One rule for every command: 1 when a falsification is found, 2 when a
+    limit leaves every row open, 0 otherwise."""
+
+    @pytest.mark.parametrize("args, want", [
+        # a normal run
+        (["class-info", "--d", "4", "--class", "2,1,1"], 0),
+        (["orbit", "--d", "3", "--word", "(1,2)(2,3)"], 0),
+        (["equiv", "--d", "3", "--word1", "(1,2)(1,2)", "--word2", "(1,3)(1,3)"], 0),
+        (["fiber-count", "--d", "3", "--type", "2,1:4", "--full-group"], 0),
+        (["stable-length", "--d", "3", "--class", "2,1", "--from", "2", "--to", "4"], 0),
+        (["construct", "--d", "4", "--class", "2,1,1", "--element", "y"], 0),
+        (["verify", "--d", "4", "--class", "2,1,1", "--claim", "lengths"], 0),
+        (["components", "--d", "3", "--b", "2"], 0),
+        (["theorem1-report", "--d", "4", "--class", "2,1,1", "--from", "2", "--to", "4"], 0),
+        # a limit that leaves every row open
+        (["class-info", "--d", "5", "--class", "4,1", "--limit", "1"], 2),
+        (["--max-states", "100", "orbit", "--d", "4", "--word", D4_WORD], 2),
+        (["--max-states", "3", "equiv", "--d", "4", "--word1", "(1,2) (2,3) (3,4) (1,3)",
+          "--word2", "(3,4) (1,4) (1,3) (2,3)"], 2),
+        (["--max-fiber", "1000", "fiber-count", "--d", "4", "--type", "2,1,1:6",
+          "--full-group"], 2),
+        (["--max-fiber", "2", "stable-length", "--d", "4", "--class", "2,1,1",
+          "--from", "6", "--to", "6"], 2),
+        (["--max-states", "2", "verify", "--d", "3", "--claim", "relations"], 2),
+        (["--max-fiber", "1", "components", "--d", "3", "--b", "4", "--type", "2,1:4"], 2),
+        (["--max-fiber", "2", "theorem1-report", "--d", "4", "--class", "2,1,1",
+          "--from", "6", "--to", "6"], 2),
+        # a limit that leaves only some rows open
+        (["--max-states", "2", "verify", "--d", "4", "--class", "2,1,1", "--claim", "1"], 0),
+        (["--max-fiber", "1000", "stable-length", "--d", "4", "--class", "2,1,1",
+          "--from", "2", "--to", "8"], 0),
+    ])
+    def test_exit_code(self, capsys, args, want):
+        assert run(capsys, *args)[0] == want
+
+    def test_falsified_claim_exits_1(self, capsys, monkeypatch):
+        # every positive row of claim 1 reads "no"
+        import hurwitz.constructions as constructions
+        from hurwitz.orbits import EquivalenceReport
+        monkeypatch.setattr(constructions, "are_equivalent",
+                            lambda w1, w2, limits: EquivalenceReport("no", None, 0))
+        code, r = run_json(capsys, "verify", "--d", "4", "--class", "2,1,1", "--claim", "1")
+        assert code == 1 and r["falsified"] is True
+
+    @pytest.mark.parametrize("open_row", [False, True])
+    def test_falsified_theorem_report_exits_1(self, capsys, monkeypatch, open_row):
+        # a complete row past the bound with two orbits, beside an open row or not
+        from hurwitz import reports
+        from hurwitz.orbits import ScanRow
+        rows = [ScanRow(76, 10, 2, True)]
+        if open_row:
+            rows.append(ScanRow(77, None, None, False, "max_fiber=1"))
+        monkeypatch.setattr(reports, "stable_length_scan", lambda *args: rows)
+        code, r = run_json(capsys, "theorem1-report", "--d", "4", "--class", "2,1,1",
+                           "--from", "76", "--to", "77")
+        assert code == 1 and r["falsifications"] == [76]
+
+
 class TestPlumbing:
     def test_usage_errors(self, capsys):
         assert run(capsys, "class-info", "--d", "4")[0] == 3
@@ -245,6 +307,14 @@ class TestPlumbing:
         assert run(capsys, "verify", "--d", "3", "--class", "2,1", "--claim", "5",
                    "--samples", "0")[0] == 3
         assert run(capsys, "verify", "--d", "1", "--claim", "relations")[0] == 3
+        # stage 0 is a stage given, not the default stage d
+        assert main(["construct", "--d", "5", "--class", "2,1,1,1", "--element", "y",
+                     "--k", "0"]) == 3
+        assert "stage must satisfy 4 <= k <= degree, got 0" in capsys.readouterr().err
+        # a word holds no identity factor, and the message names no Python argument
+        assert main(["equiv", "--d", "3", "--word1", "(1,2) ()", "--word2", "(1,2)"]) == 3
+        err = capsys.readouterr().err
+        assert "identity factors are not allowed in a word" in err and "=" not in err
 
     def test_program_fault_exits_4(self, capsys, monkeypatch):
         # a certificate that does not replay is a fault, not a falsification (exit 1)

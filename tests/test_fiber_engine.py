@@ -313,7 +313,7 @@ def test_quotient_cap_counts_the_full_fiber(d, type_text, constraint):
     n = enumerate_fiber(spec, LIM).size
     full = count_orbits_in_fiber(spec, LIM)
     capped = count_orbits_in_fiber(spec, SearchLimits(max_fiber=n - 1))
-    assert not capped.complete and capped.orbit_count is None
+    assert not capped.complete and capped.orbit_count is None and capped.fiber_size is None
     assert capped.limit_hit == f"max_fiber={n - 1}"
     exact = count_orbits_in_fiber(spec, SearchLimits(max_fiber=n))
     assert exact.complete and exact.limit_hit is None

@@ -38,15 +38,35 @@ class TestOrbit:
         assert (r.size, r.complete) == (1, True)
         assert r.canonical == W(3, "(1,2)(1,2)")
 
+    @staticmethod
+    def invariant_orbit_size(start):
+        # every word of the orbit keeps the length, type, product and
+        # generated subgroup of the start
+        kernel = MoveKernel(start.degree)
+        visited, complete = orbits._orbit_states(kernel, kernel.encode_word(start.factors),
+                                                 LIM.max_states)
+        assert complete
+
+        def invariants(w):
+            return len(w), w.type_vector(), w.product(), w.generated_subgroup()
+
+        want = invariants(start)
+        for s in visited:
+            assert invariants(Factorization.from_state(start.degree, kernel.decode_word(s))) == want
+        return len(visited)
+
     def test_three_word_orbit(self):
-        r = enumerate_orbit(W(3, "(1,2)(2,3)"), LIM, check_invariants=True)
+        w = W(3, "(1,2)(2,3)")
+        r = enumerate_orbit(w, LIM)
         assert (r.size, r.complete) == (3, True)
+        assert self.invariant_orbit_size(w) == r.size
 
     def test_longer_orbit_matches_oracle(self):
         w = W(3, "(1,2)(2,3)(1,2)")
-        r = enumerate_orbit(w, LIM, check_invariants=True)
+        r = enumerate_orbit(w, LIM)
         assert r.complete
         assert r.size == len(oracle.o_orbit(oracle.from_word(w.factors))) == 8
+        assert self.invariant_orbit_size(w) == r.size
 
     def test_limit_is_reported(self):
         r = enumerate_orbit(W(3, "(1,2)(2,3)(1,2)"), SearchLimits(max_states=2))
@@ -73,41 +93,6 @@ class TestOrbit:
         # (t,t) orbits are singletons; conjugation merges all three
         r = enumerate_orbit(W(3, "(1,2)(1,2)"), LIM, conjugation_quotient=True)
         assert r.size == 3
-
-    @staticmethod
-    def add_stray_word(monkeypatch, stray):
-        real = orbits._orbit_states
-
-        def with_stray_word(kernel, state0, max_states, conjugation_quotient=False):
-            visited, complete = real(kernel, state0, max_states, conjugation_quotient)
-            visited.add(kernel.encode_word(stray.factors))
-            return visited, complete
-
-        monkeypatch.setattr(orbits, "_orbit_states", with_stray_word)
-
-    def test_invariant_check_raises(self, monkeypatch):
-        # a raise, not an assert: the check must hold under python -O too
-        self.add_stray_word(monkeypatch, W(3, "(1,2)(1,2)(1,2)"))
-        with pytest.raises(RuntimeError, match="product"):
-            enumerate_orbit(W(3, "(1,2)(2,3)(1,2)"), LIM, check_invariants=True)
-
-    @pytest.mark.parametrize("start, stray, what", [
-        # the identity against a 3-cycle: another product class
-        ("(1,2)(1,2)", "(1,2)(2,3)", "product"),
-        # both products are the identity; the subgroups have orders 6 and 2
-        ("(1,2)(1,2)(1,3)(1,3)", "(2,3)(2,3)(2,3)(2,3)", "subgroup"),
-    ])
-    def test_quotient_invariant_check_raises(self, monkeypatch, start, stray, what):
-        # the stray word is no conjugate of an orbit word, though it keeps
-        # the length and the type
-        self.add_stray_word(monkeypatch, W(3, stray))
-        with pytest.raises(RuntimeError, match=what):
-            enumerate_orbit(W(3, start), LIM, conjugation_quotient=True, check_invariants=True)
-
-    def test_quotient_invariant_check_passes_on_conjugates(self):
-        r = enumerate_orbit(W(4, "(1,2)(2,3)(3,4)(1,2)"), LIM, conjugation_quotient=True,
-                            check_invariants=True)
-        assert r.complete
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_symmetric_generators_generate(self, d):
@@ -358,9 +343,10 @@ class TestOrbitCounts:
                 count_orbits_in_fiber(spec, LIM)
 
     def test_incomplete_fiber_reports_unknown(self):
+        # the words found before the cut are no fiber size
         spec = FiberSpec(3, TypeVector.single((2, 1), 4), Perm.identity(3))
         r = count_orbits_in_fiber(spec, SearchLimits(max_fiber=5))
-        assert not r.complete and r.orbit_count is None
+        assert not r.complete and r.orbit_count is None and r.fiber_size is None
 
 
 class TestScan:
@@ -385,6 +371,7 @@ class TestScan:
         rows = stable_length_scan(3, (2, 1), Perm.identity(3), 4, 4,
                                   SearchLimits(max_fiber=5))
         assert not rows[0].complete and rows[0].orbit_count is None
+        assert rows[0].fiber_size is None
 
     @pytest.mark.parametrize("n_from,n_to", [(0, 3), (5, 3)])
     def test_empty_or_nonpositive_range_rejected(self, n_from, n_to):

@@ -11,12 +11,10 @@ from hurwitz.reports import (
     ComponentQuery,
     RunConfig,
     cache_key,
-    claim_exit_code,
-    components_exit_code,
     count_components,
     emit,
+    exit_code,
     make_report,
-    theorem_exit_code,
     theorem_report,
     to_csv,
     to_json,
@@ -30,27 +28,34 @@ CFG = RunConfig(limits=LIM)
 
 
 class TestExitCodes:
+    @staticmethod
+    def claim_code(*rows):
+        # as verify reads a claim report
+        report = ClaimReport("1", list(rows))
+        return exit_code([row.status != "unknown" for row in report.rows], report.falsified)
+
     def test_claim_codes(self):
-        ok = ClaimReport("1", [ClaimRow("a", "yes", "yes")])
-        assert claim_exit_code(ok) == 0
-        falsified = ClaimReport("1", [ClaimRow("a", "yes", "no")])
-        assert claim_exit_code(falsified) == 1
-        unknown = ClaimReport("1", [ClaimRow("a", "yes", "unknown")])
-        assert claim_exit_code(unknown) == 2
-        mixed = ClaimReport("1", [ClaimRow("a", "yes", "yes"),
-                                  ClaimRow("b", "yes", "unknown")])
-        assert claim_exit_code(mixed) == 0
-        expected_no = ClaimReport("1", [ClaimRow("a", "no", "no")])
-        assert claim_exit_code(expected_no) == 0
+        assert self.claim_code(ClaimRow("a", "yes", "yes")) == 0
+        assert self.claim_code(ClaimRow("a", "yes", "no")) == 1
+        assert self.claim_code(ClaimRow("a", "yes", "unknown")) == 2
+        assert self.claim_code(ClaimRow("a", "yes", "yes"), ClaimRow("b", "yes", "unknown")) == 0
+        assert self.claim_code(ClaimRow("a", "no", "no")) == 0
 
     def test_theorem_codes(self):
-        assert theorem_exit_code({"falsification_found": True, "all_rows_unknown": False}) == 1
-        assert theorem_exit_code({"falsification_found": False, "all_rows_unknown": True}) == 2
-        assert theorem_exit_code({"falsification_found": False, "all_rows_unknown": False}) == 0
+        assert exit_code([True, False], falsified=True) == 1
+        assert exit_code([False, False], falsified=True) == 1
+        assert exit_code([False, False]) == 2
+        assert exit_code([True, False]) == 0
 
     def test_components_codes(self):
-        assert components_exit_code({"all_rows_unknown": True}) == 2
-        assert components_exit_code({"all_rows_unknown": False}) == 0
+        assert exit_code([False]) == 2
+        assert exit_code([False, True]) == 0
+        assert exit_code([True]) == 0
+
+    def test_no_rows(self):
+        # nothing was left open: construct, and a claim with no rows
+        assert exit_code([]) == 0
+        assert self.claim_code() == 0
 
 
 class TestSerialization:

@@ -45,10 +45,8 @@ class TestConstruction:
     def test_rejects_identity_factor(self):
         with pytest.raises(ValueError):
             Factorization(3, (Perm.identity(3),))
-
-    def test_builder_drops_identity(self):
-        w = Factorization.of(3, ["(1,2)", "()", "(2,3)"], drop_identity=True)
-        assert len(w) == 2
+        with pytest.raises(ValueError, match="identity factors are not allowed"):
+            Factorization.of(3, ["(1,2)", "()", "(2,3)"])
 
     def test_mixed_degrees_rejected(self):
         with pytest.raises(ValueError):
