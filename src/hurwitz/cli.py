@@ -229,8 +229,12 @@ ELEMENTS = ("h", "sbar", "c", "y", "z", "hC")
 def construct_cmd(cfg: RunConfig, degree: int, class_text: str | None, element: str,
                   point_i: int, point_j: int, stage_k: int | None) -> int:
     """Build one of the named words and report its length, product, and type."""
-    query = {"d": degree, "class": class_text, "element": element,
-             "i": point_i, "j": point_j, "k": stage_k}
+    # The query names only the options the element reads.
+    query = {"d": degree, "class": class_text, "element": element}
+    if element in ("sbar", "z"):
+        query.update(i=point_i, j=point_j)
+    elif element == "y":
+        query["k"] = stage_k
 
     def compute():
         if element == "h":

@@ -14,9 +14,18 @@ The orbit closure and the fiber's orbits follow each word to its images
 under two braid generators, R_1 and the rotation (:func:`orbit_images`).
 Fiber enumeration carries its prefix products as codes, reading one row of
 ``kernel.mul`` per node, and looks the last factor up from the product.
-Under the conjugation quotient the fiber's orbits are searched on the
-sub-fiber of words whose first factor is the least member of its class.
-Every lazily filled table here is a :class:`~hurwitz.words.Memo`.
+
+A fiber's orbits are counted on one of two word sets.  The plain search of
+:func:`count_orbits_in_fiber` labels the whole fiber; it alone gives
+representatives and partitions, and it alone serves a product that is not
+central.  A fiber closed under conjugation (a central product) is counted on
+the sub-fiber of words whose first factor is the least member of its class,
+along the edges of :func:`_sub_fiber_edges`: the conjugation quotient counts
+its classes there (:func:`count_orbits_in_fiber`), and
+:func:`count_plain_orbits` counts its braid orbits there by Schreier labels,
+which serves :func:`stable_length_scan`.  Every path counts and caps the
+whole fiber.  Every lazily filled table here is a
+:class:`~hurwitz.words.Memo`.
 ``Perm`` words appear only at the boundaries: coding the inputs, decoding
 the results, and replaying certificates.  Coding keeps order, so the least
 coded word of an orbit decodes to its least word, and a fiber's coded words
@@ -301,10 +310,17 @@ class FiberSpec:
         self.type_vector.check_degree(self.degree)
         if (1,) * self.degree in self.type_vector.as_dict():
             raise ValueError(f"type {self.type_vector} holds the identity class, which no factor has")
-        if self.conjugation_quotient and self.degree >= 3 and not self.product.is_identity():
+        if self.conjugation_quotient and not self.conjugation_invariant:
             raise ValueError(
                 "conjugation quotient needs a conjugation-invariant product "
                 "(the identity for degree >= 3)")
+
+    @property
+    def conjugation_invariant(self) -> bool:
+        """Whether S_d maps the fiber onto itself by conjugation: the product
+        is central, so the identity, or any product at degree <= 2.  (The
+        type and the constraints are invariant anyway.)"""
+        return self.degree <= 2 or self.product.is_identity()
 
 
 @dataclass
@@ -350,14 +366,16 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
 
     With ``sub_fiber``, only the words whose first factor is the least member
     c_X of its class X are kept: the top level tries c_X alone.  The
-    quotient search runs on this sub-fiber.  When the fiber is closed under
+    quotient search and :func:`count_plain_orbits` run on this sub-fiber.
+    When the fiber is closed under
     conjugation, conjugating by an h with h x h^-1 = c_X maps the words
     starting with x onto those starting with c_X, so each kept word stands
     for |X| fiber words.  The report's ``size`` and ``max_fiber`` both count
     the whole fiber: the enumeration is complete exactly when the whole
-    fiber has at most ``max_fiber`` words.  (A one-factor quotient fiber
-    exists only for degree <= 2, whose classes are single elements, so the
-    looked-up last factor needs no such restriction.)
+    fiber has at most ``max_fiber`` words.  (A nonempty one-factor fiber
+    closed under conjugation exists only for degree <= 2, whose classes are
+    single elements, so the looked-up last factor needs no such
+    restriction.)
     """
     d = spec.degree
     kernel = MoveKernel(d)
@@ -486,6 +504,62 @@ def _centraliser_generators(c: Perm) -> list[Perm]:
     return gens
 
 
+#: The edges from one word of the sub-fiber: its images, and for each the
+#: row of ``kernel.mul`` of the permutation f that conjugated it, which maps
+#: the code of a to the code of f a.
+SubFiberEdges = Callable[[Coded], tuple[list[Coded], tuple[Memo, ...]]]
+
+
+def _sub_fiber_edges(kernel: MoveKernel, type_vector: TypeVector) -> SubFiberEdges:
+    """The edges of the searches on the sub-fiber F_0 of a fiber closed under
+    conjugation (see :func:`count_orbits_in_fiber`).  From a word w starting
+    with c_X they are pi(R_1 w) and pi(D w), both conjugated by h_x for the
+    first factor x of R_1 w and D w, then w conjugated by each generator z of
+    the centraliser Z(c_X); the factors are the ``kernel.mul`` rows of those
+    h_x and z.  A one-factor word has no braid images."""
+    d = kernel.degree
+    rows, mul, encode = kernel.conjugate, kernel.mul, kernel.encode
+    back = {}  # x -> h_x, for every member x of the type's classes
+    centraliser = {}  # c_X -> (the generators' mul rows, their conjugate rows)
+    for ct in type_vector.as_dict():
+        members = class_elements(d, ct)
+        c = members[0]
+        for x in members:
+            back[encode(x)] = encode(_conjugator(x, c))
+        z = kernel.encode_word(_centraliser_generators(c))
+        centraliser[encode(c)] = tuple(mul[g] for g in z), [rows[g] for g in z]
+
+    if type_vector.total() < 2:
+        def conjugates(w: Coded) -> tuple[list[Coded], tuple[Memo, ...]]:
+            z_mul, z_rows = centraliser[w[0]]
+            return [tuple(map(r.__getitem__, w)) for r in z_rows], z_mul
+        return conjugates
+
+    def step_of(pair: Coded) -> tuple:
+        # What the images of (c, g, ...) need.  Both braid images start with
+        # x = c g c^-1, and pi conjugates them by h = h_x: R_1's image becomes
+        # (h x h^-1, h c h^-1) followed by the rest conjugated by h, and D's
+        # image becomes (g, ...) conjugated by h c, then h c h^-1.
+        c, g = pair
+        x = rows[c][g]
+        h = back[x]
+        row_h = rows[h]
+        head = (row_h[x], row_h[c])
+        z_mul, z_rows = centraliser[c]
+        return head, row_h, rows[mul[h][c]], head[1:], z_rows, (mul[h],) * 2 + z_mul
+
+    steps = Memo(step_of)  # keyed by a word's first two factors
+
+    def edges(w: Coded) -> tuple[list[Coded], tuple[Memo, ...]]:
+        head, row_h, row_hc, tail, z_rows, factors = steps[w[:2]]
+        out = [head + tuple(map(row_h.__getitem__, w[2:])),
+               tuple(map(row_hc.__getitem__, w[1:])) + tail]
+        out += [tuple(map(r.__getitem__, w)) for r in z_rows]
+        return out, factors
+
+    return edges
+
+
 def _label_orbits(words: list[Coded],
                   images: Callable[[Coded], Iterable[Coded]]) -> list[list[int]]:
     """The orbits of the forward search along ``images`` on ``words``, as
@@ -535,18 +609,25 @@ class FiberOrbitReport:
 
 def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS,
                           want_partition: bool = False) -> FiberOrbitReport:
-    """Partition the fiber into move orbits by one labelling search over the
-    coded fiber (:func:`_label_orbits`) along the braid generators R_1 and
-    the rotation D of :func:`orbit_images`, which reach the whole orbit.
-    Every image must lie in the fiber.
+    """Partition the fiber into move orbits, with the least word of each as
+    its representative, by one labelling search (:func:`_label_orbits`).
+    Every image must lie in the fiber.  This is the path of ``fiber-count``
+    and ``components``, of ``want_partition``, and of products that are not
+    central.  A count of the braid orbits of a fiber closed under
+    conjugation needs only :func:`count_plain_orbits`, which walks the
+    sub-fiber F_0 below.
+
+    Without the quotient the search runs over the whole coded fiber along
+    the braid generators R_1 and the rotation D of :func:`orbit_images`,
+    which reach the whole orbit.
 
     With the conjugation quotient, the classes are the orbits of B_n x S_d,
     and the search runs on the sub-fiber F_0 of words whose first factor is
     the least member c_X of its class X (``enumerate_fiber(sub_fiber=True)``).
     Let pi conjugate a word whose first factor x lies in X by a fixed h_x
-    with h_x x h_x^-1 = c_X.  The edges from a word w of F_0 are pi(R_1 w),
-    pi(D w), and conjugation of w by each generator of the centraliser
-    Z(c_X).  That is exact:
+    with h_x x h_x^-1 = c_X.  The edges from a word w of F_0
+    (:func:`_sub_fiber_edges`) are pi(R_1 w), pi(D w), and conjugation of w
+    by each generator of the centraliser Z(c_X).  That is exact:
 
     * every class meets F_0, since pi maps each word into F_0;
     * every edge stays in its class, since the moves commute with
@@ -568,46 +649,16 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
     quotient = spec.conjugation_quotient and n > 0  # the empty word has no first factor
     fr = enumerate_fiber(spec, limits, sub_fiber=quotient)
     coded, kernel = fr.coded, fr.kernel
-    encode = kernel.encode
     if not fr.complete:
         return FiberOrbitReport(None, None, [], False, fr.limit_hit)
 
-    rows = kernel.conjugate
-    if not quotient or n < 2:
-        # A one-factor word has no moves, and the sub-fiber's one-factor words
-        # start with the least members of distinct classes: none is conjugate
-        # to another.
-        images = orbit_images(kernel)
-    else:
-        c_of = {ct: class_elements(d, ct)[0] for ct in spec.type_vector.as_dict()}
-        back = {}  # x -> h_x, for every member x of the type's classes
-        for ct, c in c_of.items():
-            for x in class_elements(d, ct):
-                back[encode(x)] = encode(_conjugator(x, c))
-        centraliser = {encode(c): [rows[encode(z)] for z in _centraliser_generators(c)]
-                       for c in c_of.values()}
-
-        def step_of(pair: Coded) -> tuple:
-            # What the images of (c, g, ...) need.  Both braid images start
-            # with x = c g c^-1, and pi conjugates them by h = h_x: R_1's
-            # image becomes (h x h^-1, h c h^-1) followed by the rest
-            # conjugated by h, and D's image becomes (g, ...) conjugated by
-            # h c, then h c h^-1.
-            c, g = pair
-            x = rows[c][g]
-            h = back[x]
-            row_h = rows[h]
-            head = (row_h[x], row_h[c])
-            return head, row_h, rows[kernel.mul[h][c]], head[1:], centraliser[c]
-
-        steps = Memo(step_of)  # keyed by a word's first two factors
+    if quotient:
+        edges = _sub_fiber_edges(kernel, spec.type_vector)
 
         def images(w: Coded) -> list[Coded]:
-            head, row_h, row_hc, tail, z_rows = steps[w[:2]]
-            out = [head + tuple(map(row_h.__getitem__, w[2:])),
-                   tuple(map(row_hc.__getitem__, w[1:])) + tail]
-            out += [tuple(map(z.__getitem__, w)) for z in z_rows]
-            return out
+            return edges(w)[0]
+    else:
+        images = orbit_images(kernel)
 
     orbits = _label_orbits(coded, images)
     least = sorted(min(map(coded.__getitem__, orbit)) for orbit in orbits)
@@ -615,7 +666,7 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
     if want_partition:
         classes = sorted(([coded[i] for i in orbit] for orbit in orbits), key=min)
         if quotient:
-            every = [rows[encode(g)] for g in all_perms(d)]
+            every = [kernel.conjugate[kernel.encode(g)] for g in all_perms(d)]
             classes = [{tuple(map(r.__getitem__, w)) for w in members for r in every}
                        for members in classes]
         partition = [frozenset(map(kernel.decode_word, members)) for members in classes]
@@ -669,18 +720,99 @@ class ScanRow:
     limit_hit: str | None = None
 
 
+def count_plain_orbits(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> ScanRow:
+    """The size and the number of braid orbits of a fiber closed under
+    conjugation, counted on the sub-fiber F_0 of words whose first factor is
+    its class's least member c_X (``enumerate_fiber(sub_fiber=True)``), by
+    Schreier labels.  It gives the ``fiber_size`` and ``orbit_count`` of
+    :func:`count_orbits_in_fiber` without the representatives, and ``max_fiber``
+    caps the whole fiber in the same way.
+
+    G = S_d acts on the fiber by conjugation and commutes with the braids, so
+    a class Q of B_n x G splits into [G : H_Q] braid orbits, where H_Q is the
+    stabiliser of one braid orbit O in Q.  The search walks F_0 along the
+    edges of the quotient search (:func:`_sub_fiber_edges`) and labels each
+    word it reaches with an a in G such that the word lies in a O; the start
+    word of Q gets the identity, and an edge by the permutation f takes the
+    label a to f a.  When an edge by f from a word labelled a reaches a word
+    already labelled b, then b^-1 f a lies in H_Q.  These elements generate
+    H_Q (Schreier's lemma; Seress, *Permutation Group Algorithms*, 2003,
+    ch. 4).  They lie in H_Q because two labels of one word name one orbit.
+    For the converse, every edge gives f a in b K, for the group K they
+    generate, so a walk from the start word to a word labelled b whose edges
+    multiply to M has M in b K.  Take g in H_Q, so that g u_0 = beta(u_0) for
+    a positive word beta in R_1 and D.  Follow beta's letters from u_0 along
+    braid edges: the walk ends at a word v = M g u_0 of F_0 with M in b K.
+    Both v and u_0 start with c_X, so M g lies in Z(c_X), and the
+    centraliser edges walk from v back to u_0 by (M g)^-1.  The whole walk
+    multiplies to g^-1 and ends at the start word, labelled 1, so g^-1 is in
+    K.  The count is the sum over Q of |G| / |H_Q|.
+    """
+    if spec.conjugation_quotient or not spec.conjugation_invariant:
+        raise ValueError("the labelled count needs a braid-orbit spec whose fiber "
+                         "is closed under conjugation")
+    d = spec.degree
+    n = spec.type_vector.total()
+    fr = enumerate_fiber(spec, limits, sub_fiber=True)
+    if not fr.complete:
+        return ScanRow(n, None, None, False, fr.limit_hit)
+    if n == 0:  # every conjugation fixes the empty word
+        return ScanRow(n, fr.size, fr.size, True)
+    coded, kernel = fr.coded, fr.kernel
+    edges = _sub_fiber_edges(kernel, spec.type_vector)
+    decode = kernel.decode
+    index = {w: i for i, w in enumerate(coded)}.get
+    labels = [-1] * len(coded)  # kernel codes are never negative
+    identity = kernel.encode(Perm.identity(d))
+    group_order = math.factorial(d)
+    count = 0
+    for i in range(len(coded)):
+        if labels[i] >= 0:
+            continue
+        labels[i] = identity
+        schreier = set()  # (b, f a) pairs of the generators b^-1 f a of H_Q
+        queue = [i]
+        for j in queue:  # grows while it is walked
+            a = labels[j]
+            images, factors = edges(coded[j])
+            for v, f in zip(images, factors):
+                k = index(v)
+                if k is None:
+                    raise RuntimeError("moves must stay inside the fiber")
+                label = f[a]
+                b = labels[k]
+                if b < 0:
+                    labels[k] = label
+                    queue.append(k)
+                elif b != label:
+                    schreier.add((b, label))
+        stabiliser = closure(d, [decode(b).inverse() * decode(label) for b, label in schreier])
+        count += group_order // len(stabiliser)
+    return ScanRow(n, fr.size, count, True)
+
+
 def stable_length_scan(degree: int, cycle_type, product: Perm,
                        n_from: int, n_to: int,
                        limits: SearchLimits = DEFAULT_LIMITS) -> list[ScanRow]:
     """Orbit counts of the full-group fiber with n class factors, for each n
     in the range.  The least n from which every nonempty fiber is a single
-    orbit witnesses a lower bound for the stability threshold."""
+    orbit witnesses a lower bound for the stability threshold.
+
+    A central product (the identity, or any product at degree <= 2) gives a
+    fiber closed under conjugation, counted on its sub-fiber by
+    :func:`count_plain_orbits`; any other product is counted over the whole
+    fiber by :func:`count_orbits_in_fiber`.  Both count and cap the whole
+    fiber, so the rows are the same either way.
+    """
     ct = validate_cycle_type(cycle_type, degree)
     if n_from < 1 or n_to < n_from:
         raise ValueError("need 1 <= from <= to")
     rows: list[ScanRow] = []
     for n in range(n_from, n_to + 1):
         spec = FiberSpec(degree, TypeVector.single(ct, n), product, "full_group")
+        if spec.conjugation_invariant:
+            rows.append(count_plain_orbits(spec, limits))
+            continue
         report = count_orbits_in_fiber(spec, limits)
         rows.append(ScanRow(n, report.fiber_size, report.orbit_count, report.complete,
                             report.limit_hit))

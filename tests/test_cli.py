@@ -150,6 +150,27 @@ class TestConstructVerify:
                            "--element", "z", "--i", "2", "--j", "4")
         assert code == 0 and r["alpha"] == "(2,4)"
 
+    @pytest.mark.parametrize("element,given,named", [
+        ("y", ["--i", "3", "--j", "4"], {"k": None}),
+        ("y", ["--k", "4", "--i", "3"], {"k": 4}),
+        ("z", ["--i", "2", "--j", "4", "--k", "4"], {"i": 2, "j": 4}),
+        ("sbar", ["--k", "4"], {"i": 1, "j": 2}),
+        ("c", ["--i", "3", "--j", "4", "--k", "4"], {}),
+        ("hC", ["--i", "3"], {}),
+    ])
+    def test_construct_query_names_only_the_options_read(self, capsys, element, given, named):
+        # --i/--j choose the pair of sbar and z, --k the stage of y; an
+        # option the element ignores is not echoed as if it were used.
+        code, r = run_json(capsys, "construct", "--d", "4", "--class", "2,1,1",
+                           "--element", element, *given)
+        assert code == 0
+        assert r["query"] == {"d": 4, "class": "2,1,1", "element": element, **named}
+
+    def test_construct_h_ignores_the_stage(self, capsys):
+        code, r = run_json(capsys, "construct", "--d", "4", "--element", "h", "--k", "0")
+        assert code == 0
+        assert r["query"] == {"d": 4, "class": None, "element": "h"}
+
     def test_verify_lengths(self, capsys):
         code, r = run_json(capsys, "verify", "--d", "4", "--class", "2,1,1",
                            "--claim", "lengths")

@@ -12,23 +12,31 @@ count (same size), a union-find over the R move at every position (same
 orbits), and two independent partitioners (same orbits, with and without the
 conjugation quotient); the quotient's count, representatives and size are
 also checked against sweeps of the full fiber, and its cap against the full
-fiber's size.
+fiber's size.  ``count_plain_orbits`` counts the braid orbits of a fiber
+closed under conjugation on the same sub-fiber, by Schreier labels; its
+count, size and cap are checked against the plain search over the whole
+fiber and against the oracle.
 """
 import functools
 import math
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitz import orbits
 from hurwitz.orbits import (
     CONSTRAINTS,
     FiberReport,
     FiberSpec,
+    ScanRow,
     SearchLimits,
     count_orbits_in_fiber,
+    count_plain_orbits,
     enumerate_fiber,
     orbit_partition_by_sweeps,
+    stable_length_scan,
 )
 from hurwitz.perms import Perm, all_cycle_types, class_elements, transpositions
 from hurwitz.words import TypeVector, conjugate_state, move_right_state
@@ -319,3 +327,161 @@ def test_quotient_cap_counts_the_full_fiber(d, type_text, constraint):
     assert exact.complete and exact.limit_hit is None
     assert (exact.fiber_size, exact.orbit_count, exact.representatives) == \
         (full.fiber_size, full.orbit_count, full.representatives)
+
+
+# -- plain orbit counts by Schreier labels on the sub-fiber ---------------------
+
+def plain_row(spec, limits=LIM):
+    """The scan row of the plain search over the whole fiber."""
+    r = count_orbits_in_fiber(spec, limits)
+    return ScanRow(spec.type_vector.total(), r.fiber_size, r.orbit_count, r.complete, r.limit_hit)
+
+
+def oracle_class_count(spec):
+    words = [oracle.from_word(w) for w in enumerate_fiber(spec, LIM).words]
+    return len(oracle.o_partition(words, False, spec.degree))
+
+
+# Fibers closed under conjugation (a central product): one class and mixed
+# types, one to six factors.  Under "none" several of them split into
+# classes of B_n x S_d whose braid-orbit stabilisers differ in order.
+LABEL_CASES = [
+    # one factor: (c_X) has no braid image, and Z(c_X) fixes it, so H_Q is
+    # Z(c_X) and the count is |S_d| / |Z(c_X)| = |X| = 1
+    (2, "2:1", "(1,2)"),
+    (2, "2:2", "()"),
+    (2, "2:3", "(1,2)"),
+    (3, "2,1:1", "()"),    # empty: one factor is never the identity
+    (3, "2,1:2", "()"),
+    (3, "2,1:4", "()"),
+    (3, "2,1:6", "()"),
+    (3, "3:3", "()"),
+    (3, "2,1:2;3:1", "()"),
+    (3, "2,1:2;3:2", "()"),
+    (4, "2,1,1:2", "()"),
+    (4, "2,1,1:4", "()"),
+    (4, "2,1,1:6", "()"),
+    (4, "2,1,1:2;3,1:1", "()"),
+    (4, "2,2:2;2,1,1:2", "()"),
+    (4, "3,1:3", "()"),
+    (4, "2,2:1;4:2", "()"),
+    (4, "2,2:3", "()"),
+    (5, "2,1,1,1:4", "()"),
+    (5, "3,1,1:3", "()"),
+    (5, "2,1,1,1:2;3,1,1:1", "()"),
+    (5, "2,2,1:2;3,1,1:1", "()"),
+]
+
+
+@pytest.mark.parametrize("constraint", CONSTRAINTS)
+@pytest.mark.parametrize("d,type_text,product", LABEL_CASES)
+def test_labelled_count_matches_plain_search_and_oracle(d, type_text, product, constraint):
+    spec = spec_of(d, type_text, product, constraint)
+    row = count_plain_orbits(spec, LIM)
+    assert row == plain_row(spec)
+    assert row.orbit_count == oracle_class_count(spec)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_labelled_count_of_the_empty_word(d):
+    spec = FiberSpec(d, TypeVector.from_counts({}), Perm.identity(d))
+    assert count_plain_orbits(spec, LIM) == plain_row(spec) == ScanRow(0, 1, 1, True)
+
+
+# (degree, classes, most factors): fibers of at most a few thousand words.
+LABEL_SHAPES = {3: ((2, 1), (3,)), 4: ((2, 1, 1), (2, 2), (3, 1), (4,)),
+                5: ((2, 1, 1, 1), (2, 2, 1), (3, 1, 1))}
+LABEL_MAX_FACTORS = {3: 6, 4: 5, 5: 4}
+
+
+@st.composite
+def central_specs(draw):
+    d = draw(st.sampled_from(sorted(LABEL_SHAPES)))
+    classes = LABEL_SHAPES[d]
+    n = draw(st.integers(1, LABEL_MAX_FACTORS[d]))
+    picked = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
+    counts = {ct: picked.count(ct) for ct in set(picked)}
+    constraint = draw(st.sampled_from(CONSTRAINTS))
+    return FiberSpec(d, TypeVector.from_counts(counts), Perm.identity(d), constraint)
+
+
+@settings(max_examples=60, deadline=None)
+@given(central_specs())
+def test_labelled_count_matches_plain_search_on_random_types(spec):
+    row = count_plain_orbits(spec, LIM)
+    assert row == plain_row(spec)
+    assert row.orbit_count == oracle_class_count(spec)
+
+
+@pytest.mark.parametrize("d,type_text,constraint", [
+    (3, "2,1:4", "none"),
+    (3, "2,1:2;3:1", "none"),
+    (4, "2,1,1:6", "transitive"),
+    (4, "2,2:2;2,1,1:2", "none"),
+    (5, "2,1,1,1:4", "none"),
+])
+def test_labelled_cap_matches_the_plain_cap(d, type_text, constraint):
+    # max_fiber caps the whole fiber on both paths: a cut row has no size
+    # one word below the fiber's size and is complete at it.
+    spec = spec_of(d, type_text, "()", constraint)
+    k = enumerate_fiber(spec, LIM).size
+    for cap, complete in ((k - 1, False), (k, True)):
+        limits = SearchLimits(max_fiber=cap)
+        row = count_plain_orbits(spec, limits)
+        assert row == plain_row(spec, limits)
+        assert row.complete is complete
+        assert (row.fiber_size is None) is not complete
+
+
+def test_scan_uses_the_labelled_count_exactly_for_central_products(monkeypatch):
+    # Identity-product and degree-2 scans never run the whole-fiber search,
+    # and their rows are those of the whole-fiber search; other products do.
+    want = {(d, ct, product): stable_length_scan(d, ct, Perm.parse(product, d), 1, n, LIM)
+            for d, ct, product, n in [(3, (2, 1), "()", 8), (4, (2, 1, 1), "()", 6),
+                                      (2, (2,), "(1,2)", 5)]}
+    for (d, ct, product), rows in want.items():
+        assert rows == [plain_row(FiberSpec(d, TypeVector.single(ct, n), Perm.parse(product, d),
+                                            "full_group"))
+                        for n in range(1, len(rows) + 1)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the whole-fiber search ran")
+
+    monkeypatch.setattr(orbits, "count_orbits_in_fiber", refuse)
+    for (d, ct, product), rows in want.items():
+        assert stable_length_scan(d, ct, Perm.parse(product, d), 1, len(rows), LIM) == rows
+    with pytest.raises(AssertionError, match="whole-fiber search"):
+        stable_length_scan(4, (2, 1, 1), Perm.transposition(4, 1, 2), 3, 3, LIM)
+
+
+@pytest.mark.parametrize("cap", [1, 131_039, 131_040])
+def test_scan_cap_on_the_d4_n8_fiber(cap):
+    # The sub-fiber's weights count the whole fiber of 131,040 words.
+    [row] = stable_length_scan(4, (2, 1, 1), Perm.identity(4), 8, 8, SearchLimits(max_fiber=cap))
+    if cap < 131_040:
+        assert row == ScanRow(8, None, None, False, f"max_fiber={cap}")
+    else:
+        assert row == ScanRow(8, 131_040, 1, True)
+
+
+def test_labelled_count_detects_every_missing_word(monkeypatch):
+    # one braid orbit; its sub-fiber is one class, each word an image of another
+    spec = spec_of(3, "2,1:4", "()", "full_group")
+    sub = enumerate_fiber(spec, LIM, sub_fiber=True)
+    assert count_plain_orbits(spec, LIM) == ScanRow(4, 24, 1, True)
+    for k in range(len(sub.coded)):
+        kept = sub.coded[:k] + sub.coded[k + 1:]
+        monkeypatch.setattr(orbits, "enumerate_fiber",
+                            lambda spec, limits, sub_fiber, kept=kept: FiberReport(
+                                kept, sub.kernel, sub.size, True))
+        with pytest.raises(RuntimeError, match="moves must stay inside the fiber"):
+            count_plain_orbits(spec, LIM)
+
+
+@pytest.mark.parametrize("spec", [
+    spec_of(3, "2,1:3", "(1,2)"),         # not closed under conjugation
+    spec_of(3, "2,1:4", "()", conj=True),  # the quotient counts classes
+])
+def test_labelled_count_refuses_other_specs(spec):
+    with pytest.raises(ValueError, match="closed under conjugation"):
+        count_plain_orbits(spec, LIM)
