@@ -35,6 +35,7 @@ from .orbits import (
     ScanRow,
     SearchLimits,
     are_equivalent,
+    count_orbits,
     count_orbits_in_fiber,
     enumerate_fiber,
     enumerate_orbit,

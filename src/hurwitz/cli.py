@@ -18,6 +18,7 @@ into one ``internal error`` line (exit 4), so no fault can exit 1.
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import click
 
@@ -67,6 +68,11 @@ def cli(ctx: click.Context, max_states: int, max_fiber: int, workers: int,
     # --workers is checked and otherwise ignored: every search runs in-process.
     if workers < 1:
         raise click.UsageError("worker count must be positive")
+    if cache_dir is not None:  # made before anything is computed
+        try:
+            Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise click.UsageError(f"cannot use --cache-dir: {exc}") from None
     ctx.obj = RunConfig(limits=SearchLimits(max_states=max_states, max_fiber=max_fiber),
                         cache_dir=cache_dir, output_format=output_format, seed=seed)
 

@@ -15,17 +15,17 @@ under two braid generators, R_1 and the rotation (:func:`orbit_images`).
 Fiber enumeration carries its prefix products as codes, reading one row of
 ``kernel.mul`` per node, and looks the last factor up from the product.
 
-A fiber's orbits are counted on one of two word sets.  The plain search of
-:func:`count_orbits_in_fiber` labels the whole fiber; it alone gives
-representatives and partitions, and it alone serves a product that is not
-central.  A fiber closed under conjugation (a central product) is counted on
-the sub-fiber of words whose first factor is the least member of its class,
-along the edges of :func:`_sub_fiber_edges`: the conjugation quotient counts
-its classes there (:func:`count_orbits_in_fiber`), and
-:func:`count_plain_orbits` counts its braid orbits there by Schreier labels,
-which serves :func:`stable_length_scan`.  Every path counts and caps the
-whole fiber.  Every lazily filled table here is a
-:class:`~hurwitz.words.Memo`.
+A fiber's orbits are searched on one of two word sets.  A fiber closed
+under conjugation (a central product) is searched on the sub-fiber F_0 of
+words whose first factor is the least member of its class, by one labelled
+search (:func:`_sub_fiber_classes`): its classes are the orbits of the
+conjugation quotient, and their Schreier labels give the number of braid
+orbits.  Every other fiber, and every plain partition or representative, is
+searched over the whole fiber (:func:`_label_orbits`).  :func:`count_orbits`
+is the one count entry, for ``components``, :func:`stable_length_scan` and
+the theorem report; :func:`count_orbits_in_fiber` adds the representatives
+of ``fiber-count`` and the partitions.  Every path counts and caps the whole
+fiber.  Every lazily filled table here is a :class:`~hurwitz.words.Memo`.
 ``Perm`` words appear only at the boundaries: coding the inputs, decoding
 the results, and replaying certificates.  Coding keeps order, so the least
 coded word of an orbit decodes to its least word, and a fiber's coded words
@@ -365,8 +365,8 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     order as a backtracking over ``Perm`` values would give them.
 
     With ``sub_fiber``, only the words whose first factor is the least member
-    c_X of its class X are kept: the top level tries c_X alone.  The
-    quotient search and :func:`count_plain_orbits` run on this sub-fiber.
+    c_X of its class X are kept: the top level tries c_X alone.
+    :func:`_sub_fiber_classes` runs on this sub-fiber.
     When the fiber is closed under
     conjugation, conjugating by an h with h x h^-1 = c_X maps the words
     starting with x onto those starting with c_X, so each kept word stands
@@ -511,12 +511,12 @@ SubFiberEdges = Callable[[Coded], tuple[list[Coded], tuple[Memo, ...]]]
 
 
 def _sub_fiber_edges(kernel: MoveKernel, type_vector: TypeVector) -> SubFiberEdges:
-    """The edges of the searches on the sub-fiber F_0 of a fiber closed under
-    conjugation (see :func:`count_orbits_in_fiber`).  From a word w starting
+    """The edges of the search on the sub-fiber F_0 of a fiber closed under
+    conjugation (see :func:`_sub_fiber_classes`).  From a word w starting
     with c_X they are pi(R_1 w) and pi(D w), both conjugated by h_x for the
     first factor x of R_1 w and D w, then w conjugated by each generator z of
     the centraliser Z(c_X); the factors are the ``kernel.mul`` rows of those
-    h_x and z.  A one-factor word has no braid images."""
+    h_x and z, for words of at least two factors."""
     d = kernel.degree
     rows, mul, encode = kernel.conjugate, kernel.mul, kernel.encode
     back = {}  # x -> h_x, for every member x of the type's classes
@@ -528,12 +528,6 @@ def _sub_fiber_edges(kernel: MoveKernel, type_vector: TypeVector) -> SubFiberEdg
             back[encode(x)] = encode(_conjugator(x, c))
         z = kernel.encode_word(_centraliser_generators(c))
         centraliser[encode(c)] = tuple(mul[g] for g in z), [rows[g] for g in z]
-
-    if type_vector.total() < 2:
-        def conjugates(w: Coded) -> tuple[list[Coded], tuple[Memo, ...]]:
-            z_mul, z_rows = centraliser[w[0]]
-            return [tuple(map(r.__getitem__, w)) for r in z_rows], z_mul
-        return conjugates
 
     def step_of(pair: Coded) -> tuple:
         # What the images of (c, g, ...) need.  Both braid images start with
@@ -560,19 +554,92 @@ def _sub_fiber_edges(kernel: MoveKernel, type_vector: TypeVector) -> SubFiberEdg
     return edges
 
 
-def _label_orbits(words: list[Coded],
-                  images: Callable[[Coded], Iterable[Coded]]) -> list[list[int]]:
-    """The orbits of the forward search along ``images`` on ``words``, as
-    lists of indices into ``words``.
+def _sub_fiber_classes(fr: FiberReport, type_vector: TypeVector
+                       ) -> list[tuple[list[int], set[tuple[int, int]]]]:
+    """The classes Q of B_n x S_d on the sub-fiber F_0 of a fiber closed
+    under conjugation, by one labelled search: each as its indices into F_0
+    and its Schreier pairs (b, f a), whose b^-1 f a generate H_Q.
+
+    ``fr`` holds F_0 (``enumerate_fiber(sub_fiber=True)``): the words whose
+    first factor is the least member c_X of its class X.  Let pi conjugate a
+    word whose first factor x lies in X by a fixed h_x with
+    h_x x h_x^-1 = c_X.  The edges from a word w of F_0
+    (:func:`_sub_fiber_edges`) are pi(R_1 w) and pi(D w), by the
+    permutation h_x, and conjugation of w by each generator z of the
+    centraliser Z(c_X), by z.  The classes are exact:
+
+    * every class meets F_0, since pi maps each word into F_0;
+    * every edge stays in its class, since the moves commute with
+      conjugation;
+    * the search reaches forward from u every v of F_0 in u's class.  Write
+      v = g b(u), with b a positive word in R_1 and D and g in S_d, and
+      follow b's letters through pi: the walk ends at g' b(u) for some g' in
+      S_d, a word of F_0 that conjugation by g g'^-1 maps to v.  That
+      conjugation fixes the first factor c_X, so it lies in Z(c_X) and is
+      a positive word in the generators.
+
+    So each word not yet reached starts a new class, whose search never
+    meets a word of an earlier class.  An image outside F_0 is a fault.
+
+    G = S_d acts on the fiber by conjugation and commutes with the braids, so
+    Q splits into [G : H_Q] braid orbits, where H_Q is the stabiliser of one
+    braid orbit O in Q.  The search labels each word it reaches with
+    an a in G such that the word lies in a O: the class's first word u_0
+    gets the identity, and an edge by f takes the label a to f a.  When an
+    edge by f from a word labelled a reaches a word already labelled b, the
+    pair (b, f a) is kept, and b^-1 f a lies in H_Q, because two labels of
+    one word name one orbit.  These elements generate H_Q (Schreier's lemma;
+    Seress, *Permutation Group Algorithms*, 2003, ch. 4).  Every edge gives
+    f a in b K, for the group K they generate, so a walk from u_0 to a word
+    labelled b whose edges multiply to M has M in b K.  Take g in H_Q, so
+    that g u_0 = beta(u_0) for a positive word beta in R_1 and D.  Follow
+    beta's letters from u_0 along braid edges: the walk ends at a word
+    v = M g u_0 of F_0 with M in b K.  Both v and u_0 start with c_X, so
+    M g lies in Z(c_X), and the centraliser edges walk from v back to u_0 by
+    (M g)^-1.  The whole walk multiplies to g^-1 and ends at u_0, labelled
+    1, so g^-1 is in K.
+    """
+    coded, kernel = fr.coded, fr.kernel
+    edges = _sub_fiber_edges(kernel, type_vector)
+    index = {w: i for i, w in enumerate(coded)}.get
+    labels = [-1] * len(coded)  # kernel codes are never negative
+    identity = kernel.encode(Perm.identity(kernel.degree))
+    classes = []
+    for i in range(len(coded)):
+        if labels[i] >= 0:
+            continue
+        labels[i] = identity
+        members = [i]
+        schreier = set()
+        for j in members:  # grows while it is walked
+            a = labels[j]
+            images, factors = edges(coded[j])
+            for v, f in zip(images, factors):
+                k = index(v)
+                if k is None:
+                    raise RuntimeError("moves must stay inside the fiber")
+                label = f[a]
+                b = labels[k]
+                if b < 0:
+                    labels[k] = label
+                    members.append(k)
+                elif b != label:
+                    schreier.add((b, label))
+        classes.append((members, schreier))
+    return classes
+
+
+def _label_orbits(kernel: MoveKernel, words: list[Coded]) -> list[list[int]]:
+    """The braid orbits of a whole fiber ``words``, as lists of indices into
+    ``words``, by one forward search along R_1 and the rotation D
+    (:func:`orbit_images`), which reach the whole orbit.
 
     Each word not yet reached starts a new orbit, and the search labels
-    every word it reaches from there.  That is the partition into classes
-    whenever, for any two words of one class, each is reached forward from
-    the other; :func:`count_orbits_in_fiber` shows this for its two edge
-    sets.  A search then never meets a word of an earlier orbit.  An image
-    outside ``words`` is a fault.  The orbits hold indices, not the images
-    themselves, so no word is kept twice.
+    every word it reaches from there, so it never meets a word of an earlier
+    orbit.  An image outside ``words`` is a fault.  The orbits hold indices,
+    not the images themselves, so no word is kept twice.
     """
+    images = orbit_images(kernel)
     index = {w: i for i, w in enumerate(words)}.get
     reached = bytearray(len(words))
     orbits = []
@@ -610,57 +677,30 @@ class FiberOrbitReport:
 def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS,
                           want_partition: bool = False) -> FiberOrbitReport:
     """Partition the fiber into move orbits, with the least word of each as
-    its representative, by one labelling search (:func:`_label_orbits`).
-    Every image must lie in the fiber.  This is the path of ``fiber-count``
-    and ``components``, of ``want_partition``, and of products that are not
-    central.  A count of the braid orbits of a fiber closed under
-    conjugation needs only :func:`count_plain_orbits`, which walks the
-    sub-fiber F_0 below.
+    its representative.  This serves ``fiber-count``, ``want_partition`` and
+    the counts of products that are not central; :func:`count_orbits` counts
+    a central product's fiber without it.
 
-    Without the quotient the search runs over the whole coded fiber along
-    the braid generators R_1 and the rotation D of :func:`orbit_images`,
-    which reach the whole orbit.
-
-    With the conjugation quotient, the classes are the orbits of B_n x S_d,
-    and the search runs on the sub-fiber F_0 of words whose first factor is
-    the least member c_X of its class X (``enumerate_fiber(sub_fiber=True)``).
-    Let pi conjugate a word whose first factor x lies in X by a fixed h_x
-    with h_x x h_x^-1 = c_X.  The edges from a word w of F_0
-    (:func:`_sub_fiber_edges`) are pi(R_1 w), pi(D w), and conjugation of w
-    by each generator of the centraliser Z(c_X).  That is exact:
-
-    * every class meets F_0, since pi maps each word into F_0;
-    * every edge stays in its class, since the moves commute with
-      conjugation;
-    * the search reaches forward from u every v of F_0 in u's class.  Write
-      v = g b(u), with b a positive word in R_1 and D and g in S_d, and
-      follow b's letters through pi: the walk ends at g' b(u) for some g' in
-      S_d, a word of F_0 that conjugation by g g'^-1 maps to v.  That
-      conjugation fixes the first factor c_X, so it lies in Z(c_X) and is
-      a positive word in the generators.
-
+    Without the conjugation quotient the orbits are those of
+    :func:`_label_orbits` over the whole coded fiber.  With it they are the
+    classes of B_n x S_d of :func:`_sub_fiber_classes` on the sub-fiber F_0.
     A class is represented by its least word, which starts with some c_X
     (conjugating its first factor to c_X would give a smaller word) and so
     lies in F_0.  Only ``want_partition`` collects the member lists; under
     the quotient it conjugates each class's sub-fiber words by all of S_d.
     """
     d = spec.degree
-    n = spec.type_vector.total()
-    quotient = spec.conjugation_quotient and n > 0  # the empty word has no first factor
+    # Under two factors each word is its own class (see count_orbits).
+    quotient = spec.conjugation_quotient and spec.type_vector.total() > 1
     fr = enumerate_fiber(spec, limits, sub_fiber=quotient)
     coded, kernel = fr.coded, fr.kernel
     if not fr.complete:
         return FiberOrbitReport(None, None, [], False, fr.limit_hit)
 
     if quotient:
-        edges = _sub_fiber_edges(kernel, spec.type_vector)
-
-        def images(w: Coded) -> list[Coded]:
-            return edges(w)[0]
+        orbits = [members for members, _ in _sub_fiber_classes(fr, spec.type_vector)]
     else:
-        images = orbit_images(kernel)
-
-    orbits = _label_orbits(coded, images)
+        orbits = _label_orbits(kernel, coded)
     least = sorted(min(map(coded.__getitem__, orbit)) for orbit in orbits)
     partition = None
     if want_partition:
@@ -720,100 +760,51 @@ class ScanRow:
     limit_hit: str | None = None
 
 
-def count_plain_orbits(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> ScanRow:
-    """The size and the number of braid orbits of a fiber closed under
-    conjugation, counted on the sub-fiber F_0 of words whose first factor is
-    its class's least member c_X (``enumerate_fiber(sub_fiber=True)``), by
-    Schreier labels.  It gives the ``fiber_size`` and ``orbit_count`` of
-    :func:`count_orbits_in_fiber` without the representatives, and ``max_fiber``
-    caps the whole fiber in the same way.
+def count_orbits(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> ScanRow:
+    """The size and the number of orbits of a fiber: of classes under the
+    conjugation quotient, of braid orbits otherwise.  These are the
+    ``fiber_size`` and ``orbit_count`` of :func:`count_orbits_in_fiber`, and
+    ``max_fiber`` caps the whole fiber in the same way.
 
-    G = S_d acts on the fiber by conjugation and commutes with the braids, so
-    a class Q of B_n x G splits into [G : H_Q] braid orbits, where H_Q is the
-    stabiliser of one braid orbit O in Q.  The search walks F_0 along the
-    edges of the quotient search (:func:`_sub_fiber_edges`) and labels each
-    word it reaches with an a in G such that the word lies in a O; the start
-    word of Q gets the identity, and an edge by the permutation f takes the
-    label a to f a.  When an edge by f from a word labelled a reaches a word
-    already labelled b, then b^-1 f a lies in H_Q.  These elements generate
-    H_Q (Schreier's lemma; Seress, *Permutation Group Algorithms*, 2003,
-    ch. 4).  They lie in H_Q because two labels of one word name one orbit.
-    For the converse, every edge gives f a in b K, for the group K they
-    generate, so a walk from the start word to a word labelled b whose edges
-    multiply to M has M in b K.  Take g in H_Q, so that g u_0 = beta(u_0) for
-    a positive word beta in R_1 and D.  Follow beta's letters from u_0 along
-    braid edges: the walk ends at a word v = M g u_0 of F_0 with M in b K.
-    Both v and u_0 start with c_X, so M g lies in Z(c_X), and the
-    centraliser edges walk from v back to u_0 by (M g)^-1.  The whole walk
-    multiplies to g^-1 and ends at the start word, labelled 1, so g^-1 is in
-    K.  The count is the sum over Q of |G| / |H_Q|.
+    A fiber closed under conjugation is counted on its sub-fiber F_0 by
+    :func:`_sub_fiber_classes`: the quotient count is the number of classes
+    Q, and the braid-orbit count is the sum over Q of |S_d| / |H_Q|.  Words
+    of fewer than two factors have no braid images, and conjugation fixes
+    each (one factor is central only at degree <= 2, whose classes are
+    single elements), so each is its own orbit.  Any other fiber is counted
+    by :func:`count_orbits_in_fiber`.
     """
-    if spec.conjugation_quotient or not spec.conjugation_invariant:
-        raise ValueError("the labelled count needs a braid-orbit spec whose fiber "
-                         "is closed under conjugation")
     d = spec.degree
     n = spec.type_vector.total()
+    if not spec.conjugation_invariant:
+        r = count_orbits_in_fiber(spec, limits)
+        return ScanRow(n, r.fiber_size, r.orbit_count, r.complete, r.limit_hit)
     fr = enumerate_fiber(spec, limits, sub_fiber=True)
     if not fr.complete:
         return ScanRow(n, None, None, False, fr.limit_hit)
-    if n == 0:  # every conjugation fixes the empty word
+    if n < 2:
         return ScanRow(n, fr.size, fr.size, True)
-    coded, kernel = fr.coded, fr.kernel
-    edges = _sub_fiber_edges(kernel, spec.type_vector)
-    decode = kernel.decode
-    index = {w: i for i, w in enumerate(coded)}.get
-    labels = [-1] * len(coded)  # kernel codes are never negative
-    identity = kernel.encode(Perm.identity(d))
-    group_order = math.factorial(d)
+    classes = _sub_fiber_classes(fr, spec.type_vector)
+    if spec.conjugation_quotient:
+        return ScanRow(n, fr.size, len(classes), True)
+    decode = fr.kernel.decode
     count = 0
-    for i in range(len(coded)):
-        if labels[i] >= 0:
-            continue
-        labels[i] = identity
-        schreier = set()  # (b, f a) pairs of the generators b^-1 f a of H_Q
-        queue = [i]
-        for j in queue:  # grows while it is walked
-            a = labels[j]
-            images, factors = edges(coded[j])
-            for v, f in zip(images, factors):
-                k = index(v)
-                if k is None:
-                    raise RuntimeError("moves must stay inside the fiber")
-                label = f[a]
-                b = labels[k]
-                if b < 0:
-                    labels[k] = label
-                    queue.append(k)
-                elif b != label:
-                    schreier.add((b, label))
-        stabiliser = closure(d, [decode(b).inverse() * decode(label) for b, label in schreier])
-        count += group_order // len(stabiliser)
+    for _, schreier in classes:
+        stabiliser = closure(d, [decode(b).inverse() * decode(fa) for b, fa in schreier])
+        count += math.factorial(d) // len(stabiliser)
     return ScanRow(n, fr.size, count, True)
 
 
 def stable_length_scan(degree: int, cycle_type, product: Perm,
                        n_from: int, n_to: int,
                        limits: SearchLimits = DEFAULT_LIMITS) -> list[ScanRow]:
-    """Orbit counts of the full-group fiber with n class factors, for each n
-    in the range.  The least n from which every nonempty fiber is a single
-    orbit witnesses a lower bound for the stability threshold.
-
-    A central product (the identity, or any product at degree <= 2) gives a
-    fiber closed under conjugation, counted on its sub-fiber by
-    :func:`count_plain_orbits`; any other product is counted over the whole
-    fiber by :func:`count_orbits_in_fiber`.  Both count and cap the whole
-    fiber, so the rows are the same either way.
+    """Orbit counts (:func:`count_orbits`) of the full-group fiber with n
+    class factors, for each n in the range.  The least n from which every
+    nonempty fiber is a single orbit witnesses a lower bound for the
+    stability threshold.
     """
     ct = validate_cycle_type(cycle_type, degree)
     if n_from < 1 or n_to < n_from:
         raise ValueError("need 1 <= from <= to")
-    rows: list[ScanRow] = []
-    for n in range(n_from, n_to + 1):
-        spec = FiberSpec(degree, TypeVector.single(ct, n), product, "full_group")
-        if spec.conjugation_invariant:
-            rows.append(count_plain_orbits(spec, limits))
-            continue
-        report = count_orbits_in_fiber(spec, limits)
-        rows.append(ScanRow(n, report.fiber_size, report.orbit_count, report.complete,
-                            report.limit_hit))
-    return rows
+    return [count_orbits(FiberSpec(degree, TypeVector.single(ct, n), product, "full_group"), limits)
+            for n in range(n_from, n_to + 1)]

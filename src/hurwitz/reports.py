@@ -28,7 +28,7 @@ from pathlib import Path
 from . import __version__
 from .class_metrics import DEFAULT_SEARCH_DEPTH, ClassMetrics, MinWordResult, compute_class_metrics, stability_bound
 from .constructions import ClaimReport
-from .orbits import DEFAULT_LIMITS, FiberSpec, ScanRow, SearchLimits, count_orbits_in_fiber, stable_length_scan
+from .orbits import DEFAULT_LIMITS, FiberSpec, ScanRow, SearchLimits, count_orbits, stable_length_scan
 from .perms import CycleType, Perm, all_cycle_types, format_cycle_type, validate_cycle_type
 from .words import Factorization, TypeVector
 
@@ -101,8 +101,10 @@ def to_csv(report: dict) -> str:
 
 
 def _text_value(value) -> str:
+    """A list's items apart by spaces; the words of a list of words by `` | ``."""
     if isinstance(value, list):
-        return " ".join(str(v) for v in value)
+        sep = " | " if value and isinstance(value[0], list) else " "
+        return sep.join(map(_text_value, value))
     return str(value)
 
 
@@ -180,8 +182,7 @@ def cache_get(cfg: RunConfig, key: str) -> tuple[str, int] | None:
 def cache_put(cfg: RunConfig, key: str, payload: str, exit_code: int) -> None:
     if cfg.cache_dir is None:
         return
-    directory = Path(cfg.cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = Path(cfg.cache_dir)  # made by the CLI before the command ran
     data = json.dumps({"exit_code": exit_code, "payload": payload, "sha256": _sha256(payload)})
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -320,12 +321,12 @@ def count_components(query: ComponentQuery, limits: SearchLimits) -> dict:
     rows = []
     for tv in types:
         spec = FiberSpec(query.degree, tv, ident, constraint, query.conjugation_quotient)
-        report = count_orbits_in_fiber(spec, limits)
+        counted = count_orbits(spec, limits)
         rows.append({
             "type": str(tv),
-            "fiber_size": report.fiber_size,
-            "components": report.orbit_count,
-            "complete": report.complete,
+            "fiber_size": counted.fiber_size,
+            "components": counted.orbit_count,
+            "complete": counted.complete,
         })
     counts = [row["components"] for row in rows if row["complete"]]
     body = {

@@ -377,6 +377,21 @@ class TestPlumbing:
         assert "\n  type=2,1:4  fiber_size=24  components=1  complete=True\n" in out
         assert "rows:" not in out
 
+    def test_text_format_words(self, capsys):
+        # a list of words prints each word's factors, the words apart by " | "
+        code, out = run(capsys, "--format", "text", "fiber-count", "--d", "3", "--type", "2,1:2")
+        assert code == 0
+        assert "\nrepresentatives: (2,3) (2,3) | (1,2) (1,2) | (1,3) (1,3)\n" in out
+
+    def test_unusable_cache_dir_is_a_usage_error(self, capsys, tmp_path):
+        # refused before anything is computed, with no payload
+        (tmp_path / "file").write_text("")
+        assert main(["--cache-dir", str(tmp_path / "file" / "sub"), "class-info",
+                     "--d", "3", "--class", "2,1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot use --cache-dir" in captured.err
+
     def test_cache_round_trip(self, capsys, tmp_path):
         args = ["--cache-dir", str(tmp_path), "fiber-count", "--d", "3",
                 "--type", "2,1:4", "--product", "()", "--full-group"]

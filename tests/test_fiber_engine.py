@@ -12,10 +12,11 @@ count (same size), a union-find over the R move at every position (same
 orbits), and two independent partitioners (same orbits, with and without the
 conjugation quotient); the quotient's count, representatives and size are
 also checked against sweeps of the full fiber, and its cap against the full
-fiber's size.  ``count_plain_orbits`` counts the braid orbits of a fiber
-closed under conjugation on the same sub-fiber, by Schreier labels; its
-count, size and cap are checked against the plain search over the whole
-fiber and against the oracle.
+fiber's size.  ``count_orbits`` counts the classes and the braid orbits of
+a fiber closed under conjugation by one labelled search of the same
+sub-fiber, the braid orbits by Schreier labels; its count, size and cap are
+checked against ``count_orbits_in_fiber`` and against the oracle, and so
+are the rows of ``count_components``, which runs on it alone.
 """
 import functools
 import math
@@ -32,13 +33,14 @@ from hurwitz.orbits import (
     FiberSpec,
     ScanRow,
     SearchLimits,
+    count_orbits,
     count_orbits_in_fiber,
-    count_plain_orbits,
     enumerate_fiber,
     orbit_partition_by_sweeps,
     stable_length_scan,
 )
 from hurwitz.perms import Perm, all_cycle_types, class_elements, transpositions
+from hurwitz.reports import ComponentQuery, count_components
 from hurwitz.words import TypeVector, conjugate_state, move_right_state
 
 import oracle
@@ -329,7 +331,7 @@ def test_quotient_cap_counts_the_full_fiber(d, type_text, constraint):
         (full.fiber_size, full.orbit_count, full.representatives)
 
 
-# -- plain orbit counts by Schreier labels on the sub-fiber ---------------------
+# -- orbit counts by the labelled search on the sub-fiber ----------------------
 
 def plain_row(spec, limits=LIM):
     """The scan row of the plain search over the whole fiber."""
@@ -339,15 +341,15 @@ def plain_row(spec, limits=LIM):
 
 def oracle_class_count(spec):
     words = [oracle.from_word(w) for w in enumerate_fiber(spec, LIM).words]
-    return len(oracle.o_partition(words, False, spec.degree))
+    return len(oracle.o_partition(words, spec.conjugation_quotient, spec.degree))
 
 
 # Fibers closed under conjugation (a central product): one class and mixed
 # types, one to six factors.  Under "none" several of them split into
 # classes of B_n x S_d whose braid-orbit stabilisers differ in order.
 LABEL_CASES = [
-    # one factor: (c_X) has no braid image, and Z(c_X) fixes it, so H_Q is
-    # Z(c_X) and the count is |S_d| / |Z(c_X)| = |X| = 1
+    # one factor: no braid image, and conjugation fixes it, so each word
+    # is its own orbit
     (2, "2:1", "(1,2)"),
     (2, "2:2", "()"),
     (2, "2:3", "(1,2)"),
@@ -373,11 +375,12 @@ LABEL_CASES = [
 ]
 
 
+@pytest.mark.parametrize("conj", [False, True])
 @pytest.mark.parametrize("constraint", CONSTRAINTS)
 @pytest.mark.parametrize("d,type_text,product", LABEL_CASES)
-def test_labelled_count_matches_plain_search_and_oracle(d, type_text, product, constraint):
-    spec = spec_of(d, type_text, product, constraint)
-    row = count_plain_orbits(spec, LIM)
+def test_labelled_count_matches_plain_search_and_oracle(d, type_text, product, constraint, conj):
+    spec = spec_of(d, type_text, product, constraint, conj)
+    row = count_orbits(spec, LIM)
     assert row == plain_row(spec)
     assert row.orbit_count == oracle_class_count(spec)
 
@@ -385,7 +388,7 @@ def test_labelled_count_matches_plain_search_and_oracle(d, type_text, product, c
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_labelled_count_of_the_empty_word(d):
     spec = FiberSpec(d, TypeVector.from_counts({}), Perm.identity(d))
-    assert count_plain_orbits(spec, LIM) == plain_row(spec) == ScanRow(0, 1, 1, True)
+    assert count_orbits(spec, LIM) == plain_row(spec) == ScanRow(0, 1, 1, True)
 
 
 # (degree, classes, most factors): fibers of at most a few thousand words.
@@ -402,13 +405,14 @@ def central_specs(draw):
     picked = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
     counts = {ct: picked.count(ct) for ct in set(picked)}
     constraint = draw(st.sampled_from(CONSTRAINTS))
-    return FiberSpec(d, TypeVector.from_counts(counts), Perm.identity(d), constraint)
+    conj = draw(st.booleans())
+    return FiberSpec(d, TypeVector.from_counts(counts), Perm.identity(d), constraint, conj)
 
 
 @settings(max_examples=60, deadline=None)
 @given(central_specs())
 def test_labelled_count_matches_plain_search_on_random_types(spec):
-    row = count_plain_orbits(spec, LIM)
+    row = count_orbits(spec, LIM)
     assert row == plain_row(spec)
     assert row.orbit_count == oracle_class_count(spec)
 
@@ -427,10 +431,14 @@ def test_labelled_cap_matches_the_plain_cap(d, type_text, constraint):
     k = enumerate_fiber(spec, LIM).size
     for cap, complete in ((k - 1, False), (k, True)):
         limits = SearchLimits(max_fiber=cap)
-        row = count_plain_orbits(spec, limits)
+        row = count_orbits(spec, limits)
         assert row == plain_row(spec, limits)
         assert row.complete is complete
         assert (row.fiber_size is None) is not complete
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the whole-fiber search ran")
 
 
 def test_scan_uses_the_labelled_count_exactly_for_central_products(monkeypatch):
@@ -443,9 +451,6 @@ def test_scan_uses_the_labelled_count_exactly_for_central_products(monkeypatch):
         assert rows == [plain_row(FiberSpec(d, TypeVector.single(ct, n), Perm.parse(product, d),
                                             "full_group"))
                         for n in range(1, len(rows) + 1)]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the whole-fiber search ran")
 
     monkeypatch.setattr(orbits, "count_orbits_in_fiber", refuse)
     for (d, ct, product), rows in want.items():
@@ -468,20 +473,47 @@ def test_labelled_count_detects_every_missing_word(monkeypatch):
     # one braid orbit; its sub-fiber is one class, each word an image of another
     spec = spec_of(3, "2,1:4", "()", "full_group")
     sub = enumerate_fiber(spec, LIM, sub_fiber=True)
-    assert count_plain_orbits(spec, LIM) == ScanRow(4, 24, 1, True)
+    assert count_orbits(spec, LIM) == ScanRow(4, 24, 1, True)
     for k in range(len(sub.coded)):
         kept = sub.coded[:k] + sub.coded[k + 1:]
         monkeypatch.setattr(orbits, "enumerate_fiber",
                             lambda spec, limits, sub_fiber, kept=kept: FiberReport(
                                 kept, sub.kernel, sub.size, True))
         with pytest.raises(RuntimeError, match="moves must stay inside the fiber"):
-            count_plain_orbits(spec, LIM)
+            count_orbits(spec, LIM)
 
 
-@pytest.mark.parametrize("spec", [
-    spec_of(3, "2,1:3", "(1,2)"),         # not closed under conjugation
-    spec_of(3, "2,1:4", "()", conj=True),  # the quotient counts classes
-])
-def test_labelled_count_refuses_other_specs(spec):
-    with pytest.raises(ValueError, match="closed under conjugation"):
-        count_plain_orbits(spec, LIM)
+def test_count_routes_only_other_products_to_the_whole_fiber(monkeypatch):
+    # A product that is not central reaches count_orbits_in_fiber; a
+    # quotient spec stays on the sub-fiber and counts its classes.
+    other = spec_of(3, "2,1:3", "(1,2)")
+    quotient = spec_of(4, "2,1,1:4", "()", conj=True)
+    want = count_orbits_in_fiber(quotient, LIM).orbit_count
+    words = [oracle.from_word(w) for w in enumerate_fiber(quotient, LIM).words]
+    assert want == len(oracle.o_partition(words, True, 4)) > 1
+    monkeypatch.setattr(orbits, "count_orbits_in_fiber", refuse)
+    assert count_orbits(quotient, LIM).orbit_count == want
+    with pytest.raises(AssertionError, match="whole-fiber search"):
+        count_orbits(other, LIM)
+
+
+@pytest.mark.parametrize("d,b", [(3, 4), (3, 5), (4, 4)])
+def test_components_rows_match_the_whole_fiber_search(monkeypatch, d, b):
+    # Every row of each constraint, with and without the quotient, is the
+    # whole-fiber search's (size, count), and count_components never runs it.
+    cases = []
+    for constraint in CONSTRAINTS:
+        for conj in (False, True):
+            query = ComponentQuery(d, b, None, constraint == "full_group",
+                                   constraint == "transitive", conj)
+            specs = [spec_of(d, t, "()", constraint, conj) for t in all_types(d, b)]
+            found = [count_orbits_in_fiber(spec, LIM) for spec in specs]
+            rows = sorted((str(s.type_vector), r.fiber_size, r.orbit_count, r.complete)
+                          for s, r in zip(specs, found))
+            cases.append((query, {"product": "identity", "constraint": constraint,
+                                  "conjugation_quotient": conj}, rows))
+    monkeypatch.setattr(orbits, "count_orbits_in_fiber", refuse)
+    for query, convention, rows in cases:
+        body = count_components(query, LIM)
+        assert body["convention"] == convention
+        assert sorted(tuple(r.values()) for r in body["rows"]) == rows
