@@ -55,6 +55,8 @@ class MinWordResult:
 
 
 def _min_word(degree: int, ct: CycleType, limit: int) -> MinWordResult:
+    if limit < 0:
+        raise ValueError(f"search depth must be at least 0, got {limit}")
     # Level k holds the cycle types of C^k; level k+1 is read off the products
     # of one representative per type with every class member.
     gens = class_elements(degree, ct)
@@ -83,8 +85,6 @@ def min_factors_to_transposition(degree: int, cycle_type: CycleType,
     word.  Only odd classes can reach a transposition; even classes are
     rejected."""
     ct = validate_cycle_type(cycle_type, degree)
-    if degree < 2:
-        raise ValueError("need degree >= 2 for a transposition target")
     if class_parity(ct) == 0:
         raise ValueError(f"class {ct} is even: no product of its members is odd")
     return _min_word(degree, ct, limit)
@@ -159,7 +159,7 @@ def compute_class_metrics(degree: int, cycle_type: CycleType,
     parity = "odd" if class_parity(ct) else "even"
     min_word = None
     min_word_fixing = None
-    if parity == "odd" and degree >= 2:
+    if parity == "odd":
         min_word = min_factors_to_transposition(degree, ct, limit)
         if class_fixed_points(ct) >= 2 and degree >= 4:
             min_word_fixing = min_factors_to_transposition_fixing(degree, ct, ANCHORS, limit)

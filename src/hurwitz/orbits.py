@@ -15,17 +15,13 @@ under two braid generators, R_1 and the rotation (:func:`orbit_images`).
 Fiber enumeration carries its prefix products as codes, reading one row of
 ``kernel.mul`` per node, and looks the last factor up from the product.
 
-A fiber's orbits are searched on one of two word sets.  A fiber closed
-under conjugation (a central product) is searched on the sub-fiber F_0 of
-words whose first factor is the least member of its class, by one labelled
-search (:func:`_sub_fiber_classes`): its classes are the orbits of the
-conjugation quotient, and their Schreier labels give the number of braid
-orbits.  Every other fiber, and every plain partition or representative, is
-searched over the whole fiber (:func:`_label_orbits`).  :func:`count_orbits`
-is the one count entry, for ``components``, :func:`stable_length_scan` and
-the theorem report; :func:`count_orbits_in_fiber` adds the representatives
-of ``fiber-count`` and the partitions.  Every path counts and caps the whole
-fiber.  Every lazily filled table here is a :class:`~hurwitz.words.Memo`.
+Every fiber takes one labelled search (:func:`_sub_fiber_classes`) on the
+sub-fiber of the group G that conjugates it: for a central product S_d, on
+the words whose first factor is the least of its class, else the trivial
+group, on the whole fiber.  Each class splits into braid orbits, the cosets
+of the stabiliser its Schreier labels generate, which give the counts,
+least words and partitions (:func:`count_orbits_in_fiber`, whose row is
+:func:`count_orbits`).  Every lazily filled table is a :class:`~hurwitz.words.Memo`.
 ``Perm`` words appear only at the boundaries: coding the inputs, decoding
 the results, and replaying certificates.  Coding keeps order, so the least
 coded word of an orbit decodes to its least word, and a fiber's coded words
@@ -365,9 +361,8 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     order as a backtracking over ``Perm`` values would give them.
 
     With ``sub_fiber``, only the words whose first factor is the least member
-    c_X of its class X are kept: the top level tries c_X alone.
-    :func:`_sub_fiber_classes` runs on this sub-fiber.
-    When the fiber is closed under
+    c_X of its class X are kept: the top level tries c_X alone; this is the
+    sub-fiber of :func:`_sub_fiber_classes`.  When the fiber is closed under
     conjugation, conjugating by an h with h x h^-1 = c_X maps the words
     starting with x onto those starting with c_X, so each kept word stands
     for |X| fiber words.  The report's ``size`` and ``max_fiber`` both count
@@ -504,30 +499,19 @@ def _centraliser_generators(c: Perm) -> list[Perm]:
     return gens
 
 
-#: The edges from one word of the sub-fiber: its images, and for each the
-#: row of ``kernel.mul`` of the permutation f that conjugated it, which maps
-#: the code of a to the code of f a.
-SubFiberEdges = Callable[[Coded], tuple[list[Coded], tuple[Memo, ...]]]
+#: The edges from one word of a labelled search: its images, and for each the
+#: ``kernel.mul`` row of the f that conjugated it, mapping a's code to f a's.
+Edges = Callable[[Coded], tuple[Iterable[Coded], tuple[Memo, ...]]]
 
 
-def _sub_fiber_edges(kernel: MoveKernel, type_vector: TypeVector) -> SubFiberEdges:
-    """The edges of the search on the sub-fiber F_0 of a fiber closed under
-    conjugation (see :func:`_sub_fiber_classes`).  From a word w starting
-    with c_X they are pi(R_1 w) and pi(D w), both conjugated by h_x for the
-    first factor x of R_1 w and D w, then w conjugated by each generator z of
-    the centraliser Z(c_X); the factors are the ``kernel.mul`` rows of those
-    h_x and z, for words of at least two factors."""
-    d = kernel.degree
-    rows, mul, encode = kernel.conjugate, kernel.mul, kernel.encode
-    back = {}  # x -> h_x, for every member x of the type's classes
+def _sub_fiber_edges(kernel: MoveKernel, back: dict[int, int]) -> Edges:
+    """The edges of :func:`_sub_fiber_classes` on the sub-fiber F_0 of S_d,
+    for words of at least two factors; ``back`` maps each x to h_x."""
+    rows, mul = kernel.conjugate, kernel.mul
     centraliser = {}  # c_X -> (the generators' mul rows, their conjugate rows)
-    for ct in type_vector.as_dict():
-        members = class_elements(d, ct)
-        c = members[0]
-        for x in members:
-            back[encode(x)] = encode(_conjugator(x, c))
-        z = kernel.encode_word(_centraliser_generators(c))
-        centraliser[encode(c)] = tuple(mul[g] for g in z), [rows[g] for g in z]
+    for c in {rows[h][x] for x, h in back.items()}:
+        z = kernel.encode_word(_centraliser_generators(kernel.decode(c)))
+        centraliser[c] = tuple(mul[g] for g in z), [rows[g] for g in z]
 
     def step_of(pair: Coded) -> tuple:
         # What the images of (c, g, ...) need.  Both braid images start with
@@ -554,56 +538,63 @@ def _sub_fiber_edges(kernel: MoveKernel, type_vector: TypeVector) -> SubFiberEdg
     return edges
 
 
-def _sub_fiber_classes(fr: FiberReport, type_vector: TypeVector
-                       ) -> list[tuple[list[int], set[tuple[int, int]]]]:
-    """The classes Q of B_n x S_d on the sub-fiber F_0 of a fiber closed
-    under conjugation, by one labelled search: each as its indices into F_0
-    and its Schreier pairs (b, f a), whose b^-1 f a generate H_Q.
+def _sub_fiber_classes(coded: list[Coded], edges: Edges, identity: int
+                       ) -> tuple[list[int], list[tuple[list[int], set[tuple[int, int]]]]]:
+    """The classes Q of B_n x G on G's sub-fiber ``coded``, by one labelled
+    search: each word's label (a code; ``identity`` is 1's), and each class
+    as its indices into ``coded`` and its Schreier pairs (b, f a), whose
+    b^-1 f a generate H_Q.
 
-    ``fr`` holds F_0 (``enumerate_fiber(sub_fiber=True)``): the words whose
-    first factor is the least member c_X of its class X.  Let pi conjugate a
-    word whose first factor x lies in X by a fixed h_x with
-    h_x x h_x^-1 = c_X.  The edges from a word w of F_0
-    (:func:`_sub_fiber_edges`) are pi(R_1 w) and pi(D w), by the
-    permutation h_x, and conjugation of w by each generator z of the
-    centraliser Z(c_X), by z.  The classes are exact:
+    G, acting by conjugation, is S_d or the trivial group
+    (:func:`count_orbits_in_fiber`).  Its sub-fiber F_0 holds the words
+    whose first factor is the least member c_X of its class X under G:
+    ``enumerate_fiber(sub_fiber=True)`` for S_d, the whole fiber for the
+    trivial group.  Let pi conjugate a word whose first factor x lies in X
+    by a fixed h_x in G with h_x x h_x^-1 = c_X.  The edges from a word w of
+    F_0 are pi(R_1 w) and pi(D w), by h_x, and w conjugated by each
+    generator z of the centraliser Z(c_X) in G, by z: those of
+    :func:`_sub_fiber_edges` for S_d, the images of :func:`orbit_images`
+    by 1 for the trivial group.  The classes are exact:
 
     * every class meets F_0, since pi maps each word into F_0;
     * every edge stays in its class, since the moves commute with
       conjugation;
     * the search reaches forward from u every v of F_0 in u's class.  Write
-      v = g b(u), with b a positive word in R_1 and D and g in S_d, and
+      v = g b(u), with b a positive word in R_1 and D and g in G, and
       follow b's letters through pi: the walk ends at g' b(u) for some g' in
-      S_d, a word of F_0 that conjugation by g g'^-1 maps to v.  That
+      G, a word of F_0 that conjugation by g g'^-1 maps to v.  That
       conjugation fixes the first factor c_X, so it lies in Z(c_X) and is
       a positive word in the generators.
 
     So each word not yet reached starts a new class, whose search never
     meets a word of an earlier class.  An image outside F_0 is a fault.
 
-    G = S_d acts on the fiber by conjugation and commutes with the braids, so
-    Q splits into [G : H_Q] braid orbits, where H_Q is the stabiliser of one
-    braid orbit O in Q.  The search labels each word it reaches with
-    an a in G such that the word lies in a O: the class's first word u_0
-    gets the identity, and an edge by f takes the label a to f a.  When an
-    edge by f from a word labelled a reaches a word already labelled b, the
-    pair (b, f a) is kept, and b^-1 f a lies in H_Q, because two labels of
-    one word name one orbit.  These elements generate H_Q (Schreier's lemma;
-    Seress, *Permutation Group Algorithms*, 2003, ch. 4).  Every edge gives
-    f a in b K, for the group K they generate, so a walk from u_0 to a word
-    labelled b whose edges multiply to M has M in b K.  Take g in H_Q, so
-    that g u_0 = beta(u_0) for a positive word beta in R_1 and D.  Follow
-    beta's letters from u_0 along braid edges: the walk ends at a word
-    v = M g u_0 of F_0 with M in b K.  Both v and u_0 start with c_X, so
-    M g lies in Z(c_X), and the centraliser edges walk from v back to u_0 by
-    (M g)^-1.  The whole walk multiplies to g^-1 and ends at u_0, labelled
-    1, so g^-1 is in K.
+    G commutes with the braids, so Q splits into [G : H_Q] braid orbits,
+    where H_Q is the stabiliser of one braid orbit O in Q.  The search
+    labels each word it reaches with an a in G such that the word lies in
+    a O: the class's first word u_0 gets the identity, and an edge by f
+    takes the label a to f a.  When an edge by f from a word labelled a
+    reaches a word already labelled b, the pair (b, f a) is kept, and
+    b^-1 f a lies in H_Q, because two labels of one word name one orbit.
+    These elements generate H_Q (Schreier's lemma; Seress, *Permutation
+    Group Algorithms*, 2003, ch. 4).  Every edge gives f a in b K, for the
+    group K they generate, so a walk from u_0 to a word labelled b whose
+    edges multiply to M has M in b K.  Take g in H_Q, so that
+    g u_0 = beta(u_0) for a positive word beta in R_1 and D.  Follow beta's
+    letters from u_0 along braid edges: the walk ends at a word v = M g u_0
+    of F_0 with M in b K.  Both v and u_0 start with c_X, so M g lies in
+    Z(c_X), and the centraliser edges walk from v back to u_0 by (M g)^-1.
+    The whole walk multiplies to g^-1 and ends at u_0, labelled 1, so g^-1
+    is in K.
+
+    The braid orbits of Q are the c O, one for each left coset c H_Q.  A
+    word g u of Q, with g in G and u in F_0 labelled a, lies in g a O.  So
+    the words of c O starting with x are the h_x^-1 u for the u of F_0 in Q
+    that start with c_X and have h_x^-1 a in c H_Q, and the least word of
+    c O is the least of them for the least x that has one.
     """
-    coded, kernel = fr.coded, fr.kernel
-    edges = _sub_fiber_edges(kernel, type_vector)
     index = {w: i for i, w in enumerate(coded)}.get
     labels = [-1] * len(coded)  # kernel codes are never negative
-    identity = kernel.encode(Perm.identity(kernel.degree))
     classes = []
     for i in range(len(coded)):
         if labels[i] >= 0:
@@ -626,38 +617,50 @@ def _sub_fiber_classes(fr: FiberReport, type_vector: TypeVector
                 elif b != label:
                     schreier.add((b, label))
         classes.append((members, schreier))
-    return classes
+    return labels, classes
 
 
-def _label_orbits(kernel: MoveKernel, words: list[Coded]) -> list[list[int]]:
-    """The braid orbits of a whole fiber ``words``, as lists of indices into
-    ``words``, by one forward search along R_1 and the rotation D
-    (:func:`orbit_images`), which reach the whole orbit.
+def _cosets(kernel: MoveKernel, stabiliser: Iterable[int]) -> Callable[[int], int]:
+    """The number of the left coset g H of each code g, for the subgroup H
+    of codes ``stabiliser``: cosets are numbered as met, each kept as its
+    first element r, and g lies in the first r H with r^-1 g in H."""
+    inside = set(stabiliser)
+    firsts: list[Memo] = []  # the kernel.mul row of r^-1 for each coset
 
-    Each word not yet reached starts a new orbit, and the search labels
-    every word it reaches from there, so it never meets a word of an earlier
-    orbit.  An image outside ``words`` is a fault.  The orbits hold indices,
-    not the images themselves, so no word is kept twice.
-    """
-    images = orbit_images(kernel)
-    index = {w: i for i, w in enumerate(words)}.get
-    reached = bytearray(len(words))
-    orbits = []
-    for i, w in enumerate(words):
-        if reached[i]:
-            continue
-        reached[i] = 1
-        orbit = [i]
-        for j in orbit:  # grows while it is walked
-            for v in images(words[j]):
-                k = index(v)
-                if k is None:
-                    raise RuntimeError("moves must stay inside the fiber")
-                if not reached[k]:
-                    reached[k] = 1
-                    orbit.append(k)
-        orbits.append(orbit)
-    return orbits
+    def number(g: int) -> int:
+        for k, row in enumerate(firsts):
+            if row[g] in inside:
+                return k
+        firsts.append(kernel.mul[kernel.encode(kernel.decode(g).inverse())])
+        return len(firsts) - 1
+
+    return Memo(number).__getitem__
+
+
+def _least_words(kernel: MoveKernel, coded: list[Coded], members: list[int], labels: list[int],
+                 back: dict[int, int], coset: Callable[[int], int], index: int) -> list[Coded]:
+    """The least word of each of the ``index`` braid orbits of one class of
+    S_d on F_0 (proof in :func:`_sub_fiber_classes`): walk x in code order,
+    and give each coset first reached the least of its h_x^-1 u."""
+    rows, mul = kernel.conjugate, kernel.mul
+    starting: dict[int, list[int]] = {}  # c_X -> the members starting with it
+    for i in members:
+        starting.setdefault(coded[i][0], []).append(i)
+    least: dict[int, Coded] = {}
+    for x in sorted(back):
+        h = back[x]
+        c = rows[h][x]
+        h_inv = kernel.encode(kernel.decode(h).inverse())
+        reached: dict[int, Coded] = {}
+        for i in starting.get(c, ()):
+            k = coset(mul[h_inv][labels[i]])
+            if k not in least:  # h_x is the identity for x = c_X
+                w = coded[i] if x == c else tuple(map(rows[h_inv].__getitem__, coded[i]))
+                reached[k] = min(reached.get(k, w), w)
+        least.update(reached)
+        if len(least) == index:
+            break
+    return list(least.values())
 
 
 @dataclass
@@ -676,46 +679,67 @@ class FiberOrbitReport:
 
 def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS,
                           want_partition: bool = False) -> FiberOrbitReport:
-    """Partition the fiber into move orbits, with the least word of each as
-    its representative.  This serves ``fiber-count``, ``want_partition`` and
-    the counts of products that are not central; :func:`count_orbits` counts
-    a central product's fiber without it.
+    """The size of the fiber and the number of its orbits, with the least
+    word of each, and with ``want_partition`` the orbits themselves: braid
+    orbits, or classes of B_n x S_d under the conjugation quotient.
+    ``max_fiber`` caps the whole fiber.
 
-    Without the conjugation quotient the orbits are those of
-    :func:`_label_orbits` over the whole coded fiber.  With it they are the
-    classes of B_n x S_d of :func:`_sub_fiber_classes` on the sub-fiber F_0.
-    A class is represented by its least word, which starts with some c_X
-    (conjugating its first factor to c_X would give a smaller word) and so
-    lies in F_0.  Only ``want_partition`` collects the member lists; under
-    the quotient it conjugates each class's sub-fiber words by all of S_d.
+    G (:func:`_sub_fiber_classes`) is S_d for a central product and at least
+    two factors, else the trivial group: fewer factors have no braid images,
+    and conjugation fixes them (one factor is central only at degree <= 2,
+    whose classes are single elements).  A class Q is one orbit under the
+    quotient (H_Q = G), whose least word is in F_0, and else [G : H_Q].
     """
     d = spec.degree
-    # Under two factors each word is its own class (see count_orbits).
-    quotient = spec.conjugation_quotient and spec.type_vector.total() > 1
-    fr = enumerate_fiber(spec, limits, sub_fiber=quotient)
+    central = spec.conjugation_invariant and spec.type_vector.total() > 1
+    fr = enumerate_fiber(spec, limits, sub_fiber=central)
     coded, kernel = fr.coded, fr.kernel
     if not fr.complete:
         return FiberOrbitReport(None, None, [], False, fr.limit_hit)
 
-    if quotient:
-        orbits = [members for members, _ in _sub_fiber_classes(fr, spec.type_vector)]
-    else:
-        orbits = _label_orbits(kernel, coded)
-    least = sorted(min(map(coded.__getitem__, orbit)) for orbit in orbits)
-    partition = None
-    if want_partition:
-        classes = sorted(([coded[i] for i in orbit] for orbit in orbits), key=min)
-        if quotient:
-            every = [kernel.conjugate[kernel.encode(g)] for g in all_perms(d)]
-            classes = [{tuple(map(r.__getitem__, w)) for w in members for r in every}
-                       for members in classes]
-        partition = [frozenset(map(kernel.decode_word, members)) for members in classes]
+    mul, rows, encode, decode = kernel.mul, kernel.conjugate, kernel.encode, kernel.decode
+    identity = encode(Perm.identity(d))
+    if central:
+        back = {}  # x -> h_x with h_x x h_x^-1 = c_X, for each member x of the type's classes
+        for ct in spec.type_vector.as_dict():
+            members = class_elements(d, ct)
+            back.update((encode(x), encode(_conjugator(x, members[0]))) for x in members)
+        edges = _sub_fiber_edges(kernel, back)
+    else:  # G is trivial: R_1 and D by 1, and each class is one orbit
+        back, images, by_identity = {}, orbit_images(kernel), (mul[identity],) * 2
+
+        def edges(w: Coded) -> tuple[Iterable[Coded], tuple[Memo, ...]]:
+            return images(w), by_identity
+    labels, classes = _sub_fiber_classes(coded, edges, identity)
+
+    order = math.factorial(d) if central else 1
+    group = kernel.encode_word(all_perms(d)) if central and want_partition else (identity,)
+    count, least, blocks = 0, [], []
+    for members, schreier in classes:
+        if spec.conjugation_quotient:
+            index, coset = 1, lambda g: 0
+        else:
+            stabiliser = kernel.encode_word(
+                closure(d, [decode(b).inverse() * decode(fa) for b, fa in schreier]))
+            index, coset = order // len(stabiliser), _cosets(kernel, stabiliser)
+        count += index
+        if index == 1:
+            least.append(min(map(coded.__getitem__, members)))
+        else:
+            least += _least_words(kernel, coded, members, labels, back, coset, index)
+        if want_partition:  # g u, for u labelled a, lies in the orbit of g a's coset
+            parts = [set() for _ in range(index)]
+            for i in members:
+                for g in group:
+                    parts[coset(mul[g][labels[i]])].add(tuple(map(rows[g].__getitem__, coded[i])))
+            blocks += parts
     return FiberOrbitReport(
         fiber_size=fr.size,
-        orbit_count=len(orbits),
-        representatives=[Factorization.from_state(d, kernel.decode_word(w)) for w in least],
+        orbit_count=count,
+        representatives=[Factorization.from_state(d, kernel.decode_word(w)) for w in sorted(least)],
         complete=True,
-        partition=partition,
+        partition=[frozenset(map(kernel.decode_word, part)) for part in sorted(blocks, key=min)]
+        if want_partition else None,
     )
 
 
@@ -761,38 +785,11 @@ class ScanRow:
 
 
 def count_orbits(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS) -> ScanRow:
-    """The size and the number of orbits of a fiber: of classes under the
-    conjugation quotient, of braid orbits otherwise.  These are the
-    ``fiber_size`` and ``orbit_count`` of :func:`count_orbits_in_fiber`, and
-    ``max_fiber`` caps the whole fiber in the same way.
-
-    A fiber closed under conjugation is counted on its sub-fiber F_0 by
-    :func:`_sub_fiber_classes`: the quotient count is the number of classes
-    Q, and the braid-orbit count is the sum over Q of |S_d| / |H_Q|.  Words
-    of fewer than two factors have no braid images, and conjugation fixes
-    each (one factor is central only at degree <= 2, whose classes are
-    single elements), so each is its own orbit.  Any other fiber is counted
-    by :func:`count_orbits_in_fiber`.
-    """
-    d = spec.degree
-    n = spec.type_vector.total()
-    if not spec.conjugation_invariant:
-        r = count_orbits_in_fiber(spec, limits)
-        return ScanRow(n, r.fiber_size, r.orbit_count, r.complete, r.limit_hit)
-    fr = enumerate_fiber(spec, limits, sub_fiber=True)
-    if not fr.complete:
-        return ScanRow(n, None, None, False, fr.limit_hit)
-    if n < 2:
-        return ScanRow(n, fr.size, fr.size, True)
-    classes = _sub_fiber_classes(fr, spec.type_vector)
-    if spec.conjugation_quotient:
-        return ScanRow(n, fr.size, len(classes), True)
-    decode = fr.kernel.decode
-    count = 0
-    for _, schreier in classes:
-        stabiliser = closure(d, [decode(b).inverse() * decode(fa) for b, fa in schreier])
-        count += math.factorial(d) // len(stabiliser)
-    return ScanRow(n, fr.size, count, True)
+    """The ``fiber_size`` and ``orbit_count`` of :func:`count_orbits_in_fiber`
+    as the row of ``components``, :func:`stable_length_scan` and the theorem
+    report."""
+    r = count_orbits_in_fiber(spec, limits)
+    return ScanRow(spec.type_vector.total(), r.fiber_size, r.orbit_count, r.complete, r.limit_hit)
 
 
 def stable_length_scan(degree: int, cycle_type, product: Perm,

@@ -328,6 +328,10 @@ class TestPlumbing:
         assert run(capsys, "verify", "--d", "3", "--class", "2,1", "--claim", "5",
                    "--samples", "0")[0] == 3
         assert run(capsys, "verify", "--d", "1", "--claim", "relations")[0] == 3
+        # a negative search depth is no search that ran out of depth
+        assert run(capsys, "class-info", "--d", "3", "--class", "2,1", "--limit", "-1")[0] == 3
+        assert run(capsys, "theorem1-report", "--d", "4", "--class", "2,1,1",
+                   "--limit", "-1")[0] == 3
         # stage 0 is a stage given, not the default stage d
         assert main(["construct", "--d", "5", "--class", "2,1,1,1", "--element", "y",
                      "--k", "0"]) == 3

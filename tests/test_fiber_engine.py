@@ -1,22 +1,20 @@
 """Differential tests for the coded fiber engine.
 
 ``enumerate_fiber`` runs on kernel codes with memoized prefix products and
-reflection distances and looks the last factor up, and
-``count_orbits_in_fiber`` labels orbits by one forward search along R_1 and
-the rotation; under the conjugation quotient it searches only the sub-fiber
-of words whose first factor is its class's least member, adding conjugation
-by that factor's centraliser.  Each is checked here against a plain
-reference written in this file or against the oracle: a backtracking over
-``Perm`` values without pruning (same words, same order), a prefix-product
-count (same size), a union-find over the R move at every position (same
-orbits), and two independent partitioners (same orbits, with and without the
-conjugation quotient); the quotient's count, representatives and size are
-also checked against sweeps of the full fiber, and its cap against the full
-fiber's size.  ``count_orbits`` counts the classes and the braid orbits of
-a fiber closed under conjugation by one labelled search of the same
-sub-fiber, the braid orbits by Schreier labels; its count, size and cap are
-checked against ``count_orbits_in_fiber`` and against the oracle, and so
-are the rows of ``count_components``, which runs on it alone.
+reflection distances and looks the last factor up.  ``count_orbits_in_fiber``
+labels every fiber by one search along R_1 and the rotation: a central
+product's fiber on the sub-fiber of words whose first factor is its class's
+least member, adding conjugation by that factor's centraliser, and reads the
+braid orbits, their least words and the partition off the cosets of each
+class's stabiliser; every other fiber whole.  Each is checked here against a
+plain reference written in this file or against the oracle: a backtracking
+over ``Perm`` values without pruning (same words, same order), a
+prefix-product count (same size), a union-find over the R move at every
+position (same orbits, counts, least words and rows, also those of
+``count_components``), and two independent partitioners (same orbits, with
+and without the conjugation quotient); the quotient's count,
+representatives and size are also checked against sweeps of the full
+fiber, and every cap against the full fiber's size.
 """
 import functools
 import math
@@ -233,19 +231,28 @@ def test_capped_enumeration_is_a_prefix(d, type_text, product):
         assert r.limit_hit == (None if k == n else f"max_fiber={k}")
 
 
+def drop_word(monkeypatch, k):
+    """Make ``orbits.enumerate_fiber`` drop the k-th word of the word set it
+    is asked for, the whole fiber or the sub-fiber."""
+    def fake(spec, limits, sub_fiber):
+        fr = enumerate_fiber(spec, limits, sub_fiber=sub_fiber)
+        return FiberReport(fr.coded[:k] + fr.coded[k + 1:], fr.kernel, fr.size, True)
+    monkeypatch.setattr(orbits, "enumerate_fiber", fake)
+
+
 def test_every_missing_word_is_detected(monkeypatch):
-    # one braid orbit of 24 words: each word is the R_1 or the rotation
-    # image of another, so dropping any one leaves an image outside
-    spec = spec_of(3, "2,1:4", "()", "full_group")
-    full = enumerate_fiber(spec, LIM)
-    assert count_orbits_in_fiber(spec, LIM).orbit_count == 1
-    for k in range(full.size):
-        kept = full.coded[:k] + full.coded[k + 1:]
-        monkeypatch.setattr(orbits, "enumerate_fiber",
-                            lambda spec, limits, sub_fiber, kept=kept: FiberReport(
-                                kept, full.kernel, full.size, True))
-        with pytest.raises(RuntimeError, match="moves must stay inside the fiber"):
-            count_orbits_in_fiber(spec, LIM)
+    # Each fiber is one braid orbit, searched on the sub-fiber (identity
+    # product) or the whole fiber ((1,2)): each word is an image of another,
+    # so dropping any one leaves an image outside.
+    for spec in (spec_of(3, "2,1:4", "()", "full_group"),
+                 spec_of(3, "2,1:3", "(1,2)", "full_group")):
+        assert count_orbits_in_fiber(spec, LIM).orbit_count == 1
+        central = spec.product.is_identity()
+        for k in range(len(enumerate_fiber(spec, LIM, sub_fiber=central).coded)):
+            drop_word(monkeypatch, k)
+            with pytest.raises(RuntimeError, match="moves must stay inside the fiber"):
+                count_orbits_in_fiber(spec, LIM)
+            monkeypatch.undo()
 
 
 def test_sweeps_stop_at_the_state_limit():
@@ -333,10 +340,30 @@ def test_quotient_cap_counts_the_full_fiber(d, type_text, constraint):
 
 # -- orbit counts by the labelled search on the sub-fiber ----------------------
 
+def reference_partition(spec):
+    """The fiber's orbits by the union-find over every R position."""
+    return all_positions_partition(enumerate_fiber(spec, LIM).words, spec.degree,
+                                   spec.conjugation_quotient)
+
+
 def plain_row(spec, limits=LIM):
-    """The scan row of the plain search over the whole fiber."""
-    r = count_orbits_in_fiber(spec, limits)
-    return ScanRow(spec.type_vector.total(), r.fiber_size, r.orbit_count, r.complete, r.limit_hit)
+    """The scan row of :func:`reference_partition`, cut when the whole
+    fiber has more than ``max_fiber`` words."""
+    n = spec.type_vector.total()
+    size = enumerate_fiber(spec, LIM).size
+    if size > limits.max_fiber:
+        return ScanRow(n, None, None, False, f"max_fiber={limits.max_fiber}")
+    return ScanRow(n, size, len(reference_partition(spec)), True)
+
+
+def check_labelled_count(spec):
+    """The row matches the reference and the oracle, and the
+    representatives are the least words of the reference's orbits."""
+    row = count_orbits(spec, LIM)
+    assert row == plain_row(spec)
+    assert row.orbit_count == oracle_class_count(spec)
+    reps = count_orbits_in_fiber(spec, LIM).representatives
+    assert [rep.factors for rep in reps] == [min(p) for p in reference_partition(spec)]
 
 
 def oracle_class_count(spec):
@@ -379,10 +406,7 @@ LABEL_CASES = [
 @pytest.mark.parametrize("constraint", CONSTRAINTS)
 @pytest.mark.parametrize("d,type_text,product", LABEL_CASES)
 def test_labelled_count_matches_plain_search_and_oracle(d, type_text, product, constraint, conj):
-    spec = spec_of(d, type_text, product, constraint, conj)
-    row = count_orbits(spec, LIM)
-    assert row == plain_row(spec)
-    assert row.orbit_count == oracle_class_count(spec)
+    check_labelled_count(spec_of(d, type_text, product, constraint, conj))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -412,9 +436,7 @@ def central_specs(draw):
 @settings(max_examples=60, deadline=None)
 @given(central_specs())
 def test_labelled_count_matches_plain_search_on_random_types(spec):
-    row = count_orbits(spec, LIM)
-    assert row == plain_row(spec)
-    assert row.orbit_count == oracle_class_count(spec)
+    check_labelled_count(spec)
 
 
 @pytest.mark.parametrize("d,type_text,constraint", [
@@ -425,8 +447,9 @@ def test_labelled_count_matches_plain_search_on_random_types(spec):
     (5, "2,1,1,1:4", "none"),
 ])
 def test_labelled_cap_matches_the_plain_cap(d, type_text, constraint):
-    # max_fiber caps the whole fiber on both paths: a cut row has no size
-    # one word below the fiber's size and is complete at it.
+    # max_fiber caps the whole fiber, though only the sub-fiber is searched:
+    # a cut row has no size one word below the fiber's size and is complete
+    # at it.
     spec = spec_of(d, type_text, "()", constraint)
     k = enumerate_fiber(spec, LIM).size
     for cap, complete in ((k - 1, False), (k, True)):
@@ -437,26 +460,29 @@ def test_labelled_cap_matches_the_plain_cap(d, type_text, constraint):
         assert (row.fiber_size is None) is not complete
 
 
-def refuse(*args, **kwargs):
-    raise AssertionError("the whole-fiber search ran")
+def test_central_specs_never_enumerate_the_whole_fiber(monkeypatch):
+    # A central product of at least two factors is searched on its sub-fiber
+    # alone, through every entry; every other fiber is searched whole.
+    calls = []
 
+    def spy(spec, limits, sub_fiber):
+        calls.append(sub_fiber)
+        return enumerate_fiber(spec, limits, sub_fiber=sub_fiber)
 
-def test_scan_uses_the_labelled_count_exactly_for_central_products(monkeypatch):
-    # Identity-product and degree-2 scans never run the whole-fiber search,
-    # and their rows are those of the whole-fiber search; other products do.
-    want = {(d, ct, product): stable_length_scan(d, ct, Perm.parse(product, d), 1, n, LIM)
-            for d, ct, product, n in [(3, (2, 1), "()", 8), (4, (2, 1, 1), "()", 6),
-                                      (2, (2,), "(1,2)", 5)]}
-    for (d, ct, product), rows in want.items():
-        assert rows == [plain_row(FiberSpec(d, TypeVector.single(ct, n), Perm.parse(product, d),
-                                            "full_group"))
-                        for n in range(1, len(rows) + 1)]
-
-    monkeypatch.setattr(orbits, "count_orbits_in_fiber", refuse)
-    for (d, ct, product), rows in want.items():
-        assert stable_length_scan(d, ct, Perm.parse(product, d), 1, len(rows), LIM) == rows
-    with pytest.raises(AssertionError, match="whole-fiber search"):
-        stable_length_scan(4, (2, 1, 1), Perm.transposition(4, 1, 2), 3, 3, LIM)
+    monkeypatch.setattr(orbits, "enumerate_fiber", spy)
+    for spec in (spec_of(3, "2,1:4", "()", "full_group"), spec_of(4, "2,2:1;4:2", "()"),
+                 spec_of(4, "2,1,1:4", "()", "transitive", conj=True), spec_of(2, "2:3", "(1,2)")):
+        count_orbits_in_fiber(spec, LIM, want_partition=True)
+        count_orbits(spec, LIM)
+    stable_length_scan(4, (2, 1, 1), Perm.identity(4), 2, 6, LIM)
+    count_components(ComponentQuery(3, 4, None, False, False, False), LIM)
+    assert calls and all(calls)
+    calls.clear()
+    empty = FiberSpec(3, TypeVector.from_counts({}), Perm.identity(3), "none", True)
+    for spec in (spec_of(3, "2,1:3", "(1,2)"), spec_of(3, "2,1:1", "(1,2)"),
+                 spec_of(2, "2:1", "(1,2)", conj=True), empty):
+        count_orbits(spec, LIM)
+    assert calls == [False] * 4
 
 
 @pytest.mark.parametrize("cap", [1, 131_039, 131_040])
@@ -475,45 +501,27 @@ def test_labelled_count_detects_every_missing_word(monkeypatch):
     sub = enumerate_fiber(spec, LIM, sub_fiber=True)
     assert count_orbits(spec, LIM) == ScanRow(4, 24, 1, True)
     for k in range(len(sub.coded)):
-        kept = sub.coded[:k] + sub.coded[k + 1:]
-        monkeypatch.setattr(orbits, "enumerate_fiber",
-                            lambda spec, limits, sub_fiber, kept=kept: FiberReport(
-                                kept, sub.kernel, sub.size, True))
+        drop_word(monkeypatch, k)
         with pytest.raises(RuntimeError, match="moves must stay inside the fiber"):
             count_orbits(spec, LIM)
-
-
-def test_count_routes_only_other_products_to_the_whole_fiber(monkeypatch):
-    # A product that is not central reaches count_orbits_in_fiber; a
-    # quotient spec stays on the sub-fiber and counts its classes.
-    other = spec_of(3, "2,1:3", "(1,2)")
-    quotient = spec_of(4, "2,1,1:4", "()", conj=True)
-    want = count_orbits_in_fiber(quotient, LIM).orbit_count
-    words = [oracle.from_word(w) for w in enumerate_fiber(quotient, LIM).words]
-    assert want == len(oracle.o_partition(words, True, 4)) > 1
-    monkeypatch.setattr(orbits, "count_orbits_in_fiber", refuse)
-    assert count_orbits(quotient, LIM).orbit_count == want
-    with pytest.raises(AssertionError, match="whole-fiber search"):
-        count_orbits(other, LIM)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("d,b", [(3, 4), (3, 5), (4, 4)])
-def test_components_rows_match_the_whole_fiber_search(monkeypatch, d, b):
+def test_components_rows_match_the_whole_fiber_search(d, b):
     # Every row of each constraint, with and without the quotient, is the
-    # whole-fiber search's (size, count), and count_components never runs it.
-    cases = []
+    # (size, count) of the union-find over the whole fiber and of the oracle.
     for constraint in CONSTRAINTS:
         for conj in (False, True):
             query = ComponentQuery(d, b, None, constraint == "full_group",
                                    constraint == "transitive", conj)
-            specs = [spec_of(d, t, "()", constraint, conj) for t in all_types(d, b)]
-            found = [count_orbits_in_fiber(spec, LIM) for spec in specs]
-            rows = sorted((str(s.type_vector), r.fiber_size, r.orbit_count, r.complete)
-                          for s, r in zip(specs, found))
-            cases.append((query, {"product": "identity", "constraint": constraint,
-                                  "conjugation_quotient": conj}, rows))
-    monkeypatch.setattr(orbits, "count_orbits_in_fiber", refuse)
-    for query, convention, rows in cases:
-        body = count_components(query, LIM)
-        assert body["convention"] == convention
-        assert sorted(tuple(r.values()) for r in body["rows"]) == rows
+            rows = []
+            for type_text in all_types(d, b):
+                spec = spec_of(d, type_text, "()", constraint, conj)
+                count = len(reference_partition(spec))
+                assert count == oracle_class_count(spec)
+                rows.append((type_text, enumerate_fiber(spec, LIM).size, count, True))
+            body = count_components(query, LIM)
+            assert body["convention"] == {"product": "identity", "constraint": constraint,
+                                          "conjugation_quotient": conj}
+            assert sorted(tuple(r.values()) for r in body["rows"]) == sorted(rows)

@@ -319,9 +319,12 @@ class TestOrbitCounts:
     def test_missing_move_neighbour_raises(self, monkeypatch):
         # a single orbit: the dropped word is the R image of another word
         spec = FiberSpec(3, TypeVector.single((2, 1), 4), Perm.identity(3), "full_group")
-        full = enumerate_fiber(spec, LIM)
-        monkeypatch.setattr(orbits, "enumerate_fiber", lambda spec, limits, sub_fiber: FiberReport(
-            full.coded[:-1], full.kernel, full.size, True))
+
+        def fake(spec, limits, sub_fiber):
+            fr = enumerate_fiber(spec, limits, sub_fiber=sub_fiber)
+            return FiberReport(fr.coded[:-1], fr.kernel, fr.size, True)
+
+        monkeypatch.setattr(orbits, "enumerate_fiber", fake)
         with pytest.raises(RuntimeError, match="moves must stay inside the fiber"):
             count_orbits_in_fiber(spec, LIM)
 
