@@ -460,9 +460,9 @@ def test_labelled_cap_matches_the_plain_cap(d, type_text, constraint):
         assert (row.fiber_size is None) is not complete
 
 
-def test_central_specs_never_enumerate_the_whole_fiber(monkeypatch):
-    # A central product of at least two factors is searched on its sub-fiber
-    # alone, through every entry; every other fiber is searched whole.
+def spy_on_enumeration(monkeypatch):
+    """Record the ``sub_fiber`` flag of every ``orbits.enumerate_fiber``
+    call in the returned list."""
     calls = []
 
     def spy(spec, limits, sub_fiber):
@@ -470,6 +470,13 @@ def test_central_specs_never_enumerate_the_whole_fiber(monkeypatch):
         return enumerate_fiber(spec, limits, sub_fiber=sub_fiber)
 
     monkeypatch.setattr(orbits, "enumerate_fiber", spy)
+    return calls
+
+
+def test_central_specs_never_enumerate_the_whole_fiber(monkeypatch):
+    # A central product of at least two factors is searched on its sub-fiber
+    # alone, through every entry; every other fiber is searched whole.
+    calls = spy_on_enumeration(monkeypatch)
     for spec in (spec_of(3, "2,1:4", "()", "full_group"), spec_of(4, "2,2:1;4:2", "()"),
                  spec_of(4, "2,1,1:4", "()", "transitive", conj=True), spec_of(2, "2:3", "(1,2)")):
         count_orbits_in_fiber(spec, LIM, want_partition=True)
@@ -483,6 +490,42 @@ def test_central_specs_never_enumerate_the_whole_fiber(monkeypatch):
                  spec_of(2, "2:1", "(1,2)", conj=True), empty):
         count_orbits(spec, LIM)
     assert calls == [False] * 4
+
+
+def test_scan_uses_the_labelled_count_exactly_for_central_products(monkeypatch):
+    # Identity-product and degree-2 scans search the sub-fiber from two
+    # factors on and the one-factor fiber whole, and their rows are those of
+    # the union-find over the whole fiber; another product's scan searches
+    # every fiber whole.
+    want = {(d, ct, product): [plain_row(FiberSpec(d, TypeVector.single(ct, n),
+                                                   Perm.parse(product, d), "full_group"))
+                               for n in range(1, n_to + 1)]
+            for d, ct, product, n_to in [(3, (2, 1), "()", 8), (4, (2, 1, 1), "()", 6),
+                                         (2, (2,), "(1,2)", 5)]}
+    calls = spy_on_enumeration(monkeypatch)
+    for (d, ct, product), rows in want.items():
+        calls.clear()
+        assert stable_length_scan(d, ct, Perm.parse(product, d), 1, len(rows), LIM) == rows
+        assert calls == [False] + [True] * (len(rows) - 1)
+    calls.clear()
+    stable_length_scan(4, (2, 1, 1), Perm.transposition(4, 1, 2), 3, 5, LIM)
+    assert calls == [False] * 3
+
+
+def test_count_routes_only_other_products_to_the_whole_fiber(monkeypatch):
+    # A product that is not central is searched whole; a quotient spec
+    # stays on the sub-fiber and counts its classes, several here.
+    other = spec_of(3, "2,1:3", "(1,2)")
+    quotient = spec_of(4, "2,1,1:4", "()", conj=True)
+    words = [oracle.from_word(w) for w in enumerate_fiber(quotient, LIM).words]
+    want = len(oracle.o_partition(words, True, 4))
+    assert want > 1
+    other_row = plain_row(other)
+    calls = spy_on_enumeration(monkeypatch)
+    assert count_orbits(quotient, LIM) == ScanRow(4, len(words), want, True)
+    assert calls == [True]
+    assert count_orbits(other, LIM) == other_row
+    assert calls == [True, False]
 
 
 @pytest.mark.parametrize("cap", [1, 131_039, 131_040])
