@@ -60,7 +60,7 @@ from .orbits import (
     expand,
     trace_moves,
 )
-from .words import Coded, Factorization, Memo, Move, MoveKernel, State, apply_moves_state
+from .words import Factorization, Memo, Move, MoveKernel, Packing, State, apply_moves_state
 
 DEFAULT_SAMPLES = 3    # the sample count of the sampled claims (5 and relations)
 
@@ -432,20 +432,19 @@ def rewrite_with_stable_tail(word: Factorization, tail: Factorization,
     if t > len(word):
         raise ValueError("tail longer than the word")
     kernel = MoveKernel(word.degree)
-    goal = kernel.encode_word(tail.factors)
-
-    def has_tail(state: Coded) -> bool:
-        return state[len(state) - t:] == goal
-
-    start = kernel.encode_word(word.factors)
-    if has_tail(start):
+    packing = Packing(kernel, len(word))
+    # The packed words that end in the tail are those whose last t base-B
+    # digits, w mod B^t, pack as the tail does.
+    goal, modulus = packing.pack(kernel.encode_word(tail.factors)), packing.base ** t
+    start = packing.pack(kernel.encode_word(word.factors))
+    if start % modulus == goal:
         return TailReport("yes", (), 0, "already ends with the tail")
     parents: Parents = {start: None}
     queue = [start]
-    for ns in expand(kernel, queue, parents):
-        if has_tail(ns):
-            moves = tuple(trace_moves(kernel, parents, ns))
-            if apply_moves_state(word.factors, moves) != kernel.decode_word(ns):
+    for ns in expand(packing, queue, parents):
+        if ns % modulus == goal:
+            moves = tuple(trace_moves(packing, parents, ns))
+            if apply_moves_state(word.factors, moves) != kernel.decode_word(packing.unpack(ns)):
                 raise RuntimeError("stable-tail certificate replay failed")
             return TailReport("yes", moves, len(parents))
         if len(parents) >= limits.max_states:

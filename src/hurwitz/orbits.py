@@ -5,15 +5,24 @@ definite when the underlying search ran to completion within its limits, and
 hitting a limit is a first-class outcome (``complete=False`` / ``"unknown"``),
 never a silent truncation.
 
-Every search runs on coded words: tuples of the integer factor codes of one
+Every search runs on coded words: the integer factor codes of one
 :class:`~hurwitz.words.MoveKernel`.  The equivalence search and the
 stable-tail search in :mod:`hurwitz.constructions` certify a path, so they
 run on :func:`expand`, the breadth-first traversal over every R and L move
 that records each word's parent; :func:`trace_moves` reads the moves back.
-The orbit closure and the fiber's orbits follow each word to its images
-under two braid generators, R_1 and the rotation (:func:`orbit_images`).
-Fiber enumeration carries its prefix products as codes, reading one row of
-``kernel.mul`` per node, and looks the last factor up from the product.
+These two searches hold each word as one int, its codes packed as base-d!
+digits with the first factor most significant
+(:class:`~hurwitz.words.Packing`): a move adds one delta, read off the pair
+of digits it rewrites, times a power of d!, so no tuple is built or hashed.
+Packed words of one length compare as their coded tuples do and a move
+rewrites the same two factors, so the searches visit the same words in the
+same order, and give the same certificates, as on tuples.  The orbit
+closure and the fiber's orbits follow each word to its images under two
+braid generators, R_1 and the rotation (:func:`orbit_images`), on tuples:
+the rotation's image is one whole-row ``map``, where a packed word would
+take a digit operation per factor.  Fiber enumeration carries its prefix
+products as codes, reading one row of ``kernel.mul`` per node, and looks
+the last factor up from the product.
 
 Every fiber takes one labelled search (:func:`_sub_fiber_classes`) on the
 sub-fiber of the group G that conjugates it: for a central product S_d, on
@@ -41,6 +50,7 @@ from .words import (
     Memo,
     Move,
     MoveKernel,
+    Packing,
     State,
     TypeVector,
 )
@@ -66,56 +76,67 @@ class SearchLimits:
 DEFAULT_LIMITS = SearchLimits()
 
 
-def neighbors(kernel: MoveKernel, state: Coded) -> list[Coded]:
-    """The neighbours of a coded word, in a fixed order: R then L at each
-    position.
+def neighbors(packing: Packing, w: int) -> list[int]:
+    """The neighbours of a packed word, in a fixed order: R then L at each
+    position, left to right.
 
     A neighbour's index in the list is its move code; :func:`trace_moves`
     turns the codes back into :class:`Move` objects.
     """
-    conjugate, left = kernel.conjugate, kernel.left
+    deltas, square = packing.deltas, packing.base ** 2
     out = []
-    append = out.append
-    for i in range(len(state) - 1):
-        a = state[i]
-        b = state[i + 1]
-        head = state[:i]
-        tail = state[i + 2:]
-        append(head + (conjugate[a][b], a) + tail)
-        append(head + (b, left[a][b]) + tail)
+    for place in packing.places:
+        dr, dl = deltas[w // place % square]
+        out += (w + dr * place, w + dl * place)
     return out
 
 
-#: A search tree: each reached word maps to its parent word, the root to None.
-Parents = dict[Coded, Coded | None]
+#: A search tree: each reached packed word maps to its parent, the root to None.
+Parents = dict[int, int | None]
 
 
-def expand(kernel: MoveKernel, frontier: list[Coded], parents: Parents) -> Iterator[Coded]:
+def expand(packing: Packing, frontier: list[int], parents: Parents) -> Iterator[int]:
     """The breadth-first traversal of the searches that certify a path: for
-    each word of ``frontier``, in order, record each neighbour not yet in
-    ``parents`` with that word as its parent, and yield it.
+    each packed word of ``frontier``, in order, record each neighbour not yet
+    in ``parents`` with that word as its parent, and yield it.
+
+    The neighbours come in the order of :func:`neighbors`, R then L at each
+    position, left to right, each the word plus one delta times a place of
+    :class:`~hurwitz.words.Packing`; the loop is written out here, not
+    called, and :func:`trace_moves` relies on the two orders agreeing.
+    Packing changes neither the words nor that order, only how a word is
+    stored and hashed, so a search visits the words of a coded or ``Perm``
+    search in the same order, with the same parents.
 
     The caller may append to ``frontier`` while this runs, so a search that
     feeds every yielded word back in walks its whole queue; the caller keeps
     its own stop rules and simply stops iterating.
     """
+    deltas, square, places = packing.deltas, packing.base ** 2, packing.places
     for s in frontier:
-        for ns in neighbors(kernel, s):
+        for place in places:
+            dr, dl = deltas[s // place % square]
+            ns = s + dr * place
+            if ns not in parents:
+                parents[ns] = s
+                yield ns
+            ns = s + dl * place
             if ns not in parents:
                 parents[ns] = s
                 yield ns
 
 
-def trace_moves(kernel: MoveKernel, parents: Parents, state: Coded) -> list[Move]:
-    """The moves leading from the root of ``parents`` to ``state``.
+def trace_moves(packing: Packing, parents: Parents, w: int) -> list[Move]:
+    """The moves leading from the root of ``parents`` to the packed word ``w``.
 
     :func:`expand` records a word from the first neighbour of its parent that
-    equals it, so that neighbour's index is the move that was taken.
+    equals it, so that neighbour's index in :func:`neighbors` is the move that
+    was taken; packed words are equal exactly when their coded words are.
     """
     codes: list[int] = []
-    while (parent := parents[state]) is not None:
-        codes.append(neighbors(kernel, parent).index(state))
-        state = parent
+    while (parent := parents[w]) is not None:
+        codes.append(neighbors(packing, parent).index(w))
+        w = parent
     return [Move(code // 2 + 1, "RL"[code % 2]) for code in reversed(codes)]
 
 
@@ -244,20 +265,21 @@ def are_equivalent(s1: Factorization, s2: Factorization,
         return EquivalenceReport("no", None, 0, "products differ")
     if s1.type_vector() != s2.type_vector():
         return EquivalenceReport("no", None, 0, "types differ")
+    if s1.factors == s2.factors:  # before the subgroups, which list up to d! elements each
+        return EquivalenceReport("yes", (), 0)
     if s1.degree <= MAX_EXHAUSTIVE_DEGREE and s1.generated_subgroup() != s2.generated_subgroup():
         return EquivalenceReport("no", None, 0, "generated subgroups differ")
-    if s1.factors == s2.factors:
-        return EquivalenceReport("yes", (), 0)
 
     kernel = MoveKernel(s1.degree)
-    c1 = kernel.encode_word(s1.factors)
-    c2 = kernel.encode_word(s2.factors)
+    packing = Packing(kernel, len(s1))
+    c1 = packing.pack(kernel.encode_word(s1.factors))
+    c2 = packing.pack(kernel.encode_word(s2.factors))
     sides: list[Parents] = [{c1: None}, {c2: None}]
-    frontiers: list[list[Coded]] = [[c1], [c2]]
+    frontiers: list[list[int]] = [[c1], [c2]]
 
-    def build_certificate(meeting: Coded) -> tuple[Move, ...]:
-        forward = trace_moves(kernel, sides[0], meeting)
-        backward = trace_moves(kernel, sides[1], meeting)
+    def build_certificate(meeting: int) -> tuple[Move, ...]:
+        forward = trace_moves(packing, sides[0], meeting)
+        backward = trace_moves(packing, sides[1], meeting)
         return tuple(forward + [m.invert() for m in reversed(backward)])
 
     explored = 2
@@ -266,8 +288,8 @@ def are_equivalent(s1: Factorization, s2: Factorization,
         # one ends the search below.
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         mine, other = sides[side], sides[1 - side]
-        new_frontier: list[Coded] = []
-        for ns in expand(kernel, frontiers[side], mine):
+        new_frontier: list[int] = []
+        for ns in expand(packing, frontiers[side], mine):
             if explored >= limits.max_states:
                 return EquivalenceReport("unknown", None, explored,
                                          f"max_states={limits.max_states}")

@@ -12,7 +12,8 @@ factor classes), the length, and the subgroup generated by the factors.
 Deciding that equivalence is the job of :mod:`hurwitz.orbits`; this module
 only applies moves.  The ``*_state`` functions apply them to ``Perm`` words
 (the reference and I/O path); :class:`MoveKernel` applies them to
-integer-coded words, the form the searches run on.
+integer-coded words, the form the searches run on, and :class:`Packing` to
+coded words packed into single ints, the form of the certificate searches.
 
 File format: a header line ``d=<degree>`` followed by one word per line,
 factors in cycle notation separated by spaces, e.g. ``(1,2) (2,3) (1,3)``.
@@ -20,6 +21,7 @@ A word with no factors is written ``()``.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,6 +123,55 @@ class MoveKernel:
 
     def decode_word(self, coded: Coded) -> State:
         return tuple(map(self._perms.__getitem__, coded))
+
+
+class Packing:
+    """Coded words of one length packed into single ints, and the R and L
+    moves on them; the certificate searches run on this form.
+
+    The factor codes of a :class:`MoveKernel` are ranks below B = d!, so a
+    word of length n packs as the base-B number whose most significant digit
+    is its first factor.  Ints of one length then compare exactly as their
+    coded tuples do, and a move at pair position i (0-based), which rewrites
+    only the digits of places B^(n-1-i) and B^(n-2-i), adds
+    ``delta * B**(n-2-i)`` to the word.  Both deltas depend only on the pair
+    code q = a B + b, the two digits there:
+
+        R:  (a, b) -> (conjugate[a][b], a),  delta (conjugate[a][b] - a) B + (a - b)
+        L:  (a, b) -> (b, left[a][b]),       delta (b - a) B + (left[a][b] - b)
+
+    ``deltas[q]`` is that pair ``(R, L)``, filled from the kernel's rows on
+    first use; ``places[i]`` is B^(n-2-i).
+    """
+
+    def __init__(self, kernel: MoveKernel, length: int) -> None:
+        base = math.factorial(kernel.degree)
+        self.base = base
+        self.length = length
+        self.places = [base ** (length - 2 - i) for i in range(length - 1)]
+        conjugate, left = kernel.conjugate, kernel.left
+
+        def pair_deltas(q: int) -> tuple[int, int]:
+            a, b = divmod(q, base)
+            return (conjugate[a][b] - a) * base + a - b, (b - a) * base + left[a][b] - b
+
+        self.deltas = Memo(pair_deltas)
+
+    def pack(self, coded: Coded) -> int:
+        """The base-B number of ``coded``, of any length: a tail of t factors
+        packs as the last t digits of the words that end in it."""
+        w = 0
+        for code in coded:
+            w = w * self.base + code
+        return w
+
+    def unpack(self, w: int) -> Coded:
+        """The coded word of ``length`` factors that packs as ``w``."""
+        digits = []
+        for _ in range(self.length):
+            w, code = divmod(w, self.base)
+            digits.append(code)
+        return tuple(reversed(digits))
 
 
 def _lex_rank(p: Perm) -> int:

@@ -13,7 +13,6 @@ from hurwitz.orbits import (
     enumerate_fiber,
     enumerate_orbit,
     expand,
-    neighbors,
     trace_moves,
 )
 from hurwitz.perms import class_elements
@@ -21,6 +20,7 @@ from hurwitz.words import (
     Factorization,
     Move,
     MoveKernel,
+    Packing,
     apply_moves_state,
     move_left_state,
     move_right_state,
@@ -35,9 +35,19 @@ def _reference_trace(parents, state):
     return [Move(code // 2 + 1, "RL"[code % 2]) for code in reversed(codes)]
 
 
+def _reference_neighbors(state):
+    """R then L at each position of a ``Perm`` word, by the reference moves."""
+    out = []
+    for i0 in range(len(state) - 1):
+        out += (move_right_state(state, i0), move_left_state(state, i0))
+    return out
+
+
 def reference_are_equivalent(s1, s2, limits=DEFAULT_LIMITS):
-    """The bidirectional search as it was written before ``expand``: its own
-    nested neighbour loop, and parent maps of (parent word, move code)."""
+    """The bidirectional search as it was written before ``expand``, on
+    ``Perm`` words: its own neighbour loop over the reference moves, and
+    parent maps of (parent word, move code).  It shares no code with the
+    packed search."""
     if s1.degree != s2.degree:
         return EquivalenceReport("no", None, 0, "degrees differ")
     if len(s1) != len(s2):
@@ -50,9 +60,7 @@ def reference_are_equivalent(s1, s2, limits=DEFAULT_LIMITS):
         return EquivalenceReport("no", None, 0, "generated subgroups differ")
     if s1.factors == s2.factors:
         return EquivalenceReport("yes", (), 0)
-    kernel = MoveKernel(s1.degree)
-    c1 = kernel.encode_word(s1.factors)
-    c2 = kernel.encode_word(s2.factors)
+    c1, c2 = s1.factors, s2.factors
     sides = [{c1: None}, {c2: None}]
     frontiers = [[c1], [c2]]
     explored = 2
@@ -69,7 +77,7 @@ def reference_are_equivalent(s1, s2, limits=DEFAULT_LIMITS):
         mine, other = sides[side], sides[1 - side]
         new_frontier = []
         for s in frontiers[side]:
-            for code, ns in enumerate(neighbors(kernel, s)):
+            for code, ns in enumerate(_reference_neighbors(s)):
                 if ns in mine:
                     continue
                 if explored >= limits.max_states:
@@ -141,13 +149,18 @@ def reference_depths(w):
     while level:
         nxt = []
         for s in level:
-            for i0 in range(len(s) - 1):
-                for ns in (move_right_state(s, i0), move_left_state(s, i0)):
-                    if ns not in depth:
-                        depth[ns] = depth[s] + 1
-                        nxt.append(ns)
+            for ns in _reference_neighbors(s):
+                if ns not in depth:
+                    depth[ns] = depth[s] + 1
+                    nxt.append(ns)
         level = nxt
     return depth
+
+
+def _packed(w):
+    kernel = MoveKernel(w.degree)
+    packing = Packing(kernel, len(w))
+    return kernel, packing, packing.pack(kernel.encode_word(w.factors))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -155,28 +168,39 @@ def test_traced_moves_replay_at_bfs_depth(seed):
     rng = random.Random(100 + seed)
     d = 3 + seed % 3
     w = random_word(rng, d, 4 if d < 5 else 3)
-    kernel = MoveKernel(d)
-    root = kernel.encode_word(w.factors)
+    kernel, packing, root = _packed(w)
     parents = {root: None}
     queue = [root]
-    for ns in expand(kernel, queue, parents):
+    for ns in expand(packing, queue, parents):
         queue.append(ns)
     want = reference_depths(w)
-    assert {kernel.decode_word(c) for c in parents} == set(want)
+    assert {kernel.decode_word(packing.unpack(c)) for c in parents} == set(want)
     for c in parents:
-        moves = trace_moves(kernel, parents, c)
-        assert apply_moves_state(w.factors, moves) == kernel.decode_word(c)
-        assert len(moves) == want[kernel.decode_word(c)]
+        moves = trace_moves(packing, parents, c)
+        assert apply_moves_state(w.factors, moves) == kernel.decode_word(packing.unpack(c))
+        assert len(moves) == want[kernel.decode_word(packing.unpack(c))]
 
 
 def test_expand_walks_a_growing_frontier_once():
-    kernel = MoveKernel(3)
-    root = kernel.encode_word(Factorization.parse_word(3, "(1,2)(2,3)(1,2)").factors)
+    w = Factorization.parse_word(3, "(1,2)(2,3)(1,2)")
+    kernel, packing, root = _packed(w)
     parents = {root: None}
-    level = list(expand(kernel, [root], parents))
+    level = list(expand(packing, [root], parents))
     # one level only: the frontier was not extended, so nothing deeper appears
-    assert set(level) == set(neighbors(kernel, root)) - {root}
+    assert [kernel.decode_word(packing.unpack(c)) for c in level] == \
+        list(dict.fromkeys(ns for ns in _reference_neighbors(w.factors) if ns != w.factors))
     assert all(parents[c] == root for c in level)
+
+
+def test_equal_words_skip_the_subgroup_comparison(monkeypatch):
+    # Both subgroups would be S_8, listed in full; equal words need neither.
+    def refuse(self):
+        raise AssertionError("generated_subgroup called")
+
+    monkeypatch.setattr(Factorization, "generated_subgroup", refuse)
+    w = Factorization.parse_word(8, "(1,2)(2,3)(3,4)(4,5)(5,6)(6,7)(7,8)")
+    r = are_equivalent(w, Factorization(8, w.factors))
+    assert (r.status, r.certificate, r.states_explored) == ("yes", (), 0)
 
 
 @pytest.mark.parametrize("limits", [{"max_states": 0}, {"max_states": 1}, {"max_fiber": 0}])

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitz.orbits import neighbors, orbit_images, symmetric_generators
+from hurwitz.orbits import expand, neighbors, orbit_images, symmetric_generators
 from hurwitz.perms import Perm
 from hurwitz.words import (
     Factorization,
     Move,
     MoveKernel,
+    Packing,
     TypeVector,
     conjugate_state,
     load_words,
@@ -157,14 +158,19 @@ class TestMoveKernel:
         kernel = MoveKernel(w.degree)
         coded = kernel.encode_word(w.factors)
         assert kernel.decode_word(coded) == w.factors
+        packing = Packing(kernel, len(w))
+        packed = packing.pack(coded)
         want = []
         for i0 in range(len(w) - 1):
             want.append(move_right_state(w.factors, i0))
             want.append(move_left_state(w.factors, i0))
-        got = neighbors(kernel, coded)
-        assert [kernel.decode_word(c) for c in got] == want
-        # a second expansion is served from the memo tables
-        assert neighbors(kernel, coded) == got
+        got = neighbors(packing, packed)
+        assert [kernel.decode_word(packing.unpack(c)) for c in got] == want
+        # a second expansion is served from the memo table
+        assert neighbors(packing, packed) == got
+        # expand yields the same words in the same order, each new one once
+        assert list(expand(packing, [packed], {packed: None})) == \
+            list(dict.fromkeys(c for c in got if c != packed))
 
     @given(words(max_degree=7, max_len=6), st.booleans())
     @settings(max_examples=60)
@@ -185,6 +191,25 @@ class TestMoveKernel:
         assert [kernel.decode_word(c) for c in got] == want
         # a second call is served from the memo tables
         assert images(kernel.encode_word(w.factors)) == got
+
+    @given(st.one_of(st.tuples(st.integers(1, 5), st.integers(0, 5)), st.just((8, 6))),
+           st.integers(0, 10**6))
+    def test_packing_round_trips_and_keeps_order(self, shape, seed):
+        # d = 1 and 2 have bases 1 and 2; d = 8 with 6 factors packs past 2^63
+        d, n = shape
+        rng = random.Random(seed)
+        kernel, base = MoveKernel(d), math.factorial(d)
+        packing = Packing(kernel, n)
+        a = tuple(rng.randrange(base) for _ in range(n))
+        shared = rng.randint(0, n)  # b agrees with a on a random prefix
+        b = a[:shared] + tuple(rng.randrange(base) for _ in range(n - shared))
+        for x in (a, b):
+            assert packing.unpack(packing.pack(x)) == x
+            assert 0 <= packing.pack(x) < base ** n
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert (x < y) == (packing.pack(x) < packing.pack(y))
+        if d == 8:
+            assert packing.pack((base - 1,) * n) == base ** n - 1 > 2 ** 63
 
     @given(st.integers(2, 7), st.integers(1, 4), st.integers(0, 10**6))
     def test_coding_keeps_word_order(self, d, n, seed):
