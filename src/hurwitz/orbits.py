@@ -25,12 +25,12 @@ products as codes, reading one row of ``kernel.mul`` per node, and looks
 the last factor up from the product.
 
 Every fiber takes one labelled search (:func:`_sub_fiber_classes`) on the
-sub-fiber of the group G that conjugates it: for a central product S_d, on
-the words whose first factor is the least of its class, else the trivial
-group, on the whole fiber.  Each class splits into braid orbits, the cosets
-of the stabiliser its Schreier labels generate, which give the counts,
-least words and partitions (:func:`count_orbits_in_fiber`, whose row is
-:func:`count_orbits`).  Every lazily filled table is a :class:`~hurwitz.words.Memo`.
+sub-fiber of G = Z(p), the centraliser of its product p: the words whose
+first factor is the least of its G-orbit (:func:`_conjugation_orbits`).
+Each class splits into braid orbits, the cosets of the stabiliser its
+Schreier labels generate, which give the counts, least words and partitions
+(:func:`count_orbits_in_fiber`, whose row is :func:`count_orbits`).  Every
+lazily filled table is a :class:`~hurwitz.words.Memo`.
 ``Perm`` words appear only at the boundaries: coding the inputs, decoding
 the results, and replaying certificates.  Coding keeps order, so the least
 coded word of an orbit decodes to its least word, and a fiber's coded words
@@ -39,10 +39,12 @@ come out in the order of its ``Perm`` words.
 from __future__ import annotations
 
 import math
+import weakref
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .perms import (MAX_EXHAUSTIVE_DEGREE, Perm, all_perms, class_elements, class_reflection_length,
+from .perms import (MAX_EXHAUSTIVE_DEGREE, CycleType, Perm, class_elements, class_reflection_length,
                     closure, is_transitive, validate_cycle_type)
 from .words import (
     Coded,
@@ -328,17 +330,10 @@ class FiberSpec:
         self.type_vector.check_degree(self.degree)
         if (1,) * self.degree in self.type_vector.as_dict():
             raise ValueError(f"type {self.type_vector} holds the identity class, which no factor has")
-        if self.conjugation_quotient and not self.conjugation_invariant:
+        if self.conjugation_quotient and not (self.degree <= 2 or self.product.is_identity()):
             raise ValueError(
                 "conjugation quotient needs a conjugation-invariant product "
                 "(the identity for degree >= 3)")
-
-    @property
-    def conjugation_invariant(self) -> bool:
-        """Whether S_d maps the fiber onto itself by conjugation: the product
-        is central, so the identity, or any product at degree <= 2.  (The
-        type and the constraints are invariant anyway.)"""
-        return self.degree <= 2 or self.product.is_identity()
 
 
 @dataclass
@@ -347,7 +342,7 @@ class FiberReport:
     the kernel that enumerated them.
 
     ``size`` counts the words of the whole fiber that were found, also when
-    only the sub-fiber is kept: there it is the sum over the classes X of |X|
+    only the sub-fiber is kept: there it is the sum over the orbits X of |X|
     times the number of kept words starting with the least member of X.
     """
 
@@ -383,16 +378,15 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     order as a backtracking over ``Perm`` values would give them.
 
     With ``sub_fiber``, only the words whose first factor is the least member
-    c_X of its class X are kept: the top level tries c_X alone; this is the
-    sub-fiber of :func:`_sub_fiber_classes`.  When the fiber is closed under
-    conjugation, conjugating by an h with h x h^-1 = c_X maps the words
-    starting with x onto those starting with c_X, so each kept word stands
-    for |X| fiber words.  The report's ``size`` and ``max_fiber`` both count
-    the whole fiber: the enumeration is complete exactly when the whole
-    fiber has at most ``max_fiber`` words.  (A nonempty one-factor fiber
-    closed under conjugation exists only for degree <= 2, whose classes are
-    single elements, so the looked-up last factor needs no such
-    restriction.)
+    c_X of its orbit X under G = Z(p), the centraliser of the product p
+    (:func:`_conjugating_group`), are kept: the top level tries the c_X
+    alone; this is the sub-fiber of :func:`_sub_fiber_classes`.  G
+    conjugates the fiber onto itself, and conjugating by an h in G with
+    h x h^-1 = c_X maps the words starting with x onto those starting with
+    c_X, so each kept word stands for |X| fiber words.  The report's
+    ``size`` and ``max_fiber`` both count the whole fiber: the enumeration
+    is complete exactly when the whole fiber has at most ``max_fiber``
+    words.
     """
     d = spec.degree
     kernel = MoveKernel(d)
@@ -402,6 +396,8 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     refl = {ct: class_reflection_length(ct) for ct in counts}
     order = sorted(counts)  # fixed class iteration order
     target = spec.product
+    if sub_fiber:  # each c_X -> |X|
+        orbit_sizes = Counter(kernel.conjugate[h][x] for x, h in _conjugating_group(kernel, spec)[2].items())
 
     # Word-independent emptiness check: total parity must match the product.
     total_parity = sum(refl[ct] * n for ct, n in counts.items()) % 2
@@ -423,6 +419,12 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
             return is_transitive(d, gens)
         return len(closure(d, gens)) == math.factorial(d)
 
+    def firsts(ct: CycleType) -> Iterator[int]:  # the c_X of class ct, each setting the weight |X|
+        nonlocal weight
+        for c in filter(orbit_sizes.__contains__, per_class[ct]):
+            weight = orbit_sizes[c]
+            yield c
+
     constraint = Memo(satisfies_constraint)  # keyed by the set of factor codes
     # Keyed by prefix product code: the reflection distance to the target,
     # and the code of the last factor prefix^-1 target.
@@ -432,7 +434,7 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
 
     def rec(prefix_product: int, remaining: int, budget_left: int) -> None:
         # The prefix is admissible: children are pruned before the call.
-        nonlocal size, weight
+        nonlocal size
         if remaining == 0:
             state = tuple(prefix)
             if unconstrained or constraint[frozenset(state)]:
@@ -456,10 +458,7 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
                 continue
             counts[ct] -= 1
             child_budget = budget_left - refl[ct]
-            members = per_class[ct]
-            if sub_fiber and remaining == total:
-                weight = len(members)
-                members = members[:1]
+            members = firsts(ct) if sub_fiber and remaining == total else per_class[ct]
             for g in members:
                 child = row[g]
                 if distance[child] > child_budget:
@@ -486,39 +485,55 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     return FiberReport(words, kernel, size, True)
 
 
-def _cycles_with_fixed_points(p: Perm) -> list[tuple[int, ...]]:
-    """Every cycle of ``p``, fixed points included, longest first (ties by
-    least point)."""
-    covered = {x for c in p.cycles() for x in c}
-    cycles = p.cycles() + [(x,) for x in range(1, len(p) + 1) if x not in covered]
-    return sorted(cycles, key=len, reverse=True)
+def _conjugation_orbits(kernel: MoveKernel, gens: Iterable[int], members: Iterable[int]) -> tuple[dict, dict]:
+    """The orbits through the codes ``members`` of the group generated by the
+    codes ``gens``, acting by conjugation: each x reached maps to an h_x with
+    h_x x h_x^-1 = c_X, and each c_X to generators of its stabiliser.
 
-
-def _conjugator(p: Perm, q: Perm) -> Perm:
-    """A permutation h with h p h^-1 = q, for p and q of one cycle type:
-    h maps the j-th point of each cycle of p to the j-th point of the
-    matching cycle of q."""
-    images = [0] * len(p)
-    for cp, cq in zip(_cycles_with_fixed_points(p), _cycles_with_fixed_points(q)):
-        for a, b in zip(cp, cq):
-            images[a - 1] = b
-    return Perm(images)
-
-
-def _centraliser_generators(c: Perm) -> list[Perm]:
-    """Generators of the centraliser of ``c`` in S_d.
-
-    The centraliser is the product over cycle lengths k of C_k wr S_{m_k},
-    with m_k the number of k-cycles.  The cycles of ``c`` generate the base
-    group, and the involutions that swap two neighbouring k-cycles point by
-    point generate each S_{m_k}.
+    Each member not yet reached is the c_X of its orbit X, its least member
+    when the sorted members are a union of orbits.  A breadth-first walk
+    from c_X gives each new y = z v z^-1 the t_y = z t_v, so h_y = t_y^-1;
+    every other edge gives a Schreier generator t_y^-1 z t_v (Seress, 2003,
+    ch. 4), kept only when the group of those kept, listed lazily, misses it.
     """
-    cycles = _cycles_with_fixed_points(c)
-    gens = [Perm.from_cycles(len(c), [cyc]) for cyc in cycles if len(cyc) > 1]
-    for p, q in zip(cycles, cycles[1:]):
-        if len(p) == len(q):
-            gens.append(Perm.from_cycles(len(c), list(zip(p, q))))
-    return gens
+    identity, rows, decode = Perm.identity(kernel.degree), kernel.conjugate, kernel.decode
+    back, stabilisers = {}, {}
+    for c in members:
+        if c not in back:
+            t, queue, kept, listed = {c: identity}, [c], [], None
+            for v in queue:  # grows while it is walked
+                for z in gens:
+                    y = rows[z][v]
+                    if y not in t:
+                        t[y] = decode(z) * t[v]
+                        queue.append(y)
+                        continue
+                    s = t[y].inverse() * decode(z) * t[v]
+                    if listed is None:  # the group of kept
+                        listed = closure(kernel.degree, kept)
+                    if s not in listed:
+                        kept.append(s)
+                        listed = None
+            back.update((y, kernel.encode(ty.inverse())) for y, ty in t.items())
+            stabilisers[c] = kernel.encode_word(kept)
+    return back, stabilisers
+
+
+_groups: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _conjugating_group(kernel: MoveKernel, spec: FiberSpec) -> tuple[int, list[int], dict, dict]:
+    """G = Z(p), the centraliser of the fiber's product p: its order
+    d! / |p's class|, its generators (p's stabiliser under
+    :func:`symmetric_generators`), and its :func:`_conjugation_orbits` on the
+    type's classes; kept with the kernel, so each count computes it once."""
+    if kernel not in _groups:
+        d, p = spec.degree, kernel.encode(spec.product)
+        orbit, stabiliser = _conjugation_orbits(kernel, kernel.encode_word(symmetric_generators(d)), [p])
+        members = sorted(kernel.encode(x) for ct in spec.type_vector.as_dict() for x in class_elements(d, ct))
+        _groups[kernel] = (math.factorial(d) // len(orbit), stabiliser[p],
+                           *_conjugation_orbits(kernel, stabiliser[p], members))
+    return _groups[kernel]
 
 
 #: The edges from one word of a labelled search: its images, and for each the
@@ -526,14 +541,13 @@ def _centraliser_generators(c: Perm) -> list[Perm]:
 Edges = Callable[[Coded], tuple[Iterable[Coded], tuple[Memo, ...]]]
 
 
-def _sub_fiber_edges(kernel: MoveKernel, back: dict[int, int]) -> Edges:
-    """The edges of :func:`_sub_fiber_classes` on the sub-fiber F_0 of S_d,
-    for words of at least two factors; ``back`` maps each x to h_x."""
+def _sub_fiber_edges(kernel: MoveKernel, back: dict[int, int], stabilisers: dict[int, list[int]]) -> Edges:
+    """The edges of :func:`_sub_fiber_classes` on the sub-fiber F_0 of G:
+    ``back`` maps each x to h_x, and ``stabilisers`` each c_X to generators
+    of Stab_G(c_X) (:func:`_conjugating_group`); for words of at least two
+    factors."""
     rows, mul = kernel.conjugate, kernel.mul
-    centraliser = {}  # c_X -> (the generators' mul rows, their conjugate rows)
-    for c in {rows[h][x] for x, h in back.items()}:
-        z = kernel.encode_word(_centraliser_generators(kernel.decode(c)))
-        centraliser[c] = tuple(mul[g] for g in z), [rows[g] for g in z]
+    z_tables = {c: (tuple(mul[g] for g in z), [rows[g] for g in z]) for c, z in stabilisers.items()}
 
     def step_of(pair: Coded) -> tuple:
         # What the images of (c, g, ...) need.  Both braid images start with
@@ -545,7 +559,7 @@ def _sub_fiber_edges(kernel: MoveKernel, back: dict[int, int]) -> Edges:
         h = back[x]
         row_h = rows[h]
         head = (row_h[x], row_h[c])
-        z_mul, z_rows = centraliser[c]
+        z_mul, z_rows = z_tables[c]
         return head, row_h, rows[mul[h][c]], head[1:], z_rows, (mul[h],) * 2 + z_mul
 
     steps = Memo(step_of)  # keyed by a word's first two factors
@@ -567,16 +581,14 @@ def _sub_fiber_classes(coded: list[Coded], edges: Edges, identity: int
     as its indices into ``coded`` and its Schreier pairs (b, f a), whose
     b^-1 f a generate H_Q.
 
-    G, acting by conjugation, is S_d or the trivial group
-    (:func:`count_orbits_in_fiber`).  Its sub-fiber F_0 holds the words
-    whose first factor is the least member c_X of its class X under G:
-    ``enumerate_fiber(sub_fiber=True)`` for S_d, the whole fiber for the
-    trivial group.  Let pi conjugate a word whose first factor x lies in X
-    by a fixed h_x in G with h_x x h_x^-1 = c_X.  The edges from a word w of
-    F_0 are pi(R_1 w) and pi(D w), by h_x, and w conjugated by each
-    generator z of the centraliser Z(c_X) in G, by z: those of
-    :func:`_sub_fiber_edges` for S_d, the images of :func:`orbit_images`
-    by 1 for the trivial group.  The classes are exact:
+    G, acting by conjugation, is Z(p), the centraliser of the fiber's
+    product p (:func:`count_orbits_in_fiber`).  Its sub-fiber F_0 holds the
+    words whose first factor is the least member c_X of its orbit X under
+    G: ``enumerate_fiber(sub_fiber=True)``.  Let pi conjugate a word whose
+    first factor x lies in X by a fixed h_x in G with h_x x h_x^-1 = c_X.
+    The edges from a word w of F_0 are pi(R_1 w) and pi(D w), by h_x, and w
+    conjugated by each generator z of the stabiliser Stab_G(c_X), by z:
+    those of :func:`_sub_fiber_edges`.  The classes are exact:
 
     * every class meets F_0, since pi maps each word into F_0;
     * every edge stays in its class, since the moves commute with
@@ -585,8 +597,8 @@ def _sub_fiber_classes(coded: list[Coded], edges: Edges, identity: int
       v = g b(u), with b a positive word in R_1 and D and g in G, and
       follow b's letters through pi: the walk ends at g' b(u) for some g' in
       G, a word of F_0 that conjugation by g g'^-1 maps to v.  That
-      conjugation fixes the first factor c_X, so it lies in Z(c_X) and is
-      a positive word in the generators.
+      conjugation fixes the first factor c_X, so it lies in Stab_G(c_X) and
+      is a positive word in the generators.
 
     So each word not yet reached starts a new class, whose search never
     meets a word of an earlier class.  An image outside F_0 is a fault.
@@ -605,7 +617,7 @@ def _sub_fiber_classes(coded: list[Coded], edges: Edges, identity: int
     g u_0 = beta(u_0) for a positive word beta in R_1 and D.  Follow beta's
     letters from u_0 along braid edges: the walk ends at a word v = M g u_0
     of F_0 with M in b K.  Both v and u_0 start with c_X, so M g lies in
-    Z(c_X), and the centraliser edges walk from v back to u_0 by (M g)^-1.
+    Stab_G(c_X), and the stabiliser edges walk from v back to u_0 by (M g)^-1.
     The whole walk multiplies to g^-1 and ends at u_0, labelled 1, so g^-1
     is in K.
 
@@ -662,7 +674,7 @@ def _cosets(kernel: MoveKernel, stabiliser: Iterable[int]) -> Callable[[int], in
 def _least_words(kernel: MoveKernel, coded: list[Coded], members: list[int], labels: list[int],
                  back: dict[int, int], coset: Callable[[int], int], index: int) -> list[Coded]:
     """The least word of each of the ``index`` braid orbits of one class of
-    S_d on F_0 (proof in :func:`_sub_fiber_classes`): walk x in code order,
+    G on F_0 (proof in :func:`_sub_fiber_classes`): walk x in code order,
     and give each coset first reached the least of its h_x^-1 u."""
     rows, mul = kernel.conjugate, kernel.mul
     starting: dict[int, list[int]] = {}  # c_X -> the members starting with it
@@ -706,39 +718,27 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
     orbits, or classes of B_n x S_d under the conjugation quotient.
     ``max_fiber`` caps the whole fiber.
 
-    G (:func:`_sub_fiber_classes`) is S_d for a central product and at least
-    two factors, else the trivial group: fewer factors have no braid images,
-    and conjugation fixes them (one factor is central only at degree <= 2,
-    whose classes are single elements).  A class Q is one orbit under the
-    quotient (H_Q = G), whose least word is in F_0, and else [G : H_Q].
+    G (:func:`_sub_fiber_classes`) is Z(p), the centraliser of the product
+    p, so S_d for a central one.  A class of words with fewer than two
+    factors is one orbit: no braid moves them, and G fixes them.  A class Q
+    is one orbit under the quotient (H_Q = G), whose least word is in F_0,
+    and else [G : H_Q].
     """
-    d = spec.degree
-    central = spec.conjugation_invariant and spec.type_vector.total() > 1
-    fr = enumerate_fiber(spec, limits, sub_fiber=central)
+    d, n = spec.degree, spec.type_vector.total()
+    fr = enumerate_fiber(spec, limits, sub_fiber=True)
     coded, kernel = fr.coded, fr.kernel
     if not fr.complete:
         return FiberOrbitReport(None, None, [], False, fr.limit_hit)
 
-    mul, rows, encode, decode = kernel.mul, kernel.conjugate, kernel.encode, kernel.decode
-    identity = encode(Perm.identity(d))
-    if central:
-        back = {}  # x -> h_x with h_x x h_x^-1 = c_X, for each member x of the type's classes
-        for ct in spec.type_vector.as_dict():
-            members = class_elements(d, ct)
-            back.update((encode(x), encode(_conjugator(x, members[0]))) for x in members)
-        edges = _sub_fiber_edges(kernel, back)
-    else:  # G is trivial: R_1 and D by 1, and each class is one orbit
-        back, images, by_identity = {}, orbit_images(kernel), (mul[identity],) * 2
+    mul, rows, decode = kernel.mul, kernel.conjugate, kernel.decode
+    order, gens, back, stabilisers = _conjugating_group(kernel, spec)
+    edges = _sub_fiber_edges(kernel, back, stabilisers) if n > 1 else lambda w: ((), ())
+    labels, classes = _sub_fiber_classes(coded, edges, kernel.encode(Perm.identity(d)))
 
-        def edges(w: Coded) -> tuple[Iterable[Coded], tuple[Memo, ...]]:
-            return images(w), by_identity
-    labels, classes = _sub_fiber_classes(coded, edges, identity)
-
-    order = math.factorial(d) if central else 1
-    group = kernel.encode_word(all_perms(d)) if central and want_partition else (identity,)
+    group = kernel.encode_word(closure(d, kernel.decode_word(gens))) if want_partition else ()
     count, least, blocks = 0, [], []
     for members, schreier in classes:
-        if spec.conjugation_quotient:
+        if spec.conjugation_quotient or n < 2:
             index, coset = 1, lambda g: 0
         else:
             stabiliser = kernel.encode_word(

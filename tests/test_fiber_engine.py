@@ -1,19 +1,20 @@
 """Differential tests for the coded fiber engine.
 
 ``enumerate_fiber`` runs on kernel codes with memoized prefix products and
-reflection distances and looks the last factor up.  ``count_orbits_in_fiber``
-labels every fiber by one search along R_1 and the rotation: a central
-product's fiber on the sub-fiber of words whose first factor is its class's
-least member, adding conjugation by that factor's centraliser, and reads the
-braid orbits, their least words and the partition off the cosets of each
-class's stabiliser; every other fiber whole.  Each is checked here against a
-plain reference written in this file or against the oracle: a backtracking
-over ``Perm`` values without pruning (same words, same order), a
-prefix-product count (same size), a union-find over the R move at every
-position (same orbits, counts, least words and rows, also those of
-``count_components``), and two independent partitioners (same orbits, with
-and without the conjugation quotient); the quotient's count,
-representatives and size are also checked against sweeps of the full
+reflection distances and looks the last factor up.
+``count_orbits_in_fiber`` labels every fiber by one search along R_1 and the
+rotation, on the sub-fiber of words whose first factor is the least of its
+orbit under the centraliser G of the product, adding conjugation by that
+factor's stabiliser in G, and reads the braid orbits, their least words and
+the partition off the cosets of each class's stabiliser.  G's generators and
+orbits come from ``_conjugation_orbits``, checked against a brute force over
+S_d.  Each is checked here against a plain reference written in this file or
+against the oracle: a backtracking over ``Perm`` values without pruning
+(same words, same order), a prefix-product count (same size), a union-find
+over the R move at every position (same orbits, counts, least words and
+rows, also those of ``count_components``), and two independent partitioners
+(same orbits, with and without the conjugation quotient); the quotient's
+count, representatives and size are also checked against sweeps of the full
 fiber, and every cap against the full fiber's size.
 """
 import functools
@@ -37,9 +38,10 @@ from hurwitz.orbits import (
     orbit_partition_by_sweeps,
     stable_length_scan,
 )
-from hurwitz.perms import Perm, all_cycle_types, class_elements, transpositions
+from hurwitz.perms import (Perm, all_cycle_types, all_perms, class_elements, class_parity, closure,
+                           transpositions)
 from hurwitz.reports import ComponentQuery, count_components
-from hurwitz.words import TypeVector, conjugate_state, move_right_state
+from hurwitz.words import MoveKernel, TypeVector, conjugate_state, move_right_state
 
 import oracle
 
@@ -207,11 +209,11 @@ def test_partition_matches_sweeps_and_oracle(d, type_text, product, constraint, 
     assert (plain.orbit_count, plain.representatives) == (r.orbit_count, r.representatives)
 
 
-@pytest.mark.parametrize("d,type_text,product,constraint,conj",
-                         [case for case in partition_cases() if case[-1]])
+@pytest.mark.parametrize("d,type_text,product,constraint,conj", list(partition_cases()))
 def test_sub_fiber_size_is_the_whole_fiber_size(d, type_text, product, constraint, conj):
     # The sub-fiber keeps fewer words, but its size counts the whole fiber,
-    # and that is the size the quotient count reports.
+    # each kept word weighted by its first factor's orbit, and that is the
+    # size the count reports.
     spec = spec_of(d, type_text, product, constraint, conj)
     whole = enumerate_fiber(spec, LIM)
     sub = enumerate_fiber(spec, LIM, sub_fiber=True)
@@ -241,14 +243,13 @@ def drop_word(monkeypatch, k):
 
 
 def test_every_missing_word_is_detected(monkeypatch):
-    # Each fiber is one braid orbit, searched on the sub-fiber (identity
-    # product) or the whole fiber ((1,2)): each word is an image of another,
-    # so dropping any one leaves an image outside.
+    # Each fiber is one braid orbit, searched on the sub-fiber of its
+    # product's centraliser, S_3 or {1, (1,2)}: each word is an image of
+    # another, so dropping any one leaves an image outside.
     for spec in (spec_of(3, "2,1:4", "()", "full_group"),
                  spec_of(3, "2,1:3", "(1,2)", "full_group")):
         assert count_orbits_in_fiber(spec, LIM).orbit_count == 1
-        central = spec.product.is_identity()
-        for k in range(len(enumerate_fiber(spec, LIM, sub_fiber=central).coded)):
+        for k in range(len(enumerate_fiber(spec, LIM, sub_fiber=True).coded)):
             drop_word(monkeypatch, k)
             with pytest.raises(RuntimeError, match="moves must stay inside the fiber"):
                 count_orbits_in_fiber(spec, LIM)
@@ -371,9 +372,10 @@ def oracle_class_count(spec):
     return len(oracle.o_partition(words, spec.conjugation_quotient, spec.degree))
 
 
-# Fibers closed under conjugation (a central product): one class and mixed
-# types, one to six factors.  Under "none" several of them split into
-# classes of B_n x S_d whose braid-orbit stabilisers differ in order.
+# One class and mixed types, one to six factors.  Under "none" several of
+# them split into classes of B_n x G whose braid-orbit stabilisers differ in
+# order.  The last three products are not central: G is their centraliser,
+# a proper subgroup of S_d.
 LABEL_CASES = [
     # one factor: no braid image, and conjugation fixes it, so each word
     # is its own orbit
@@ -399,14 +401,55 @@ LABEL_CASES = [
     (5, "3,1,1:3", "()"),
     (5, "2,1,1,1:2;3,1,1:1", "()"),
     (5, "2,2,1:2;3,1,1:1", "()"),
+    (4, "2,1,1:6", "(1,2)(3,4)"),
+    (4, "2,1,1:5", "(1,2)"),
+    (5, "2,1,1,1:4", "(1,2,3)"),
 ]
 
 
-@pytest.mark.parametrize("conj", [False, True])
-@pytest.mark.parametrize("constraint", CONSTRAINTS)
-@pytest.mark.parametrize("d,type_text,product", LABEL_CASES)
+def label_cases():
+    """Each case under each constraint, and with the quotient where the
+    product is central."""
+    for d, type_text, product in LABEL_CASES:
+        for constraint in CONSTRAINTS:
+            for conj in (False, True):
+                if not conj or d <= 2 or product == "()":
+                    yield d, type_text, product, constraint, conj
+
+
+@pytest.mark.parametrize("d,type_text,product,constraint,conj", list(label_cases()))
 def test_labelled_count_matches_plain_search_and_oracle(d, type_text, product, constraint, conj):
     check_labelled_count(spec_of(d, type_text, product, constraint, conj))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_conjugation_orbits_match_brute_force(d):
+    # For a product p of each class: the walk from p along the generators
+    # of S_d gives generators of Z(p) and p's class; the walk with those on
+    # each class splits it into Z(p)'s orbits, maps each x to the least c of
+    # its orbit, and gives generators of the stabiliser of c in Z(p).
+    kernel = MoveKernel(d)
+    group = list(all_perms(d))
+    for ct in all_cycle_types(d):
+        p = class_elements(d, ct)[-1]
+        centraliser = {g for g in group if g.conjugate(p) == p}
+        back, stabilisers = orbits._conjugation_orbits(
+            kernel, kernel.encode_word(orbits.symmetric_generators(d)), [kernel.encode(p)])
+        gens = stabilisers[kernel.encode(p)]
+        assert list(stabilisers) == [kernel.encode(p)]
+        assert closure(d, kernel.decode_word(gens)) == centraliser
+        assert set(kernel.decode_word(tuple(back))) == set(class_elements(d, ct))
+        for members in map(functools.partial(class_elements, d), all_cycle_types(d)):
+            back, stabilisers = orbits._conjugation_orbits(kernel, gens, kernel.encode_word(members))
+            want = {frozenset(g.conjugate(x) for g in centraliser) for x in members}
+            assert set(kernel.decode_word(tuple(back))) == set(members)
+            assert sorted(kernel.decode_word(tuple(stabilisers))) == sorted(map(min, want))
+            for orbit in want:
+                c = min(orbit)
+                for x in orbit:
+                    assert kernel.decode(back[kernel.encode(x)]).conjugate(x) == c
+                stabiliser = closure(d, kernel.decode_word(stabilisers[kernel.encode(c)]))
+                assert stabiliser == {g for g in centraliser if g.conjugate(c) == c}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -422,19 +465,26 @@ LABEL_MAX_FACTORS = {3: 6, 4: 5, 5: 4}
 
 
 @st.composite
-def central_specs(draw):
+def label_specs(draw):
+    """A random type, with a product from any class of the type's parity,
+    and the quotient only for the identity."""
     d = draw(st.sampled_from(sorted(LABEL_SHAPES)))
     classes = LABEL_SHAPES[d]
     n = draw(st.integers(1, LABEL_MAX_FACTORS[d]))
     picked = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
     counts = {ct: picked.count(ct) for ct in set(picked)}
+    parity = sum(map(class_parity, picked)) % 2
+    ct = draw(st.sampled_from([ct for ct in all_cycle_types(d) if class_parity(ct) == parity]))
+    product = draw(st.sampled_from(class_elements(d, ct)))
     constraint = draw(st.sampled_from(CONSTRAINTS))
-    conj = draw(st.booleans())
-    return FiberSpec(d, TypeVector.from_counts(counts), Perm.identity(d), constraint, conj)
+    conj = product.is_identity() and draw(st.booleans())
+    return FiberSpec(d, TypeVector.from_counts(counts), product, constraint, conj)
 
 
-@settings(max_examples=60, deadline=None)
-@given(central_specs())
+# Derandomized: the cost of the reference depends on the types drawn, so
+# fixed examples keep the suite's time repeatable.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(label_specs())
 def test_labelled_count_matches_plain_search_on_random_types(spec):
     check_labelled_count(spec)
 
@@ -473,59 +523,39 @@ def spy_on_enumeration(monkeypatch):
     return calls
 
 
-def test_central_specs_never_enumerate_the_whole_fiber(monkeypatch):
-    # A central product of at least two factors is searched on its sub-fiber
-    # alone, through every entry; every other fiber is searched whole.
+def test_every_entry_searches_the_sub_fiber(monkeypatch):
+    # Every fiber is searched on the sub-fiber of its product's centraliser,
+    # through every entry: identity and other products, no factor and one,
+    # and degree <= 2; every row is that of the union-find over the whole
+    # fiber.
+    specs = [spec_of(3, "2,1:4", "()", "full_group"), spec_of(4, "2,2:1;4:2", "()"),
+             spec_of(4, "2,1,1:4", "()", "transitive", conj=True), spec_of(3, "2,1:3", "(1,2)"),
+             spec_of(4, "2,1,1:4", "(1,2)(3,4)"), spec_of(5, "2,1,1,1:4", "(1,2,3)", "transitive"),
+             spec_of(3, "2,1:1", "(1,2)"), spec_of(4, "4:1", "(1,2,3,4)"),
+             spec_of(2, "2:3", "(1,2)"), spec_of(2, "2:1", "(1,2)", conj=True),
+             FiberSpec(3, TypeVector.from_counts({}), Perm.identity(3), "none", True),
+             FiberSpec(2, TypeVector.from_counts({}), Perm.identity(2))]
+    rows = [plain_row(spec) for spec in specs]
+    scans = {(d, ct, product): [plain_row(FiberSpec(d, TypeVector.single(ct, n),
+                                                    Perm.parse(product, d), "full_group"))
+                                for n in range(1, n_to + 1)]
+             for d, ct, product, n_to in [(3, (2, 1), "()", 8), (4, (2, 1, 1), "()", 6),
+                                          (2, (2,), "(1,2)", 5), (4, (2, 1, 1), "(1,2)", 5)]}
+    components = sorted((type_text, row.fiber_size, row.orbit_count, row.complete)
+                        for type_text in all_types(3, 4)
+                        for row in [plain_row(spec_of(3, type_text, "()"))])
     calls = spy_on_enumeration(monkeypatch)
-    for spec in (spec_of(3, "2,1:4", "()", "full_group"), spec_of(4, "2,2:1;4:2", "()"),
-                 spec_of(4, "2,1,1:4", "()", "transitive", conj=True), spec_of(2, "2:3", "(1,2)")):
-        count_orbits_in_fiber(spec, LIM, want_partition=True)
-        count_orbits(spec, LIM)
-    stable_length_scan(4, (2, 1, 1), Perm.identity(4), 2, 6, LIM)
-    count_components(ComponentQuery(3, 4, None, False, False, False), LIM)
-    assert calls and all(calls)
-    calls.clear()
-    empty = FiberSpec(3, TypeVector.from_counts({}), Perm.identity(3), "none", True)
-    for spec in (spec_of(3, "2,1:3", "(1,2)"), spec_of(3, "2,1:1", "(1,2)"),
-                 spec_of(2, "2:1", "(1,2)", conj=True), empty):
-        count_orbits(spec, LIM)
-    assert calls == [False] * 4
-
-
-def test_scan_uses_the_labelled_count_exactly_for_central_products(monkeypatch):
-    # Identity-product and degree-2 scans search the sub-fiber from two
-    # factors on and the one-factor fiber whole, and their rows are those of
-    # the union-find over the whole fiber; another product's scan searches
-    # every fiber whole.
-    want = {(d, ct, product): [plain_row(FiberSpec(d, TypeVector.single(ct, n),
-                                                   Perm.parse(product, d), "full_group"))
-                               for n in range(1, n_to + 1)]
-            for d, ct, product, n_to in [(3, (2, 1), "()", 8), (4, (2, 1, 1), "()", 6),
-                                         (2, (2,), "(1,2)", 5)]}
-    calls = spy_on_enumeration(monkeypatch)
-    for (d, ct, product), rows in want.items():
-        calls.clear()
-        assert stable_length_scan(d, ct, Perm.parse(product, d), 1, len(rows), LIM) == rows
-        assert calls == [False] + [True] * (len(rows) - 1)
-    calls.clear()
-    stable_length_scan(4, (2, 1, 1), Perm.transposition(4, 1, 2), 3, 5, LIM)
-    assert calls == [False] * 3
-
-
-def test_count_routes_only_other_products_to_the_whole_fiber(monkeypatch):
-    # A product that is not central is searched whole; a quotient spec
-    # stays on the sub-fiber and counts its classes, several here.
-    other = spec_of(3, "2,1:3", "(1,2)")
-    quotient = spec_of(4, "2,1,1:4", "()", conj=True)
-    words = [oracle.from_word(w) for w in enumerate_fiber(quotient, LIM).words]
-    want = len(oracle.o_partition(words, True, 4))
-    assert want > 1
-    other_row = plain_row(other)
-    calls = spy_on_enumeration(monkeypatch)
-    assert count_orbits(quotient, LIM) == ScanRow(4, len(words), want, True)
-    assert calls == [True]
-    assert count_orbits(other, LIM) == other_row
-    assert calls == [True, False]
+    for spec, row in zip(specs, rows):
+        assert count_orbits(spec, LIM) == row
+        r = count_orbits_in_fiber(spec, LIM, want_partition=True)
+        assert (r.fiber_size, r.orbit_count, len(r.partition)) == (row.fiber_size, row.orbit_count,
+                                                                   row.orbit_count)
+    for (d, ct, product), want in scans.items():
+        assert stable_length_scan(d, ct, Perm.parse(product, d), 1, len(want), LIM) == want
+    body = count_components(ComponentQuery(3, 4, None, False, False, False), LIM)
+    assert sorted(tuple(r.values()) for r in body["rows"]) == components
+    assert len(calls) == 2 * len(specs) + sum(map(len, scans.values())) + len(components)
+    assert all(calls)
 
 
 @pytest.mark.parametrize("cap", [1, 131_039, 131_040])
