@@ -26,7 +26,9 @@ the last factor up from the product.
 
 Every fiber takes one labelled search (:func:`_sub_fiber_classes`) on the
 sub-fiber of G = Z(p), the centraliser of its product p: the words whose
-first factor is the least of its G-orbit (:func:`_conjugation_orbits`).
+first two factors are the least pair of their G-orbit, found one factor at
+a time, each the least of its orbit under the stabiliser of those before it
+(:func:`_conjugation_orbits`).
 Each class splits into braid orbits, the cosets of the stabiliser its
 Schreier labels generate, which give the counts, least words and partitions
 (:func:`count_orbits_in_fiber`, whose row is :func:`count_orbits`).  Every
@@ -338,12 +340,13 @@ class FiberSpec:
 
 @dataclass
 class FiberReport:
-    """The words of a fiber, or of its first-factor sub-fiber, kept coded by
+    """The words of a fiber, or of its first-pair sub-fiber, kept coded by
     the kernel that enumerated them.
 
     ``size`` counts the words of the whole fiber that were found, also when
-    only the sub-fiber is kept: there it is the sum over the orbits X of |X|
-    times the number of kept words starting with the least member of X.
+    only the sub-fiber is kept: there it is the sum over the kept words of
+    the size |X| |Y| of their first pair's orbit under G (a first factor's
+    |X| below three factors).
     """
 
     coded: list[Coded]
@@ -377,16 +380,19 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     elements are tried in sorted order, so the words come out in the same
     order as a backtracking over ``Perm`` values would give them.
 
-    With ``sub_fiber``, only the words whose first factor is the least member
-    c_X of its orbit X under G = Z(p), the centraliser of the product p
-    (:func:`_conjugating_group`), are kept: the top level tries the c_X
-    alone; this is the sub-fiber of :func:`_sub_fiber_classes`.  G
-    conjugates the fiber onto itself, and conjugating by an h in G with
-    h x h^-1 = c_X maps the words starting with x onto those starting with
-    c_X, so each kept word stands for |X| fiber words.  The report's
-    ``size`` and ``max_fiber`` both count the whole fiber: the enumeration
-    is complete exactly when the whole fiber has at most ``max_fiber``
-    words.
+    With ``sub_fiber``, only the words whose first pair (c_X, c_Y) is the
+    least of its orbit under G = Z(p), the centraliser of the product p
+    (:func:`_conjugating_group`), are kept: the top level tries the least
+    members c_X of the orbits X of G, and the second level the least
+    members c_Y of the orbits Y of Stab_G(c_X); this is the sub-fiber of
+    :func:`_sub_fiber_classes`.  G conjugates the fiber onto itself, and
+    conjugating by an h in G with h (x, y) h^-1 = (c_X, c_Y) maps the words
+    starting with (x, y) onto those starting with (c_X, c_Y), so each kept
+    word stands for |X| |Y| fiber words.  At two factors the second is
+    forced, c_X^-1 p, and Stab_G(c_X) fixes it, so the weight stays |X|; at
+    one factor the word is p, which G fixes.  The report's ``size`` and
+    ``max_fiber`` both count the whole fiber: the enumeration is complete
+    exactly when the whole fiber has at most ``max_fiber`` words.
     """
     d = spec.degree
     kernel = MoveKernel(d)
@@ -396,8 +402,10 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     refl = {ct: class_reflection_length(ct) for ct in counts}
     order = sorted(counts)  # fixed class iteration order
     target = spec.product
-    if sub_fiber:  # each c_X -> |X|
-        orbit_sizes = Counter(kernel.conjugate[h][x] for x, h in _conjugating_group(kernel, spec)[2].items())
+    if sub_fiber:  # each c_X -> |X|, and each c_X to its c_Y -> |Y|
+        _, _, back, second = _conjugating_group(kernel, spec)
+        orbit_sizes = Counter(kernel.conjugate[h][x] for x, h in back.items())
+        pair_sizes = Memo(lambda c: Counter(kernel.conjugate[h][y] for y, h in second[c][0].items()))
 
     # Word-independent emptiness check: total parity must match the product.
     total_parity = sum(refl[ct] * n for ct, n in counts.items()) % 2
@@ -419,10 +427,11 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
             return is_transitive(d, gens)
         return len(closure(d, gens)) == math.factorial(d)
 
-    def firsts(ct: CycleType) -> Iterator[int]:  # the c_X of class ct, each setting the weight |X|
+    def least(ct: CycleType, sizes: Counter, scale: int) -> Iterator[int]:
+        # the least members of class ct, each setting the weight scale * its orbit's size
         nonlocal weight
-        for c in filter(orbit_sizes.__contains__, per_class[ct]):
-            weight = orbit_sizes[c]
+        for c in filter(sizes.__contains__, per_class[ct]):
+            weight = scale * sizes[c]
             yield c
 
     constraint = Memo(satisfies_constraint)  # keyed by the set of factor codes
@@ -458,7 +467,12 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
                 continue
             counts[ct] -= 1
             child_budget = budget_left - refl[ct]
-            members = firsts(ct) if sub_fiber and remaining == total else per_class[ct]
+            if sub_fiber and remaining == total:  # c_X, weight |X|
+                members = least(ct, orbit_sizes, 1)
+            elif sub_fiber and remaining == total - 1:  # c_Y, weight |X| |Y|, at three factors or more
+                members = least(ct, pair_sizes[prefix[0]], orbit_sizes[prefix[0]])
+            else:
+                members = per_class[ct]
             for g in members:
                 child = row[g]
                 if distance[child] > child_budget:
@@ -522,17 +536,30 @@ def _conjugation_orbits(kernel: MoveKernel, gens: Iterable[int], members: Iterab
 _groups: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _conjugating_group(kernel: MoveKernel, spec: FiberSpec) -> tuple[int, list[int], dict, dict]:
+def _conjugating_group(kernel: MoveKernel, spec: FiberSpec) -> tuple[int, list[int], dict, Memo]:
     """G = Z(p), the centraliser of the fiber's product p: its order
     d! / |p's class|, its generators (p's stabiliser under
-    :func:`symmetric_generators`), and its :func:`_conjugation_orbits` on the
-    type's classes; kept with the kernel, so each count computes it once."""
+    :func:`symmetric_generators`), the x -> h_x of its
+    :func:`_conjugation_orbits` on the type's classes, and the second level,
+    filled per c_X: the orbits of Stab_G(c_X) on the same classes, y -> h'_y
+    with h'_y y h'_y^-1 = c_Y, and each c_Y -> generators of
+    Stab_G(c_X, c_Y).  Two factors force the second, c_X^-1 p, which
+    Stab_G(c_X) fixes, so there the level is read off without a walk.  Kept
+    with the kernel, so each count computes it once."""
     if kernel not in _groups:
-        d, p = spec.degree, kernel.encode(spec.product)
+        # The second level reaches the kernel through a proxy: the table must not hold its own key.
+        d, p, proxy = spec.degree, kernel.encode(spec.product), weakref.proxy(kernel)
         orbit, stabiliser = _conjugation_orbits(kernel, kernel.encode_word(symmetric_generators(d)), [p])
         members = sorted(kernel.encode(x) for ct in spec.type_vector.as_dict() for x in class_elements(d, ct))
-        _groups[kernel] = (math.factorial(d) // len(orbit), stabiliser[p],
-                           *_conjugation_orbits(kernel, stabiliser[p], members))
+        back, stabilisers = _conjugation_orbits(kernel, stabiliser[p], members)
+
+        def second(c: int) -> tuple[dict, dict]:
+            if spec.type_vector.total() > 2:
+                return _conjugation_orbits(proxy, stabilisers[c], members)
+            y = proxy.encode(proxy.decode(c).inverse() * spec.product)
+            return {y: proxy.encode(Perm.identity(d))}, {y: stabilisers[c]}
+
+        _groups[kernel] = (math.factorial(d) // len(orbit), stabiliser[p], back, Memo(second))
     return _groups[kernel]
 
 
@@ -541,33 +568,38 @@ def _conjugating_group(kernel: MoveKernel, spec: FiberSpec) -> tuple[int, list[i
 Edges = Callable[[Coded], tuple[Iterable[Coded], tuple[Memo, ...]]]
 
 
-def _sub_fiber_edges(kernel: MoveKernel, back: dict[int, int], stabilisers: dict[int, list[int]]) -> Edges:
+def _sub_fiber_edges(kernel: MoveKernel, back: dict[int, int], second: Memo) -> Edges:
     """The edges of :func:`_sub_fiber_classes` on the sub-fiber F_0 of G:
-    ``back`` maps each x to h_x, and ``stabilisers`` each c_X to generators
-    of Stab_G(c_X) (:func:`_conjugating_group`); for words of at least two
-    factors."""
+    ``back`` maps each x to h_x, and ``second`` each c_X to its second
+    level, y -> h'_y and c_Y -> generators of Stab_G(c_X, c_Y)
+    (:func:`_conjugating_group`); for words of at least two factors."""
     rows, mul = kernel.conjugate, kernel.mul
-    z_tables = {c: (tuple(mul[g] for g in z), [rows[g] for g in z]) for c, z in stabilisers.items()}
 
-    def step_of(pair: Coded) -> tuple:
-        # What the images of (c, g, ...) need.  Both braid images start with
-        # x = c g c^-1, and pi conjugates them by h = h_x: R_1's image becomes
-        # (h x h^-1, h c h^-1) followed by the rest conjugated by h, and D's
-        # image becomes (g, ...) conjugated by h c, then h c h^-1.
-        c, g = pair
-        x = rows[c][g]
+    def pi(x: int, y: int) -> int:  # h = h'_y' h_x, taking (x, y) to (c_X, c_Y)
         h = back[x]
-        row_h = rows[h]
-        head = (row_h[x], row_h[c])
-        z_mul, z_rows = z_tables[c]
-        return head, row_h, rows[mul[h][c]], head[1:], z_rows, (mul[h],) * 2 + z_mul
+        return mul[second[rows[h][x]][0][rows[h][y]]][h]
 
-    steps = Memo(step_of)  # keyed by a word's first two factors
+    def step_of(triple: Coded) -> tuple:
+        # What the images of (c, g, w_3, ...) need.  Both braid images start
+        # with x = c g c^-1; R_1's image goes on with c, D's with c w_3 c^-1
+        # (with c at two factors).  pi conjugates R_1's image by h_R, so it
+        # becomes (h_R x h_R^-1, h_R c h_R^-1) followed by the rest conjugated
+        # by h_R, and D's image by h_D, so it becomes (g, w_3, ...) conjugated
+        # by h_D c, then h_D c h_D^-1.
+        c, g = triple[:2]
+        x = rows[c][g]
+        h_r = pi(x, c)
+        h_d = pi(x, rows[c][triple[2]]) if len(triple) > 2 else h_r
+        z = second[c][1][g]
+        return ((rows[h_r][x], rows[h_r][c]), rows[h_r], rows[mul[h_d][c]], (rows[h_d][c],),
+                [rows[f] for f in z], (mul[h_r], mul[h_d], *(mul[f] for f in z)))
+
+    steps = Memo(step_of)  # keyed by a word's first three factors
 
     def edges(w: Coded) -> tuple[list[Coded], tuple[Memo, ...]]:
-        head, row_h, row_hc, tail, z_rows, factors = steps[w[:2]]
-        out = [head + tuple(map(row_h.__getitem__, w[2:])),
-               tuple(map(row_hc.__getitem__, w[1:])) + tail]
+        head, row_r, row_dc, tail, z_rows, factors = steps[w[:3]]
+        out = [head + tuple(map(row_r.__getitem__, w[2:])),
+               tuple(map(row_dc.__getitem__, w[1:])) + tail]
         out += [tuple(map(r.__getitem__, w)) for r in z_rows]
         return out, factors
 
@@ -583,12 +615,14 @@ def _sub_fiber_classes(coded: list[Coded], edges: Edges, identity: int
 
     G, acting by conjugation, is Z(p), the centraliser of the fiber's
     product p (:func:`count_orbits_in_fiber`).  Its sub-fiber F_0 holds the
-    words whose first factor is the least member c_X of its orbit X under
+    words whose first pair is the least pair (c_X, c_Y) of its orbit P under
     G: ``enumerate_fiber(sub_fiber=True)``.  Let pi conjugate a word whose
-    first factor x lies in X by a fixed h_x in G with h_x x h_x^-1 = c_X.
-    The edges from a word w of F_0 are pi(R_1 w) and pi(D w), by h_x, and w
-    conjugated by each generator z of the stabiliser Stab_G(c_X), by z:
-    those of :func:`_sub_fiber_edges`.  The classes are exact:
+    first pair (x, y) lies in P by a fixed h in G with
+    h (x, y) h^-1 = (c_X, c_Y), namely h = h'_y' h_x: h_x in G takes x to
+    c_X, and h'_y' in Stab_G(c_X) takes y' = h_x y h_x^-1 to c_Y.  The edges
+    from a word w of F_0 are pi(R_1 w) and pi(D w), each by its own h, and
+    w conjugated by each generator z of the stabiliser Stab_G(c_X, c_Y), by
+    z: those of :func:`_sub_fiber_edges`.  The classes are exact:
 
     * every class meets F_0, since pi maps each word into F_0;
     * every edge stays in its class, since the moves commute with
@@ -597,8 +631,8 @@ def _sub_fiber_classes(coded: list[Coded], edges: Edges, identity: int
       v = g b(u), with b a positive word in R_1 and D and g in G, and
       follow b's letters through pi: the walk ends at g' b(u) for some g' in
       G, a word of F_0 that conjugation by g g'^-1 maps to v.  That
-      conjugation fixes the first factor c_X, so it lies in Stab_G(c_X) and
-      is a positive word in the generators.
+      conjugation maps the least pair of P to itself, so it lies in
+      Stab_G(c_X, c_Y) and is a positive word in the generators.
 
     So each word not yet reached starts a new class, whose search never
     meets a word of an earlier class.  An image outside F_0 is a fault.
@@ -616,16 +650,18 @@ def _sub_fiber_classes(coded: list[Coded], edges: Edges, identity: int
     edges multiply to M has M in b K.  Take g in H_Q, so that
     g u_0 = beta(u_0) for a positive word beta in R_1 and D.  Follow beta's
     letters from u_0 along braid edges: the walk ends at a word v = M g u_0
-    of F_0 with M in b K.  Both v and u_0 start with c_X, so M g lies in
-    Stab_G(c_X), and the stabiliser edges walk from v back to u_0 by (M g)^-1.
+    of F_0 with M in b K.  Both v and u_0 start with (c_X, c_Y), so M g lies
+    in Stab_G(c_X, c_Y), and the stabiliser edges walk from v back to u_0 by
+    (M g)^-1.
     The whole walk multiplies to g^-1 and ends at u_0, labelled 1, so g^-1
     is in K.
 
     The braid orbits of Q are the c O, one for each left coset c H_Q.  A
     word g u of Q, with g in G and u in F_0 labelled a, lies in g a O.  So
-    the words of c O starting with x are the h_x^-1 u for the u of F_0 in Q
-    that start with c_X and have h_x^-1 a in c H_Q, and the least word of
-    c O is the least of them for the least x that has one.
+    the words of c O starting with (x, y) are the h^-1 u for the u of F_0
+    in Q that start with (c_X, c_Y) and have h^-1 a in c H_Q, and the least
+    word of c O is the least of them, over every y, for the least x that
+    has one.
     """
     index = {w: i for i, w in enumerate(coded)}.get
     labels = [-1] * len(coded)  # kernel codes are never negative
@@ -672,25 +708,29 @@ def _cosets(kernel: MoveKernel, stabiliser: Iterable[int]) -> Callable[[int], in
 
 
 def _least_words(kernel: MoveKernel, coded: list[Coded], members: list[int], labels: list[int],
-                 back: dict[int, int], coset: Callable[[int], int], index: int) -> list[Coded]:
+                 back: dict[int, int], second: Memo, coset: Callable[[int], int], index: int) -> list[Coded]:
     """The least word of each of the ``index`` braid orbits of one class of
     G on F_0 (proof in :func:`_sub_fiber_classes`): walk x in code order,
-    and give each coset first reached the least of its h_x^-1 u."""
+    and give each coset first reached the least of its h^-1 u, over the
+    pairs (x, y), for h = h'_y' h_x."""
     rows, mul = kernel.conjugate, kernel.mul
-    starting: dict[int, list[int]] = {}  # c_X -> the members starting with it
+    inverse = Memo(lambda g: kernel.encode(kernel.decode(g).inverse()))
+    starting: dict[Coded, list[int]] = {}  # (c_X, c_Y) -> the members starting with it
     for i in members:
-        starting.setdefault(coded[i][0], []).append(i)
+        starting.setdefault(coded[i][:2], []).append(i)
+    firsts = {pair[0] for pair in starting}
     least: dict[int, Coded] = {}
     for x in sorted(back):
         h = back[x]
         c = rows[h][x]
-        h_inv = kernel.encode(kernel.decode(h).inverse())
         reached: dict[int, Coded] = {}
-        for i in starting.get(c, ()):
-            k = coset(mul[h_inv][labels[i]])
-            if k not in least:  # h_x is the identity for x = c_X
-                w = coded[i] if x == c else tuple(map(rows[h_inv].__getitem__, coded[i]))
-                reached[k] = min(reached.get(k, w), w)
+        for y, h_y in second[c][0].items() if c in firsts else ():
+            for i in starting.get((c, rows[h_y][y]), ()):
+                h_inv = inverse[mul[h_y][h]]
+                k = coset(mul[h_inv][labels[i]])
+                if k not in least:
+                    w = tuple(map(rows[h_inv].__getitem__, coded[i]))
+                    reached[k] = min(reached.get(k, w), w)
         least.update(reached)
         if len(least) == index:
             break
@@ -731,8 +771,8 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
         return FiberOrbitReport(None, None, [], False, fr.limit_hit)
 
     mul, rows, decode = kernel.mul, kernel.conjugate, kernel.decode
-    order, gens, back, stabilisers = _conjugating_group(kernel, spec)
-    edges = _sub_fiber_edges(kernel, back, stabilisers) if n > 1 else lambda w: ((), ())
+    order, gens, back, second = _conjugating_group(kernel, spec)
+    edges = _sub_fiber_edges(kernel, back, second) if n > 1 else lambda w: ((), ())
     labels, classes = _sub_fiber_classes(coded, edges, kernel.encode(Perm.identity(d)))
 
     group = kernel.encode_word(closure(d, kernel.decode_word(gens))) if want_partition else ()
@@ -748,7 +788,7 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
         if index == 1:
             least.append(min(map(coded.__getitem__, members)))
         else:
-            least += _least_words(kernel, coded, members, labels, back, coset, index)
+            least += _least_words(kernel, coded, members, labels, back, second, coset, index)
         if want_partition:  # g u, for u labelled a, lies in the orbit of g a's coset
             parts = [set() for _ in range(index)]
             for i in members:
@@ -772,7 +812,7 @@ def orbit_partition_by_sweeps(words: list[State], degree: int,
 
     A second algorithm for the same partition as :func:`count_orbits_in_fiber`,
     used to cross-check it.  It is independent of the labelling search, the
-    first-factor sub-fiber and the conjugation back to a least first factor,
+    first-pair sub-fiber and the conjugation back to a least first pair,
     but not of the moves: both follow :func:`orbit_images`.  The references
     that share no code with this module are ``tests/oracle.py`` and the
     union-find over every R position in ``tests/test_fiber_engine.py``.

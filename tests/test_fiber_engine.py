@@ -3,22 +3,27 @@
 ``enumerate_fiber`` runs on kernel codes with memoized prefix products and
 reflection distances and looks the last factor up.
 ``count_orbits_in_fiber`` labels every fiber by one search along R_1 and the
-rotation, on the sub-fiber of words whose first factor is the least of its
-orbit under the centraliser G of the product, adding conjugation by that
-factor's stabiliser in G, and reads the braid orbits, their least words and
-the partition off the cosets of each class's stabiliser.  G's generators and
-orbits come from ``_conjugation_orbits``, checked against a brute force over
-S_d.  Each is checked here against a plain reference written in this file or
-against the oracle: a backtracking over ``Perm`` values without pruning
-(same words, same order), a prefix-product count (same size), a union-find
-over the R move at every position (same orbits, counts, least words and
-rows, also those of ``count_components``), and two independent partitioners
-(same orbits, with and without the conjugation quotient); the quotient's
-count, representatives and size are also checked against sweeps of the full
+rotation, on the sub-fiber of words whose first two factors are the least
+pair of their orbit under the centraliser G of the product, adding
+conjugation by that pair's stabiliser in G, and reads the braid orbits,
+their least words and the partition off the cosets of each class's
+stabiliser.  G's generators and orbits come from ``_conjugation_orbits``, on
+the factors and then, under the stabiliser of each least first factor, on
+the second factors; both levels are checked against a brute force over S_d,
+and two and three factors, where the second level is forced or first
+walked, against the plain row and the oracle.  Each is checked here against
+a plain reference written in this file or against the oracle: a
+backtracking over ``Perm`` values without pruning (same words, same order),
+a prefix-product count (same size), a union-find over the R move at every
+position (same orbits, counts, least words and rows, also those of
+``count_components``), and two independent partitioners (same orbits, with
+and without the conjugation quotient); the quotient's count,
+representatives and size are also checked against sweeps of the full
 fiber, and every cap against the full fiber's size.
 """
 import functools
 import math
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -212,7 +217,7 @@ def test_partition_matches_sweeps_and_oracle(d, type_text, product, constraint, 
 @pytest.mark.parametrize("d,type_text,product,constraint,conj", list(partition_cases()))
 def test_sub_fiber_size_is_the_whole_fiber_size(d, type_text, product, constraint, conj):
     # The sub-fiber keeps fewer words, but its size counts the whole fiber,
-    # each kept word weighted by its first factor's orbit, and that is the
+    # each kept word weighted by its first pair's orbit, and that is the
     # size the count reports.
     spec = spec_of(d, type_text, product, constraint, conj)
     whole = enumerate_fiber(spec, LIM)
@@ -273,8 +278,8 @@ def test_sweeps_detect_every_missing_word():
 @pytest.mark.parametrize("d,type_text", [(3, "2,1:2"), (4, "2,1,1:4"), (4, "3,1:3")])
 def test_conjugation_merges_braid_orbits(d, type_text):
     # The quotient merges braid orbits here, so its count rests on the
-    # sub-fiber search: braid images conjugated back to a least first factor
-    # and conjugation by that factor's centraliser.  The partition test above
+    # sub-fiber search: braid images conjugated back to a least first pair
+    # and conjugation by that pair's stabiliser.  The partition test above
     # checks the merged classes.
     braid = count_orbits_in_fiber(spec_of(d, type_text, "()"), LIM)
     quotient = count_orbits_in_fiber(spec_of(d, type_text, "()", conj=True), LIM)
@@ -306,8 +311,9 @@ def quotient_cases():
 
 @pytest.mark.parametrize("d,type_text,constraint", list(quotient_cases()))
 def test_quotient_matches_sweeps_on_the_full_fiber(d, type_text, constraint):
-    # The quotient searches only the sub-fiber of words whose first factor
-    # is its class's least member; the reference sweeps the full fiber.
+    # The quotient searches only the sub-fiber of words whose first pair
+    # is the least of its orbit under S_d; the reference sweeps the full
+    # fiber.
     spec = spec_of(d, type_text, "()", constraint, conj=True)
     words = enumerate_fiber(spec, LIM).words
     r = count_orbits_in_fiber(spec, LIM)
@@ -450,6 +456,74 @@ def test_conjugation_orbits_match_brute_force(d):
                     assert kernel.decode(back[kernel.encode(x)]).conjugate(x) == c
                 stabiliser = closure(d, kernel.decode_word(stabilisers[kernel.encode(c)]))
                 assert stabiliser == {g for g in centraliser if g.conjugate(c) == c}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_pair_level_matches_brute_force(d):
+    # For a product p of each class, on the pairs of factors from every
+    # class: the second level maps each y to an h'_y fixing c_X, its pairs
+    # (c_X, c_Y) are exactly the least pairs of their Z(p)-orbits, each
+    # weight |X| |Y| is that orbit's size, and the kept generators generate
+    # exactly the pair's stabiliser in Z(p).
+    classes = [ct for ct in all_cycle_types(d) if ct != (1,) * d]
+    members = [x for ct in classes for x in class_elements(d, ct)]
+    for ct in all_cycle_types(d):
+        p = class_elements(d, ct)[-1]
+        centraliser = [g for g in all_perms(d) if g.conjugate(p) == p]
+        kernel = MoveKernel(d)
+        rows = kernel.conjugate
+        spec = FiberSpec(d, TypeVector.from_counts(dict.fromkeys(classes, 3)), p)
+        _, _, back, second = orbits._conjugating_group(kernel, spec)
+        weights = {}
+        for c, size in Counter(rows[h][x] for x, h in back.items()).items():
+            back_y, stabilisers = second[c]
+            assert all(rows[h][c] == c for h in back_y.values())
+            sizes = Counter(rows[h][y] for y, h in back_y.items())
+            assert set(sizes) == set(stabilisers)
+            for c_y, gens in stabilisers.items():
+                x, y = kernel.decode_word((c, c_y))
+                weights[x, y] = size * sizes[c_y]
+                assert closure(d, kernel.decode_word(gens)) == {
+                    g for g in centraliser if g.conjugate(x) == x and g.conjugate(y) == y}
+        pair_orbits = {frozenset((g.conjugate(x), g.conjugate(y)) for g in centraliser)
+                       for x in members for y in members}
+        assert weights == {min(orbit): len(orbit) for orbit in pair_orbits}
+
+
+def boundary_cases():
+    for d in (3, 4):
+        for ct in all_cycle_types(d):
+            for n in (2, 3):
+                yield d, n, str(class_elements(d, ct)[-1])
+
+
+@pytest.mark.parametrize("d,n,product", list(boundary_cases()))
+def test_two_and_three_factors(monkeypatch, d, n, product):
+    # Every type of n factors, for a product of each class, with the
+    # quotient where the product is central: the row is the plain one and
+    # the oracle's, and the sub-fiber's first pairs are the least pairs of
+    # the Z(p)-orbits of the whole fiber's first pairs.  Two factors force
+    # the second, so no walk beyond the two of the first level runs; three
+    # walk the second level of each c_X the enumeration reaches.
+    p = Perm.parse(product, d)
+    centraliser = [g for g in all_perms(d) if g.conjugate(p) == p]
+    walk, calls = orbits._conjugation_orbits, []
+    monkeypatch.setattr(orbits, "_conjugation_orbits",
+                        lambda *args: calls.append(args) or walk(*args))
+    for type_text in all_types(d, n):
+        for conj in (False, True) if p.is_identity() else (False,):
+            spec = spec_of(d, type_text, product, "none", conj)
+            check_labelled_count(spec)
+            sub = enumerate_fiber(spec, LIM, sub_fiber=True).words
+            want = {min((g.conjugate(w[0]), g.conjugate(w[1])) for g in centraliser)
+                    for w in enumerate_fiber(spec, LIM).words}
+            assert {w[:2] for w in sub} == want
+            calls.clear()
+            count_orbits_in_fiber(spec, LIM)
+            if n <= 2:
+                assert len(calls) == 2
+            elif sub:
+                assert len(calls) > 2
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -329,14 +329,14 @@ class TestOrbitCounts:
             count_orbits_in_fiber(spec, LIM)
 
     def test_missing_conjugate_raises(self, monkeypatch):
-        # The quotient searches the sub-fiber of words whose first factor is
-        # its class's least member.  Here that is one class of seven words,
-        # each reached from another, so dropping any one leaves an image
-        # outside.
+        # The quotient searches the sub-fiber of words whose first two
+        # factors are the least pair of their orbit under S_3.  Here that is
+        # one class of three words, each reached from another, so dropping
+        # any one leaves an image outside.
         spec = FiberSpec(3, TypeVector.parse("2,1:2;3:1", 3), Perm.identity(3),
                          conjugation_quotient=True)
         sub = enumerate_fiber(spec, LIM, sub_fiber=True)
-        assert len(sub.coded) == 7 and count_orbits_in_fiber(spec, LIM).orbit_count == 1
+        assert len(sub.coded) == 3 and count_orbits_in_fiber(spec, LIM).orbit_count == 1
         for k in range(len(sub.coded)):
             kept = sub.coded[:k] + sub.coded[k + 1:]
             monkeypatch.setattr(orbits, "enumerate_fiber",
