@@ -60,7 +60,7 @@ from .orbits import (
     expand,
     trace_moves,
 )
-from .words import Factorization, Memo, Move, MoveKernel, Packing, State, apply_moves_state
+from .words import Factorization, Memo, Move, Packing, State, apply_moves_state, kernel_of
 
 DEFAULT_SAMPLES = 3    # the sample count of the sampled claims (5 and relations)
 
@@ -431,7 +431,7 @@ def rewrite_with_stable_tail(word: Factorization, tail: Factorization,
     t = len(tail)
     if t > len(word):
         raise ValueError("tail longer than the word")
-    kernel = MoveKernel(word.degree)
+    kernel = kernel_of(word.degree)
     packing = Packing(kernel, len(word))
     # The packed words that end in the tail are those whose last t base-B
     # digits, w mod B^t, pack as the tail does.

@@ -5,8 +5,9 @@ definite when the underlying search ran to completion within its limits, and
 hitting a limit is a first-class outcome (``complete=False`` / ``"unknown"``),
 never a silent truncation.
 
-Every search runs on coded words: the integer factor codes of one
-:class:`~hurwitz.words.MoveKernel`.  The equivalence search and the
+Every search runs on coded words: the integer factor codes of the one
+:class:`~hurwitz.words.MoveKernel` of its degree that a process keeps
+(:func:`~hurwitz.words.kernel_of`).  The equivalence search and the
 stable-tail search in :mod:`hurwitz.constructions` certify a path, so they
 run on :func:`expand`, the breadth-first traversal over every R and L move
 that records each word's parent; :func:`trace_moves` reads the moves back.
@@ -22,7 +23,7 @@ braid generators, R_1 and the rotation (:func:`orbit_images`), on tuples:
 the rotation's image is one whole-row ``map``, where a packed word would
 take a digit operation per factor.  Fiber enumeration carries its prefix
 products as codes, reading one row of ``kernel.mul`` per node, and looks
-the last factor up from the product.
+the last factor up from the product; a process keeps its tables.
 
 Every fiber takes one labelled search (:func:`_sub_fiber_classes`) on the
 sub-fiber of G = Z(p), the centraliser of its product p: the words whose
@@ -40,14 +41,15 @@ come out in the order of its ``Perm`` words.
 """
 from __future__ import annotations
 
+import functools
 import math
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .perms import (MAX_EXHAUSTIVE_DEGREE, CycleType, Perm, class_elements, class_reflection_length,
-                    closure, is_transitive, validate_cycle_type)
+from .perms import (MAX_EXHAUSTIVE_DEGREE, CycleType, Perm, centraliser_generators, class_elements,
+                    class_reflection_length, class_size, closure, generates_symmetric_group, is_transitive,
+                    validate_cycle_type)
 from .words import (
     Coded,
     Factorization,
@@ -57,6 +59,7 @@ from .words import (
     Packing,
     State,
     TypeVector,
+    kernel_of,
 )
 
 
@@ -155,11 +158,8 @@ class OrbitReport:
 
 
 def symmetric_generators(degree: int) -> tuple[Perm, ...]:
-    """(1,2) and (1 2 ... d), which generate S_d; deduplicated for d <= 2."""
-    if degree < 2:
-        return ()
-    cycle = Perm.from_cycles(degree, [tuple(range(1, degree + 1))])
-    return tuple(dict.fromkeys((Perm.transposition(degree, 1, 2), cycle)))
+    """(1,2) and (1 2 ... d), which generate S_d = Z(1); deduplicated for d <= 2."""
+    return centraliser_generators(Perm.identity(degree))
 
 
 def orbit_images(kernel: MoveKernel,
@@ -222,7 +222,7 @@ def enumerate_orbit(start: Factorization, limits: SearchLimits = DEFAULT_LIMITS,
     When complete, ``canonical`` is the lexicographically least word of the
     orbit (factors compared in one-line notation, words left to right).
     """
-    kernel = MoveKernel(start.degree)
+    kernel = kernel_of(start.degree)
     visited, complete = _orbit_states(kernel, kernel.encode_word(start.factors),
                                       limits.max_states, conjugation_quotient)
     canonical = None
@@ -274,7 +274,7 @@ def are_equivalent(s1: Factorization, s2: Factorization,
     if s1.degree <= MAX_EXHAUSTIVE_DEGREE and s1.generated_subgroup() != s2.generated_subgroup():
         return EquivalenceReport("no", None, 0, "generated subgroups differ")
 
-    kernel = MoveKernel(s1.degree)
+    kernel = kernel_of(s1.degree)
     packing = Packing(kernel, len(s1))
     c1 = packing.pack(kernel.encode_word(s1.factors))
     c2 = packing.pack(kernel.encode_word(s2.factors))
@@ -369,16 +369,18 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     subadditive).  Parity is checked once, at the root: the needed suffix and
     the remaining factors then have the same parity at every node, because a
     factor changes both by its own parity.  The product fixes the last
-    factor as prefix^-1 target, so at one factor left that factor is looked
-    up, once per distinct prefix product, and kept if it lies in the one
-    class left; no class is looped over.
+    factor as prefix^-1 target, so the loop that places the one before it
+    looks the last factor up and keeps the word if it lies in the one class
+    left; no class is looped over and no call is made per word.
 
-    The search runs on kernel codes: the prefix product is carried as a code,
-    and a node's children read their products off the node's row of
-    ``kernel.mul``.  The reflection distance from a prefix product to the
-    target, like the constraint test of a factor set, is computed once.  Class
-    elements are tried in sorted order, so the words come out in the same
-    order as a backtracking over ``Perm`` values would give them.
+    The search runs on the codes of the degree's kernel: the prefix product
+    is carried as a code, and a node's children read their products off the
+    node's row of ``kernel.mul``.  The reflection distance and the last
+    factor, per prefix product and target, and the constraint verdict, per
+    factor set, are tables that the process keeps, so every fiber reads what
+    earlier fibers filled.  Class elements are tried in sorted order, so the
+    words come out in the same order as a backtracking over ``Perm`` values
+    would give them.
 
     With ``sub_fiber``, only the words whose first pair (c_X, c_Y) is the
     least of its orbit under G = Z(p), the centraliser of the product p
@@ -395,37 +397,35 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     exactly when the whole fiber has at most ``max_fiber`` words.
     """
     d = spec.degree
-    kernel = MoveKernel(d)
+    kernel = kernel_of(d)
     counts = dict(spec.type_vector.counts)
     per_class = {ct: kernel.encode_word(class_elements(d, ct)) for ct in counts}
-    class_of = {g: ct for ct, members in per_class.items() for g in members}
+    in_class = {ct: frozenset(members) for ct, members in per_class.items()}
     refl = {ct: class_reflection_length(ct) for ct in counts}
     order = sorted(counts)  # fixed class iteration order
     target = spec.product
+    total = spec.type_vector.total()
     if sub_fiber:  # each c_X -> |X|, and each c_X to its c_Y -> |Y|
-        _, _, back, second = _conjugating_group(kernel, spec)
+        _, _, back, second = _conjugating_group(d, target, tuple(order), total > 2)
         orbit_sizes = Counter(kernel.conjugate[h][x] for x, h in back.items())
         pair_sizes = Memo(lambda c: Counter(kernel.conjugate[h][y] for y, h in second[c][0].items()))
 
     # Word-independent emptiness check: total parity must match the product.
-    total_parity = sum(refl[ct] * n for ct, n in counts.items()) % 2
-    if total_parity != target.parity():
+    budget = sum(refl[ct] * n for ct, n in counts.items())
+    if budget % 2 != target.parity():
         return FiberReport([], kernel, 0, True)
 
-    budget = sum(refl[ct] * n for ct, n in counts.items())
-    total = spec.type_vector.total()
     words: list[Coded] = []
     size = 0  # fiber words counted so far
     weight = 1  # fiber words each kept word stands for
     prefix: list[int] = []
     mul = kernel.mul
     unconstrained = spec.constraint == "none"
-
-    def satisfies_constraint(factors: frozenset[int]) -> bool:
-        gens = kernel.decode_word(tuple(factors))
-        if spec.constraint == "transitive":
-            return is_transitive(d, gens)
-        return len(closure(d, gens)) == math.factorial(d)
+    verdicts = _verdicts(d, spec.constraint)  # keyed by the set of factor codes
+    if len(verdicts) > VERDICTS_KEPT:
+        verdicts.clear()
+    distance, last = _target_tables(d, target)
+    limit_hit: list[str] = []
 
     def least(ct: CycleType, sizes: Counter, scale: int) -> Iterator[int]:
         # the least members of class ct, each setting the weight scale * its orbit's size
@@ -434,33 +434,9 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
             weight = scale * sizes[c]
             yield c
 
-    constraint = Memo(satisfies_constraint)  # keyed by the set of factor codes
-    # Keyed by prefix product code: the reflection distance to the target,
-    # and the code of the last factor prefix^-1 target.
-    distance = Memo(lambda code: (kernel.decode(code).inverse() * target).reflection_length())
-    last = Memo(lambda code: kernel.encode(kernel.decode(code).inverse() * target))
-    limit_hit: list[str] = []
-
     def rec(prefix_product: int, remaining: int, budget_left: int) -> None:
-        # The prefix is admissible: children are pruned before the call.
+        # The prefix is admissible (children are pruned before the call), and two factors or more are left.
         nonlocal size
-        if remaining == 0:
-            state = tuple(prefix)
-            if unconstrained or constraint[frozenset(state)]:
-                if size + weight > limits.max_fiber:
-                    limit_hit.append(f"max_fiber={limits.max_fiber}")
-                    return
-                size += weight
-                words.append(state)
-            return
-        if remaining == 1:
-            g = last[prefix_product]
-            # Only the class left has a nonzero count.
-            if counts.get(class_of.get(g)):
-                prefix.append(g)
-                rec(goal, 0, 0)
-                prefix.pop()
-            return
         row = mul[prefix_product]
         for ct in order:
             if counts[ct] == 0:
@@ -473,22 +449,43 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
                 members = least(ct, pair_sizes[prefix[0]], orbit_sizes[prefix[0]])
             else:
                 members = per_class[ct]
-            for g in members:
-                child = row[g]
-                if distance[child] > child_budget:
-                    continue
-                prefix.append(g)
-                rec(child, remaining - 1, child_budget)
-                prefix.pop()
-                if limit_hit:
-                    break
+            if remaining == 2:
+                # The last factor h = (prefix g)^-1 target must lie in the
+                # class left, and then its reflection length is the budget.
+                rest = in_class[next(c for c in order if counts[c])]
+                for g in members:
+                    h = last[row[g]]
+                    if h not in rest:
+                        continue
+                    word = (*prefix, g, h)
+                    if unconstrained or verdicts[frozenset(word)]:
+                        if size + weight > limits.max_fiber:
+                            limit_hit.append(f"max_fiber={limits.max_fiber}")
+                            break
+                        size += weight
+                        words.append(word)
+            else:
+                for g in members:
+                    child = row[g]
+                    if distance[child] > child_budget:
+                        continue
+                    prefix.append(g)
+                    rec(child, remaining - 1, child_budget)
+                    prefix.pop()
+                    if limit_hit:
+                        break
             counts[ct] += 1
             if limit_hit:
                 break
 
     root = kernel.encode(Perm.identity(d))
     goal = kernel.encode(target)
-    if distance[root] <= budget:  # the parity was checked above
+    if total < 2:  # the word is () or (p,); max_fiber >= 1 holds it
+        word = (goal,) * total
+        if (goal in in_class[order[0]] if total else goal == root) and (
+                unconstrained or verdicts[frozenset(word)]):
+            words, size = [word], 1
+    elif distance[root] <= budget:  # the parity was checked above
         rec(root, total, budget)
     # rec refers to itself through its closure, a cycle that only the cyclic
     # collector frees, and it holds the word list: break it, so the words go
@@ -497,6 +494,29 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     if limit_hit:
         return FiberReport(words, kernel, size, False, limit_hit[0])
     return FiberReport(words, kernel, size, True)
+
+
+#: Kept for later counts: the tables of the 64 targets and 64 conjugating groups
+#: used last, and 2^14 verdicts per degree and constraint; tens of MB at d <= 6.
+TABLES_KEPT = 64
+VERDICTS_KEPT = 1 << 14
+
+
+@functools.lru_cache(maxsize=TABLES_KEPT)
+def _target_tables(d: int, target: Perm) -> tuple[Memo, Memo]:
+    """Keyed by the code of a prefix product: its reflection distance to
+    ``target``, and the code of the last factor prefix^-1 target."""
+    kernel = kernel_of(d)
+    return (Memo(lambda code: (kernel.decode(code).inverse() * target).reflection_length()),
+            Memo(lambda code: kernel.encode(kernel.decode(code).inverse() * target)))
+
+
+@functools.cache
+def _verdicts(d: int, constraint: str) -> Memo:
+    """Whether a frozenset of factor codes of degree d meets ``constraint``."""
+    kernel = kernel_of(d)
+    test = is_transitive if constraint == "transitive" else generates_symmetric_group
+    return Memo(lambda factors: test(d, kernel.decode_word(tuple(factors))))
 
 
 def _conjugation_orbits(kernel: MoveKernel, gens: Iterable[int], members: Iterable[int]) -> tuple[dict, dict]:
@@ -533,34 +553,30 @@ def _conjugation_orbits(kernel: MoveKernel, gens: Iterable[int], members: Iterab
     return back, stabilisers
 
 
-_groups: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _conjugating_group(kernel: MoveKernel, spec: FiberSpec) -> tuple[int, list[int], dict, Memo]:
-    """G = Z(p), the centraliser of the fiber's product p: its order
-    d! / |p's class|, its generators (p's stabiliser under
-    :func:`symmetric_generators`), the x -> h_x of its
-    :func:`_conjugation_orbits` on the type's classes, and the second level,
+@functools.lru_cache(maxsize=TABLES_KEPT)
+def _conjugating_group(d: int, product: Perm, classes: tuple[CycleType, ...],
+                       deep: bool) -> tuple[int, tuple[int, ...], dict, Memo]:
+    """G = Z(p), the centraliser of the product p of the fibers of degree d
+    with the classes ``classes``: its order d! / |p's class|, its generators
+    (:func:`~hurwitz.perms.centraliser_generators`), the x -> h_x of its
+    :func:`_conjugation_orbits` on those classes, and the second level,
     filled per c_X: the orbits of Stab_G(c_X) on the same classes, y -> h'_y
     with h'_y y h'_y^-1 = c_Y, and each c_Y -> generators of
-    Stab_G(c_X, c_Y).  Two factors force the second, c_X^-1 p, which
-    Stab_G(c_X) fixes, so there the level is read off without a walk.  Kept
-    with the kernel, so each count computes it once."""
-    if kernel not in _groups:
-        # The second level reaches the kernel through a proxy: the table must not hold its own key.
-        d, p, proxy = spec.degree, kernel.encode(spec.product), weakref.proxy(kernel)
-        orbit, stabiliser = _conjugation_orbits(kernel, kernel.encode_word(symmetric_generators(d)), [p])
-        members = sorted(kernel.encode(x) for ct in spec.type_vector.as_dict() for x in class_elements(d, ct))
-        back, stabilisers = _conjugation_orbits(kernel, stabiliser[p], members)
+    Stab_G(c_X, c_Y).  Without ``deep`` a word has at most two factors, which
+    force the second, c_X^-1 p, and Stab_G(c_X) fixes it, so there the level
+    is read off without a walk.  Kept for the fibers that follow, like the kernel."""
+    kernel = kernel_of(d)
+    gens = kernel.encode_word(centraliser_generators(product))
+    members = sorted(kernel.encode(x) for ct in classes for x in class_elements(d, ct))
+    back, stabilisers = _conjugation_orbits(kernel, gens, members)
 
-        def second(c: int) -> tuple[dict, dict]:
-            if spec.type_vector.total() > 2:
-                return _conjugation_orbits(proxy, stabilisers[c], members)
-            y = proxy.encode(proxy.decode(c).inverse() * spec.product)
-            return {y: proxy.encode(Perm.identity(d))}, {y: stabilisers[c]}
+    def second(c: int) -> tuple[dict, dict]:
+        if deep:
+            return _conjugation_orbits(kernel, stabilisers[c], members)
+        y = kernel.encode(kernel.decode(c).inverse() * product)
+        return {y: kernel.encode(Perm.identity(d))}, {y: stabilisers[c]}
 
-        _groups[kernel] = (math.factorial(d) // len(orbit), stabiliser[p], back, Memo(second))
-    return _groups[kernel]
+    return math.factorial(d) // class_size(d, product.cycle_type()), gens, back, Memo(second)
 
 
 #: The edges from one word of a labelled search: its images, and for each the
@@ -771,7 +787,7 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
         return FiberOrbitReport(None, None, [], False, fr.limit_hit)
 
     mul, rows, decode = kernel.mul, kernel.conjugate, kernel.decode
-    order, gens, back, second = _conjugating_group(kernel, spec)
+    order, gens, back, second = _conjugating_group(d, spec.product, tuple(spec.type_vector.as_dict()), n > 2)
     edges = _sub_fiber_edges(kernel, back, second) if n > 1 else lambda w: ((), ())
     labels, classes = _sub_fiber_classes(coded, edges, kernel.encode(Perm.identity(d)))
 
@@ -819,7 +835,7 @@ def orbit_partition_by_sweeps(words: list[State], degree: int,
     Returns None if any orbit enumeration hits the state limit; an orbit
     that leaves ``words`` is a fault.
     """
-    kernel = MoveKernel(degree)
+    kernel = kernel_of(degree)
     coded = [kernel.encode_word(w) for w in words]
     fiber = set(coded)
     remaining = set(coded)

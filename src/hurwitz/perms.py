@@ -377,18 +377,55 @@ def closure(degree: int, generators: Iterable[Perm]) -> frozenset[Perm]:
 
 
 def is_transitive(degree: int, perms: Iterable[Perm]) -> bool:
-    """Whether the group generated by ``perms`` acts transitively on 1..degree."""
-    parent = list(range(degree + 1))
+    """Whether the group generated by ``perms`` acts transitively on
+    1..degree: whether the images of 1 under words in them reach every point."""
+    perms = tuple(perms)
+    orbit, seen = [1], {1}
+    for x in orbit:  # grows while it is walked
+        for p in perms:
+            y = p[x - 1]
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return len(orbit) == degree
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
+def generates_symmetric_group(degree: int, perms: Iterable[Perm]) -> bool:
+    """Whether ``perms`` generate S_degree.  Even permutations generate at
+    most A_degree, and S_degree is transitive.  If a permutation's only
+    even cycle is one 2-cycle (a b), a power of it is (a b), and the group
+    is S_degree exactly when the conjugates (g(a) g(b)) of (a b) join every
+    point, that is when the least relation holding (a, b) that the
+    generators map to itself has one class: transpositions that join every
+    point generate S_degree.  Only the rest is listed by :func:`closure`."""
+    perms = tuple(perms)
+    if degree > 1 and not any(p.parity() for p in perms) or not is_transitive(degree, perms):
+        return False
     for p in perms:
-        for i in range(1, degree + 1):
-            ra, rb = find(i), find(p[i - 1])
-            if ra != rb:
-                parent[rb] = ra
-    return len({find(i) for i in range(1, degree + 1)}) == 1
+        if [k for k in p.cycle_type() if k % 2 == 0] == [2]:
+            label = list(range(degree + 1))  # each point's class
+            pairs = [next(c for c in p.cycles() if len(c) == 2)]
+            for x, y in pairs:  # grows while it is walked
+                if label[x] != label[y]:
+                    old = label[y]
+                    label = [label[x] if c == old else c for c in label]
+                    pairs += [(q[x - 1], q[y - 1]) for q in perms]
+            return len(set(label[1:])) == 1
+    return len(closure(degree, perms)) == math.factorial(degree)
+
+
+def centraliser_generators(p: Perm) -> tuple[Perm, ...]:
+    """Generators of Z(p), the centraliser of ``p``, read off its cycles,
+    fixed points included: each cycle, and for each length k held by m >= 2
+    cycles, the swap of two of them point by point and the rotation of all
+    m.  Z(p) is the product over k of the wreath products C_k wr S_m, of
+    order prod_k k^m m!."""
+    d = len(p)
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for cycle in p.cycles() + [(x,) for x in range(1, d + 1) if p(x) == x]:
+        by_length.setdefault(len(cycle), []).append(cycle)
+    gens = [Perm.cycle(d, cycle) for cycle in p.cycles()]
+    for cycles in by_length.values():
+        if len(cycles) > 1:
+            gens += [Perm.from_cycles(d, zip(*cycles[:2])), Perm.from_cycles(d, zip(*cycles))]
+    return tuple(dict.fromkeys(gens))

@@ -21,6 +21,7 @@ A word with no factors is written ``()``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -92,9 +93,11 @@ class MoveKernel:
     * ``mul[a][b]`` is the code of the product a b; fiber enumeration carries
       its prefix products with it.
 
-    ``encode`` and the tables' fill functions close over the code tables, not
-    over the kernel, so nothing refers back to the kernel and it is freed as
-    soon as its search drops it.
+    Codes and rows depend only on the degree, so a process keeps one kernel
+    per degree for its whole life, :func:`kernel_of`, and each search reads
+    the rows that earlier searches filled; only asked-for entries are held.
+    The fill functions close over the code tables, not over the kernel, so
+    a kernel built apart is freed as soon as its caller drops it.
     """
 
     def __init__(self, degree: int) -> None:
@@ -123,6 +126,10 @@ class MoveKernel:
 
     def decode_word(self, coded: Coded) -> State:
         return tuple(map(self._perms.__getitem__, coded))
+
+
+#: The one :class:`MoveKernel` of each degree that every search shares.
+kernel_of = functools.cache(MoveKernel)
 
 
 class Packing:

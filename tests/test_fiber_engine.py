@@ -19,7 +19,10 @@ position (same orbits, counts, least words and rows, also those of
 ``count_components``), and two independent partitioners (same orbits, with
 and without the conjugation quotient); the quotient's count,
 representatives and size are also checked against sweeps of the full
-fiber, and every cap against the full fiber's size.
+fiber, and every cap against the full fiber's size.  The kernel and fiber
+tables that a process keeps from one count to the next are checked by
+running a mixed sequence of specs in one process against each spec run
+after they are cleared.
 """
 import functools
 import math
@@ -31,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitz import orbits
+from hurwitz.cli import main
 from hurwitz.orbits import (
     CONSTRAINTS,
     FiberReport,
@@ -46,7 +50,8 @@ from hurwitz.orbits import (
 from hurwitz.perms import (Perm, all_cycle_types, all_perms, class_elements, class_parity, closure,
                            transpositions)
 from hurwitz.reports import ComponentQuery, count_components
-from hurwitz.words import MoveKernel, TypeVector, conjugate_state, move_right_state
+from hurwitz.words import (Factorization, Move, MoveKernel, TypeVector, conjugate_state, kernel_of,
+                           move_right_state)
 
 import oracle
 
@@ -470,10 +475,9 @@ def test_pair_level_matches_brute_force(d):
     for ct in all_cycle_types(d):
         p = class_elements(d, ct)[-1]
         centraliser = [g for g in all_perms(d) if g.conjugate(p) == p]
-        kernel = MoveKernel(d)
+        kernel = kernel_of(d)
         rows = kernel.conjugate
-        spec = FiberSpec(d, TypeVector.from_counts(dict.fromkeys(classes, 3)), p)
-        _, _, back, second = orbits._conjugating_group(kernel, spec)
+        _, _, back, second = orbits._conjugating_group(d, p, tuple(classes), True)
         weights = {}
         for c, size in Counter(rows[h][x] for x, h in back.items()).items():
             back_y, stabilisers = second[c]
@@ -502,9 +506,10 @@ def test_two_and_three_factors(monkeypatch, d, n, product):
     # Every type of n factors, for a product of each class, with the
     # quotient where the product is central: the row is the plain one and
     # the oracle's, and the sub-fiber's first pairs are the least pairs of
-    # the Z(p)-orbits of the whole fiber's first pairs.  Two factors force
-    # the second, so no walk beyond the two of the first level runs; three
-    # walk the second level of each c_X the enumeration reaches.
+    # the Z(p)-orbits of the whole fiber's first pairs.  Z(p)'s generators
+    # are read off p's cycles, and two factors force the second, so a count
+    # from a cleared group table walks only the first level; three walk the
+    # second level of each c_X the enumeration reaches.
     p = Perm.parse(product, d)
     centraliser = [g for g in all_perms(d) if g.conjugate(p) == p]
     walk, calls = orbits._conjugation_orbits, []
@@ -519,11 +524,12 @@ def test_two_and_three_factors(monkeypatch, d, n, product):
                     for w in enumerate_fiber(spec, LIM).words}
             assert {w[:2] for w in sub} == want
             calls.clear()
+            orbits._conjugating_group.cache_clear()
             count_orbits_in_fiber(spec, LIM)
             if n <= 2:
-                assert len(calls) == 2
+                assert len(calls) == 1
             elif sub:
-                assert len(calls) > 2
+                assert len(calls) > 1
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -672,3 +678,106 @@ def test_components_rows_match_the_whole_fiber_search(d, b):
             assert body["convention"] == {"product": "identity", "constraint": constraint,
                                           "conjugation_quotient": conj}
             assert sorted(tuple(r.values()) for r in body["rows"]) == sorted(rows)
+
+
+# -- state kept across counts ------------------------------------------------
+
+def clear_caches():
+    """Forget the kernels and fiber tables that the process keeps."""
+    for cache in (kernel_of, orbits._conjugating_group, orbits._target_tables, orbits._verdicts):
+        cache.cache_clear()
+
+
+# (degree, type, product, constraint, quotient, max_fiber), run in this
+# order: products of several classes, n = 2, 3 and 2 again on the same
+# classes and product, every constraint, the quotient on and off, and cuts.
+MIXED = [
+    (4, "2,1,1:1;3,1:1", "(1,2,3,4)", "none", False, 200_000),
+    (4, "2,1,1:1;3,1:2", "(1,2,3,4)", "none", False, 200_000),
+    (4, "2,1,1:1;3,1:1", "(1,2,3,4)", "transitive", False, 200_000),
+    (3, "2,1:4", "()", "full_group", True, 200_000),
+    (3, "2,1:4", "()", "none", False, 200_000),
+    (3, "2,1:4", "()", "none", False, 10),
+    (5, "2,1,1,1:3", "(1,2,3)", "none", False, 200_000),
+    (5, "2,1,1,1:3", "(1,2,3)", "transitive", False, 200_000),
+    (5, "2,1,1,1:1;3,2:2", "(3,4,5)", "full_group", False, 200_000),
+    (4, "2,1,1:6", "(1,2)(3,4)", "transitive", False, 200_000),
+    (4, "2,1,1:6", "(1,2)(3,4)", "none", False, 100),
+    (4, "2,1,1:6", "()", "full_group", False, 200_000),
+    (4, "2,2:1;4:2", "()", "none", True, 200_000),
+    (4, "2,2:1;4:2", "()", "none", False, 200_000),
+    (4, "2,1,1:3", "(1,2)", "full_group", False, 200_000),
+    (4, "4:2", "(1,3)(2,4)", "transitive", False, 200_000),
+    (4, "4:2", "(1,3)(2,4)", "full_group", False, 200_000),
+    (4, "3,1:1", "(1,2,3)", "none", False, 200_000),
+    (4, "2,1,1:1;3,1:1", "(1,2,3,4)", "none", False, 200_000),
+]
+
+
+def mixed_result(entry):
+    *spec_args, max_fiber = entry
+    spec, limits = spec_of(*spec_args), SearchLimits(max_states=200_000, max_fiber=max_fiber)
+    whole = enumerate_fiber(spec, limits)
+    sub = enumerate_fiber(spec, limits, sub_fiber=True)
+    return (whole.words, whole.size, whole.complete, sub.words, sub.size, sub.complete,
+            count_orbits_in_fiber(spec, limits, want_partition=True))
+
+
+def test_shared_tables_give_the_answers_of_a_fresh_process():
+    # Each answer of the mixed sequence, run in one process, equals the
+    # answer of the same spec run alone after every table is forgotten.
+    clear_caches()
+    shared = [mixed_result(entry) for entry in MIXED]
+    for entry, got in zip(MIXED, shared):
+        clear_caches()
+        assert mixed_result(entry) == got, entry
+
+
+def test_one_kernel_per_degree(monkeypatch):
+    built, init = [], MoveKernel.__init__
+    monkeypatch.setattr(MoveKernel, "__init__", lambda self, degree: built.append(degree) or init(self, degree))
+    clear_caches()
+    for entry in MIXED:
+        mixed_result(entry)
+    word = Factorization.parse_word(4, "(1,2)(2,3)(3,4)(1,2)")
+    orbits.enumerate_orbit(word)
+    orbits.are_equivalent(word, word.apply_move(Move(1, "R")))
+    assert sorted(built) == [3, 4, 5]
+
+
+def test_verdicts_kept_past_their_bound_are_dropped(monkeypatch):
+    # Past VERDICTS_KEPT, a count starts from an empty verdict table, which
+    # then holds only its own factor sets, and answers as before.
+    first, second = spec_of(4, "2,1,1:6", "()", "transitive"), spec_of(4, "3,1:4", "()", "transitive")
+    clear_caches()
+    want = count_orbits_in_fiber(second, LIM)
+    kept = len(orbits._verdicts(4, "transitive"))
+    monkeypatch.setattr(orbits, "VERDICTS_KEPT", kept)
+    clear_caches()
+    count_orbits_in_fiber(first, LIM)
+    assert len(orbits._verdicts(4, "transitive")) > kept
+    assert count_orbits_in_fiber(second, LIM) == want
+    assert len(orbits._verdicts(4, "transitive")) == kept
+
+
+# The fiber-count queries of degree 8 that take the centraliser of an
+# 8-cycle, of the identity and of a double transposition.
+D8_QUERIES = [
+    ["fiber-count", "--d", "8", "--type", "8:1", "--product", "(1,2,3,4,5,6,7,8)"],
+    ["fiber-count", "--d", "8", "--type", "2,1,1,1,1,1,1:2"],
+    ["fiber-count", "--d", "8", "--type", "2,1,1,1,1,1,1:2", "--product", "(1,2)(3,4)"],
+]
+
+
+def test_kernel_of_degree_8_stays_small(capsys):
+    # The kernel fills only the codes and row entries a search asks for:
+    # after all three queries about 6,700 of the 40,320 codes and 10,100
+    # row entries, where whole rows would take 40,320 entries each.
+    clear_caches()
+    for argv in D8_QUERIES:
+        assert main(argv) == 0
+    capsys.readouterr()
+    kernel = kernel_of(8)
+    entries = sum(len(row) for table in (kernel.conjugate, kernel.left, kernel.mul) for row in table.values())
+    assert len(kernel._perms) < 7_000
+    assert entries < 12_000

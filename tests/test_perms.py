@@ -1,5 +1,7 @@
 """Permutation arithmetic and conjugacy-class bookkeeping."""
+import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -11,9 +13,11 @@ from hurwitz.perms import (
     all_cycle_types,
     all_perms,
     canonical_class_element,
+    centraliser_generators,
     class_elements,
     class_size,
     closure,
+    generates_symmetric_group,
     is_transitive,
     parse_cycle_type,
     transpositions,
@@ -29,6 +33,18 @@ def P(text, d):
 def perms(min_degree=1, max_degree=6):
     return st.integers(min_degree, max_degree).flatmap(
         lambda d: st.permutations(list(range(1, d + 1))).map(Perm))
+
+
+def generator_sets(max_degree=6):
+    """A degree and up to four permutations of it, often with one whose only
+    even cycle is one 2-cycle, the case that is decided without a listing."""
+    def of_degree(d):
+        perm = st.permutations(list(range(1, d + 1))).map(Perm)
+        special = [x for ct in all_cycle_types(d) if [k for k in ct if k % 2 == 0] == [2]
+                   for x in class_elements(d, ct)]
+        return st.tuples(st.just(d), st.lists(st.one_of(perm, st.sampled_from(special or [Perm.identity(d)])),
+                                              max_size=4))
+    return st.integers(1, max_degree).flatmap(of_degree)
 
 
 def perm_pairs(max_degree=6):
@@ -204,3 +220,22 @@ class TestSubgroups:
 
     def test_transpositions_list(self):
         assert len(transpositions(5)) == 10
+
+    @given(generator_sets())
+    def test_symmetric_group_test_matches_closure(self, case):
+        d, gens = case
+        assert generates_symmetric_group(d, gens) == (len(closure(d, gens)) == math.factorial(d))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_symmetric_group_test_on_every_pair(self, d):
+        for gens in itertools.combinations_with_replacement(all_perms(d), 2):
+            assert generates_symmetric_group(d, gens) == (len(closure(d, gens)) == math.factorial(d))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_centraliser_generators_match_brute_force(self, d):
+        group = list(all_perms(d))
+        for ct in all_cycle_types(d):
+            for p in (class_elements(d, ct)[-1], canonical_class_element(d, ct)):
+                centraliser = closure(d, centraliser_generators(p))
+                assert centraliser == {g for g in group if g.conjugate(p) == p}
+                assert len(centraliser) == math.prod(k ** m * math.factorial(m) for k, m in Counter(ct).items())
