@@ -49,6 +49,7 @@ from .perms import (
     class_parity,
     class_size,
     format_cycle_type,
+    generates_symmetric_group,
     transpositions,
     validate_cycle_type,
 )
@@ -503,13 +504,12 @@ def check_stable_tail(degree: int, cycle_type, limits: SearchLimits = DEFAULT_LI
     tail = ladder_cube(degree)
     length = len(tail) + 1
     gens = transpositions(degree)
-    full = frozenset(all_perms(degree))
     report.summary = {"mode": "ladder", "tail_length": len(tail), "word_length": length}
     made = 0
     while made < samples:
         factors = tuple(rng.choice(gens) for _ in range(length))
         word = Factorization(degree, factors)
-        if word.generated_subgroup() != full:
+        if not generates_symmetric_group(degree, factors):
             continue
         made += 1
         if made == 1:

@@ -47,9 +47,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .perms import (MAX_EXHAUSTIVE_DEGREE, CycleType, Perm, centraliser_generators, class_elements,
-                    class_reflection_length, class_size, closure, generates_symmetric_group, is_transitive,
-                    validate_cycle_type)
+from .perms import (Chain, CycleType, Perm, centraliser_generators, class_elements, class_reflection_length,
+                    class_size, closure, generates_symmetric_group, is_transitive, validate_cycle_type)
 from .words import (
     Coded,
     Factorization,
@@ -256,10 +255,11 @@ def are_equivalent(s1: Factorization, s2: Factorization,
                    limits: SearchLimits = DEFAULT_LIMITS) -> EquivalenceReport:
     """Decide whether two words represent the same semigroup element.
 
-    Cheap invariants (length, product, type, generated subgroup) separate
-    inequivalent words immediately; otherwise a bidirectional breadth-first
-    search over the move graph looks for a meeting word.  "unknown" occurs
-    only when the state limit is exhausted.
+    Cheap invariants (length, product, type, generated subgroup, the last
+    by :class:`~hurwitz.perms.Chain` order and membership, no degree gate)
+    separate inequivalent words immediately; otherwise a bidirectional
+    breadth-first search over the move graph looks for a meeting word.
+    "unknown" occurs only when the state limit is exhausted.
     """
     if s1.degree != s2.degree:
         return EquivalenceReport("no", None, 0, "degrees differ")
@@ -269,9 +269,10 @@ def are_equivalent(s1: Factorization, s2: Factorization,
         return EquivalenceReport("no", None, 0, "products differ")
     if s1.type_vector() != s2.type_vector():
         return EquivalenceReport("no", None, 0, "types differ")
-    if s1.factors == s2.factors:  # before the subgroups, which list up to d! elements each
+    if s1.factors == s2.factors:
         return EquivalenceReport("yes", (), 0)
-    if s1.degree <= MAX_EXHAUSTIVE_DEGREE and s1.generated_subgroup() != s2.generated_subgroup():
+    group = Chain(s1.degree, s1.factors)
+    if group.order() != Chain(s2.degree, s2.factors).order() or not all(f in group for f in s2.factors):
         return EquivalenceReport("no", None, 0, "generated subgroups differ")
 
     kernel = kernel_of(s1.degree)
@@ -528,26 +529,22 @@ def _conjugation_orbits(kernel: MoveKernel, gens: Iterable[int], members: Iterab
     when the sorted members are a union of orbits.  A breadth-first walk
     from c_X gives each new y = z v z^-1 the t_y = z t_v, so h_y = t_y^-1;
     every other edge gives a Schreier generator t_y^-1 z t_v (Seress, 2003,
-    ch. 4), kept only when the group of those kept, listed lazily, misses it.
+    ch. 4), kept only when it grows the :class:`~hurwitz.perms.Chain` of
+    those kept.
     """
     identity, rows, decode = Perm.identity(kernel.degree), kernel.conjugate, kernel.decode
     back, stabilisers = {}, {}
     for c in members:
         if c not in back:
-            t, queue, kept, listed = {c: identity}, [c], [], None
+            t, queue, chain, kept = {c: identity}, [c], Chain(kernel.degree), []
             for v in queue:  # grows while it is walked
                 for z in gens:
                     y = rows[z][v]
                     if y not in t:
                         t[y] = decode(z) * t[v]
                         queue.append(y)
-                        continue
-                    s = t[y].inverse() * decode(z) * t[v]
-                    if listed is None:  # the group of kept
-                        listed = closure(kernel.degree, kept)
-                    if s not in listed:
+                    elif chain.add(s := t[y].inverse() * decode(z) * t[v]):
                         kept.append(s)
-                        listed = None
             back.update((y, kernel.encode(ty.inverse())) for y, ty in t.items())
             stabilisers[c] = kernel.encode_word(kept)
     return back, stabilisers
@@ -706,16 +703,16 @@ def _sub_fiber_classes(coded: list[Coded], edges: Edges, identity: int
     return labels, classes
 
 
-def _cosets(kernel: MoveKernel, stabiliser: Iterable[int]) -> Callable[[int], int]:
-    """The number of the left coset g H of each code g, for the subgroup H
-    of codes ``stabiliser``: cosets are numbered as met, each kept as its
-    first element r, and g lies in the first r H with r^-1 g in H."""
-    inside = set(stabiliser)
+def _cosets(kernel: MoveKernel, stabiliser: Chain) -> Callable[[int], int]:
+    """The number of the left coset g H of each code g, for H given by its
+    chain: cosets are numbered as met, each kept as its first element r, and
+    g lies in the first r H with r^-1 g in H (one strip per code)."""
+    inside = Memo(lambda code: kernel.decode(code) in stabiliser)
     firsts: list[Memo] = []  # the kernel.mul row of r^-1 for each coset
 
     def number(g: int) -> int:
         for k, row in enumerate(firsts):
-            if row[g] in inside:
+            if inside[row[g]]:
                 return k
         firsts.append(kernel.mul[kernel.encode(kernel.decode(g).inverse())])
         return len(firsts) - 1
@@ -778,7 +775,7 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
     p, so S_d for a central one.  A class of words with fewer than two
     factors is one orbit: no braid moves them, and G fixes them.  A class Q
     is one orbit under the quotient (H_Q = G), whose least word is in F_0,
-    and else [G : H_Q].
+    and else [G : H_Q], by H_Q's chain; only ``want_partition`` lists G.
     """
     d, n = spec.degree, spec.type_vector.total()
     fr = enumerate_fiber(spec, limits, sub_fiber=True)
@@ -797,9 +794,8 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
         if spec.conjugation_quotient or n < 2:
             index, coset = 1, lambda g: 0
         else:
-            stabiliser = kernel.encode_word(
-                closure(d, [decode(b).inverse() * decode(fa) for b, fa in schreier]))
-            index, coset = order // len(stabiliser), _cosets(kernel, stabiliser)
+            stabiliser = Chain(d, [decode(b).inverse() * decode(fa) for b, fa in schreier])
+            index, coset = order // stabiliser.order(), _cosets(kernel, stabiliser)
         count += index
         if index == 1:
             least.append(min(map(coded.__getitem__, members)))

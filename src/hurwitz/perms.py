@@ -23,15 +23,15 @@ import re
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
-#: Largest degree for which exhaustive group computations (subgroup closure,
-#: class enumeration over all of S_d) are permitted.
+#: Largest degree for which listing a group or a class (:func:`closure`,
+#: :func:`class_elements`) is permitted; a :class:`Chain` lists neither.
 MAX_EXHAUSTIVE_DEGREE = 8
 
 CycleType = tuple[int, ...]
 
 
 class LimitExceededError(RuntimeError):
-    """An exhaustive computation was asked for above ``MAX_EXHAUSTIVE_DEGREE``."""
+    """A computation was asked for above the degree it is limited to."""
 
 
 class Perm(tuple):
@@ -349,7 +349,7 @@ def class_elements(degree: int, cycle_type: Iterable[int]) -> tuple[Perm, ...]:
     return _class_elements_cached(degree, ct)
 
 
-# -- subgroup machinery (small-degree exhaustion only) -----------------------
+# -- subgroups ---------------------------------------------------------------
 
 def closure(degree: int, generators: Iterable[Perm]) -> frozenset[Perm]:
     """The subgroup generated by ``generators`` as an explicit element set.
@@ -376,6 +376,77 @@ def closure(degree: int, generators: Iterable[Perm]) -> frozenset[Perm]:
     return frozenset(seen)
 
 
+class Chain:
+    """The group generated by ``generators`` as a base and strong generating
+    set, for its order and membership without a listing (Schreier–Sims;
+    Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, §4.4).
+
+    Level i holds a base point b_i, generators X_i of G_i (G_0 is the group)
+    and the orbit of b_i under them, each x with a u_x in G_i taking b_i to
+    x.  When every Schreier generator u_y^-1 s u_x (s in X_i, y = s(x))
+    strips to 1 through the levels below, those hold G_(i+1), the stabiliser
+    of b_i (Schreier's lemma): |G| is the product of the orbit lengths, and g
+    is in G when dividing out each level's u_x in turn leaves 1.  An element
+    is the bytes of its images of 0..d, 0 fixed, and a left factor a 256-byte
+    table: a b is ``b.translate(table of a)``, so the degree is below 256.
+    """
+
+    def __init__(self, degree: int, generators: Iterable[Perm] = ()) -> None:
+        if degree > 255:
+            raise LimitExceededError(f"a stabiliser chain holds degrees up to 255, not {degree}")
+        self.degree = degree
+        self._identity = bytes(range(degree + 1))
+        self._levels = []  # per level: b_i, the tables of X_i, x -> u_x, x -> the table of u_x^-1
+        for g in generators:
+            self.add(g)
+
+    def _strip(self, g: bytes, i: int) -> tuple[bytes, int]:
+        """``g`` stripped through the levels from i on, and the level that missed it."""
+        for k in range(i, len(self._levels)):
+            base, _, _, inverses = self._levels[k]
+            table = inverses.get(g[base])
+            if table is None:
+                return g, k
+            g = g.translate(table)
+        return g, len(self._levels)
+
+    def _insert(self, g: bytes, i: int) -> bool:
+        """Add ``g`` (in G_(i-1), fixing b_(i-1)) to G_i: its strip's residue
+        goes to the level that missed it and every level up to i, deepest
+        first, each walked to completion; a walk inserts only below itself."""
+        g, j = self._strip(g, i)
+        if g == self._identity:
+            return False
+        if j == len(self._levels):
+            base = next(x for x in range(self.degree + 1) if g[x] != x)
+            self._levels.append((base, [], {base: self._identity}, {base: bytes(range(256))}))
+        table = bytes.maketrans(self._identity, g)
+        for k in range(j, i - 1, -1):
+            base, gens, reps, inverses = self._levels[k]
+            gens.append(table)
+            orbit, old = list(reps), len(reps)
+            for n, x in enumerate(orbit):  # grows while it is walked
+                for s in gens if n >= old else (table,):  # each (x, s) once over the level's life
+                    su = reps[x].translate(s)
+                    y = su[base]
+                    if y not in reps:
+                        reps[y], inverses[y] = su, bytes.maketrans(su, self._identity)
+                        orbit.append(y)
+                    elif (h := su.translate(inverses[y])) != self._identity:
+                        self._insert(h, k + 1)
+        return True
+
+    def add(self, g: Perm) -> bool:
+        """Add ``g`` to the generators; whether the group grew."""
+        return self._insert(bytes((0, *g)), 0)
+
+    def __contains__(self, g: Perm) -> bool:
+        return self._strip(bytes((0, *g)), 0)[0] == self._identity
+
+    def order(self) -> int:
+        return math.prod(len(level[2]) for level in self._levels)
+
+
 def is_transitive(degree: int, perms: Iterable[Perm]) -> bool:
     """Whether the group generated by ``perms`` acts transitively on
     1..degree: whether the images of 1 under words in them reach every point."""
@@ -391,27 +462,9 @@ def is_transitive(degree: int, perms: Iterable[Perm]) -> bool:
 
 
 def generates_symmetric_group(degree: int, perms: Iterable[Perm]) -> bool:
-    """Whether ``perms`` generate S_degree.  Even permutations generate at
-    most A_degree, and S_degree is transitive.  If a permutation's only
-    even cycle is one 2-cycle (a b), a power of it is (a b), and the group
-    is S_degree exactly when the conjugates (g(a) g(b)) of (a b) join every
-    point, that is when the least relation holding (a, b) that the
-    generators map to itself has one class: transpositions that join every
-    point generate S_degree.  Only the rest is listed by :func:`closure`."""
-    perms = tuple(perms)
-    if degree > 1 and not any(p.parity() for p in perms) or not is_transitive(degree, perms):
-        return False
-    for p in perms:
-        if [k for k in p.cycle_type() if k % 2 == 0] == [2]:
-            label = list(range(degree + 1))  # each point's class
-            pairs = [next(c for c in p.cycles() if len(c) == 2)]
-            for x, y in pairs:  # grows while it is walked
-                if label[x] != label[y]:
-                    old = label[y]
-                    label = [label[x] if c == old else c for c in label]
-                    pairs += [(q[x - 1], q[y - 1]) for q in perms]
-            return len(set(label[1:])) == 1
-    return len(closure(degree, perms)) == math.factorial(degree)
+    """Whether ``perms`` generate S_degree: whether their :class:`Chain` has
+    order degree!."""
+    return Chain(degree, perms).order() == math.factorial(degree)
 
 
 def centraliser_generators(p: Perm) -> tuple[Perm, ...]:

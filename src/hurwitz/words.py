@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from .perms import CycleType, Perm, closure, format_cycle_type, is_transitive, parse_cycle_type, validate_cycle_type
+from .perms import CycleType, Perm, format_cycle_type, is_transitive, parse_cycle_type, validate_cycle_type
 
 #: A word as a bare tuple of Perm values: the reference and I/O form.
 State = tuple[Perm, ...]
@@ -351,10 +351,6 @@ class Factorization:
 
     def __len__(self) -> int:
         return len(self.factors)
-
-    def generated_subgroup(self) -> frozenset[Perm]:
-        """The subgroup generated by the factors, as an explicit element set."""
-        return closure(self.degree, self.factors)
 
     def is_transitive(self) -> bool:
         return is_transitive(self.degree, self.factors)

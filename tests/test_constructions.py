@@ -24,7 +24,7 @@ from hurwitz.constructions import (
     transposition_word,
 )
 from hurwitz.orbits import FiberSpec, SearchLimits, count_orbits_in_fiber
-from hurwitz.perms import Perm, class_elements, transpositions
+from hurwitz.perms import Perm, class_elements, closure, transpositions
 from hurwitz.reports import exit_code
 from hurwitz.words import Factorization, Move, TypeVector
 
@@ -107,7 +107,7 @@ class TestBuilders:
             c = square_ladder(ctx)
             assert len(c) == 2 * (d - 1) * ctx.witness_length
             assert c.product().is_identity()
-            assert len(c.generated_subgroup()) == math.factorial(d)
+            assert len(closure(d, c.factors)) == math.factorial(d)
 
     def test_invariant_stage_lengths(self):
         ctx4 = ConstructionContext.create(4, (2, 1, 1))

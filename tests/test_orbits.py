@@ -48,7 +48,7 @@ class TestOrbit:
         assert complete
 
         def invariants(w):
-            return len(w), w.type_vector(), w.product(), w.generated_subgroup()
+            return len(w), w.type_vector(), w.product(), closure(w.degree, w.factors)
 
         want = invariants(start)
         for s in visited:

@@ -4,10 +4,11 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hurwitz.perms import (
+    Chain,
     LimitExceededError,
     Perm,
     all_cycle_types,
@@ -35,16 +36,19 @@ def perms(min_degree=1, max_degree=6):
         lambda d: st.permutations(list(range(1, d + 1))).map(Perm))
 
 
+def generators_of_degree(d):
+    """Up to four permutations of degree d, often with one whose only even
+    cycle is one 2-cycle, so that a power of it is a transposition and many
+    of the sets generate S_d."""
+    perm = st.permutations(list(range(1, d + 1))).map(Perm)
+    special = [x for ct in all_cycle_types(d) if [k for k in ct if k % 2 == 0] == [2]
+               for x in class_elements(d, ct)]
+    return st.lists(st.one_of(perm, st.sampled_from(special or [Perm.identity(d)])), max_size=4)
+
+
 def generator_sets(max_degree=6):
-    """A degree and up to four permutations of it, often with one whose only
-    even cycle is one 2-cycle, the case that is decided without a listing."""
-    def of_degree(d):
-        perm = st.permutations(list(range(1, d + 1))).map(Perm)
-        special = [x for ct in all_cycle_types(d) if [k for k in ct if k % 2 == 0] == [2]
-                   for x in class_elements(d, ct)]
-        return st.tuples(st.just(d), st.lists(st.one_of(perm, st.sampled_from(special or [Perm.identity(d)])),
-                                              max_size=4))
-    return st.integers(1, max_degree).flatmap(of_degree)
+    """A degree and up to four permutations of it (:func:`generators_of_degree`)."""
+    return st.integers(1, max_degree).flatmap(lambda d: st.tuples(st.just(d), generators_of_degree(d)))
 
 
 def perm_pairs(max_degree=6):
@@ -239,3 +243,82 @@ class TestSubgroups:
                 centraliser = closure(d, centraliser_generators(p))
                 assert centraliser == {g for g in group if g.conjugate(p) == p}
                 assert len(centraliser) == math.prod(k ** m * math.factorial(m) for k, m in Counter(ct).items())
+
+
+def chain_cases(max_degree=6):
+    """A degree, two generator sets of it (:func:`generators_of_degree`), and
+    a permutation of it to test for membership."""
+    return st.integers(1, max_degree).flatmap(lambda d: st.tuples(
+        st.just(d), generators_of_degree(d), generators_of_degree(d),
+        st.permutations(list(range(1, d + 1))).map(Perm)))
+
+
+def gens(d, *texts):
+    return [P(t, d) for t in texts]
+
+
+class TestChain:
+    """:class:`Chain` against the listing :func:`closure`.  Each pinned
+    example is a set on which a chain that skips some Schreier generators
+    gets the order wrong: the pairs of a new generator with the old orbit,
+    the last generator at a new orbit point, the levels between where a
+    generator is added and where it stops, the last orbit point, and the
+    last Schreier generator of each extension of a level."""
+
+    @given(chain_cases())
+    @example((2, gens(2, "(1,2)"), [], P("(1,2)", 2)))
+    @example((3, gens(3, "(1,2,3)"), gens(3, "(1,3,2)"), P("(1,3,2)", 3)))
+    @example((3, gens(3, "(2,3)", "(1,2,3)"), gens(3, "(1,2)", "(1,3)"), P("(1,2)", 3)))
+    @example((4, gens(4, "(3,4)", "(1,2,3)"), gens(4, "(1,2)", "(1,2,3,4)"), P("(1,4)", 4)))
+    @example((5, gens(5, "(1,2)(3,4,5)"), gens(5, "(1,2)", "(3,4,5)"), P("(3,5,4)", 5)))
+    def test_order_membership_and_equality_match_closure(self, case):
+        d, first, second, g = case
+        listed = closure(d, first)
+        chain = Chain(d, first)
+        assert chain.order() == len(listed)
+        assert (g in chain) == (g in listed)
+        assert all(x in chain for x in listed)
+        # the test of are_equivalent: one order, and the second set inside the first's chain
+        same = chain.order() == Chain(d, second).order() and all(x in chain for x in second)
+        assert same == (listed == closure(d, second))
+        # the generators that add took generate the group, and it takes g exactly when g is new
+        taken = Chain(d)
+        assert Chain(d, [x for x in first if taken.add(x)]).order() == chain.order()
+        assert chain.add(g) == (g not in listed)
+        assert chain.order() == len(closure(d, [*first, g]))
+
+    def test_small_groups(self):
+        assert Chain(1).order() == Chain(3).order() == 1
+        assert Perm.identity(3) in Chain(3)
+        assert P("(1,2)", 3) not in Chain(3)
+        assert Chain(4, gens(4, "(1,2)(3,4)", "(1,3)(2,4)")).order() == 4
+        chain = Chain(3)
+        assert [chain.add(g) for g in gens(3, "(1,2)", "(1,2)", "()", "(1,3)", "(2,3)")] == \
+            [True, False, False, True, False]
+        assert chain.order() == 6
+
+    def test_degree_limit(self):
+        assert Chain(255, [Perm.transposition(255, 1, 255)]).order() == 2
+        with pytest.raises(LimitExceededError):
+            Chain(256)
+
+    def test_exact_orders_at_degrees_7_and_8(self):
+        s8 = Chain(8, [Perm.transposition(8, i, i + 1) for i in range(1, 8)])
+        assert s8.order() == math.factorial(8)
+        s2_s6 = Chain(8, gens(8, "(1,2)", "(3,4)", "(3,4,5,6,7,8)"))
+        assert s2_s6.order() == 1440
+        assert P("(1,2)(3,8)", 8) in s2_s6 and P("(1,3)", 8) not in s2_s6
+        a8 = Chain(8, [Perm.cycle(8, (i, i + 1, i + 2)) for i in range(1, 7)])
+        assert a8.order() == math.factorial(8) // 2
+        assert P("(1,5)(2,8)", 8) in a8 and P("(1,5)", 8) not in a8
+        a7 = Chain(7, gens(7, "(1,2,3)", "(3,4,5,6,7)"))
+        assert a7.order() == math.factorial(7) // 2
+
+    @pytest.mark.parametrize("d", [7, 8])
+    def test_centraliser_orders_at_degrees_7_and_8(self, d):
+        # |Z(p)| = d! / |class of p| for every class
+        for ct in all_cycle_types(d):
+            p = canonical_class_element(d, ct)
+            chain = Chain(d, centraliser_generators(p))
+            assert chain.order() == math.factorial(d) // class_size(d, ct)
+            assert p in chain

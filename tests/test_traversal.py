@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hurwitz import orbits, perms, words
 from hurwitz.constructions import rewrite_with_stable_tail
 from hurwitz.orbits import (
     DEFAULT_LIMITS,
@@ -15,7 +16,7 @@ from hurwitz.orbits import (
     expand,
     trace_moves,
 )
-from hurwitz.perms import class_elements
+from hurwitz.perms import LimitExceededError, class_elements, closure
 from hurwitz.words import (
     Factorization,
     Move,
@@ -56,7 +57,7 @@ def reference_are_equivalent(s1, s2, limits=DEFAULT_LIMITS):
         return EquivalenceReport("no", None, 0, "products differ")
     if s1.type_vector() != s2.type_vector():
         return EquivalenceReport("no", None, 0, "types differ")
-    if s1.degree <= 8 and s1.generated_subgroup() != s2.generated_subgroup():
+    if closure(s1.degree, s1.factors) != closure(s2.degree, s2.factors):
         return EquivalenceReport("no", None, 0, "generated subgroups differ")
     if s1.factors == s2.factors:
         return EquivalenceReport("yes", (), 0)
@@ -193,14 +194,34 @@ def test_expand_walks_a_growing_frontier_once():
 
 
 def test_equal_words_skip_the_subgroup_comparison(monkeypatch):
-    # Both subgroups would be S_8, listed in full; equal words need neither.
-    def refuse(self):
-        raise AssertionError("generated_subgroup called")
-
-    monkeypatch.setattr(Factorization, "generated_subgroup", refuse)
+    # Equal words answer yes before any chain of their groups is built.
+    built = []
+    monkeypatch.setattr(orbits, "Chain", lambda *args: built.append(args))
     w = Factorization.parse_word(8, "(1,2)(2,3)(3,4)(4,5)(5,6)(6,7)(7,8)")
     r = are_equivalent(w, Factorization(8, w.factors))
     assert (r.status, r.certificate, r.states_explored) == ("yes", (), 0)
+    assert built == []
+
+
+def test_subgroups_compared_past_the_listing_degree():
+    # <(1,2)> and <(8,9)> differ: no search, also at d=9, where no group is listed.
+    w1 = Factorization.parse_word(9, "(1,2) (1,2)")
+    w2 = Factorization.parse_word(9, "(8,9) (8,9)")
+    r = are_equivalent(w1, w2)
+    assert (r.status, r.states_explored, r.reason) == ("no", 0, "generated subgroups differ")
+    # past the chain's degree limit the query is refused, not answered without the comparison
+    with pytest.raises(LimitExceededError):
+        are_equivalent(Factorization.parse_word(256, "(1,2) (2,3)"), Factorization.parse_word(256, "(1,3) (1,2)"))
+
+
+def test_d8_equivalence_lists_no_group(monkeypatch):
+    # (1,2)...(7,8) against its R_1 image: both generate S_8, compared by chains, never listed.
+    for module in (perms, words, orbits):
+        monkeypatch.setattr(module, "closure", None, raising=False)
+    w = Factorization.parse_word(8, "(1,2)(2,3)(3,4)(4,5)(5,6)(6,7)(7,8)")
+    r = are_equivalent(w, w.apply_move(Move(1, "R")))
+    assert (r.status, r.states_explored) == ("yes", 3)
+    assert w.apply_moves(r.certificate) == w.apply_move(Move(1, "R"))
 
 
 @pytest.mark.parametrize("limits", [{"max_states": 0}, {"max_states": 1}, {"max_fiber": 0}])
