@@ -21,9 +21,9 @@ same order, and give the same certificates, as on tuples.  The orbit
 closure and the fiber's orbits follow each word to its images under two
 braid generators, R_1 and the rotation (:func:`orbit_images`), on tuples:
 the rotation's image is one whole-row ``map``, where a packed word would
-take a digit operation per factor.  Fiber enumeration carries its prefix
-products as codes, reading one row of ``kernel.mul`` per node, and looks
-the last factor up from the product; a process keeps its tables.
+take a digit operation per factor.  Fiber enumeration carries target^-1
+prefix as a code, one row of ``kernel.mul`` per node, and reads the last
+factor off its inverse, so only Z(p)'s tables below depend on the product.
 
 Every fiber takes one labelled search (:func:`_sub_fiber_classes`) on the
 sub-fiber of G = Z(p), the centraliser of its product p: the words whose
@@ -369,19 +369,19 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     transpositions than the remaining factors can carry (reflection length is
     subadditive).  Parity is checked once, at the root: the needed suffix and
     the remaining factors then have the same parity at every node, because a
-    factor changes both by its own parity.  The product fixes the last
-    factor as prefix^-1 target, so the loop that places the one before it
-    looks the last factor up and keeps the word if it lies in the one class
-    left; no class is looped over and no call is made per word.
-
-    The search runs on the codes of the degree's kernel: the prefix product
-    is carried as a code, and a node's children read their products off the
-    node's row of ``kernel.mul``.  The reflection distance and the last
-    factor, per prefix product and target, and the constraint verdict, per
-    factor set, are tables that the process keeps, so every fiber reads what
-    earlier fibers filled.  Class elements are tried in sorted order, so the
-    words come out in the same order as a backtracking over ``Perm`` values
-    would give them.
+    factor changes both by its own parity.  The search carries
+    r = target^-1 prefix as a code of the degree's kernel, target^-1 at the
+    root: a node's children read theirs off its row of ``kernel.mul``, and
+    the suffix still needed, r^-1, has reflection length
+    ``kernel.reflection[r]``.  The last factor is r'^-1, for the r' of the
+    other factors, so the loop that places the one before it keeps the word if
+    r' lies in the one class left (classes are closed under inversion) and
+    reads the last factor off ``kernel.inverse``; no class is looped over and
+    no call is made per word.  Those tables depend only on the degree, and
+    the process keeps the constraint verdicts, per factor set, too, so every
+    fiber reads what earlier fibers filled.  Class elements are tried in
+    sorted order, so the words come out in the same order as a backtracking
+    over ``Perm`` values would give them.
 
     With ``sub_fiber``, only the words whose first pair (c_X, c_Y) is the
     least of its orbit under G = Z(p), the centraliser of the product p
@@ -420,12 +420,11 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     size = 0  # fiber words counted so far
     weight = 1  # fiber words each kept word stands for
     prefix: list[int] = []
-    mul = kernel.mul
+    mul, inverse, reflection = kernel.mul, kernel.inverse, kernel.reflection
     unconstrained = spec.constraint == "none"
     verdicts = _verdicts(d, spec.constraint)  # keyed by the set of factor codes
     if len(verdicts) > VERDICTS_KEPT:
         verdicts.clear()
-    distance, last = _target_tables(d, target)
     limit_hit: list[str] = []
 
     def least(ct: CycleType, sizes: Counter, scale: int) -> Iterator[int]:
@@ -435,10 +434,10 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
             weight = scale * sizes[c]
             yield c
 
-    def rec(prefix_product: int, remaining: int, budget_left: int) -> None:
-        # The prefix is admissible (children are pruned before the call), and two factors or more are left.
+    def rec(r: int, remaining: int, budget_left: int) -> None:
+        # r is target^-1 prefix; the prefix is admissible (pruned before the call), two factors or more are left.
         nonlocal size
-        row = mul[prefix_product]
+        row = mul[r]
         for ct in order:
             if counts[ct] == 0:
                 continue
@@ -451,14 +450,14 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
             else:
                 members = per_class[ct]
             if remaining == 2:
-                # The last factor h = (prefix g)^-1 target must lie in the
-                # class left, and then its reflection length is the budget.
+                # The last factor (prefix g)^-1 target is r'^-1 for r' = row[g], in the class left
+                # when r' is (classes are closed under inversion), and its reflection length is the budget.
                 rest = in_class[next(c for c in order if counts[c])]
                 for g in members:
-                    h = last[row[g]]
-                    if h not in rest:
+                    r_last = row[g]
+                    if r_last not in rest:
                         continue
-                    word = (*prefix, g, h)
+                    word = (*prefix, g, inverse[r_last])
                     if unconstrained or verdicts[frozenset(word)]:
                         if size + weight > limits.max_fiber:
                             limit_hit.append(f"max_fiber={limits.max_fiber}")
@@ -468,7 +467,7 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
             else:
                 for g in members:
                     child = row[g]
-                    if distance[child] > child_budget:
+                    if reflection[child] > child_budget:
                         continue
                     prefix.append(g)
                     rec(child, remaining - 1, child_budget)
@@ -479,15 +478,14 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
             if limit_hit:
                 break
 
-    root = kernel.encode(Perm.identity(d))
     goal = kernel.encode(target)
     if total < 2:  # the word is () or (p,); max_fiber >= 1 holds it
         word = (goal,) * total
-        if (goal in in_class[order[0]] if total else goal == root) and (
+        if (goal in in_class[order[0]] if total else goal == kernel.identity) and (
                 unconstrained or verdicts[frozenset(word)]):
             words, size = [word], 1
-    elif distance[root] <= budget:  # the parity was checked above
-        rec(root, total, budget)
+    elif reflection[goal] <= budget:  # the parity was checked above
+        rec(inverse[goal], total, budget)
     # rec refers to itself through its closure, a cycle that only the cyclic
     # collector frees, and it holds the word list: break it, so the words go
     # with the report and not at some later full collection.
@@ -497,19 +495,10 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     return FiberReport(words, kernel, size, True)
 
 
-#: Kept for later counts: the tables of the 64 targets and 64 conjugating groups
-#: used last, and 2^14 verdicts per degree and constraint; tens of MB at d <= 6.
+#: Kept for later counts: the 64 conjugating groups used last, and 2^14
+#: verdicts per degree and constraint; every other fiber table is the kernel's.
 TABLES_KEPT = 64
 VERDICTS_KEPT = 1 << 14
-
-
-@functools.lru_cache(maxsize=TABLES_KEPT)
-def _target_tables(d: int, target: Perm) -> tuple[Memo, Memo]:
-    """Keyed by the code of a prefix product: its reflection distance to
-    ``target``, and the code of the last factor prefix^-1 target."""
-    kernel = kernel_of(d)
-    return (Memo(lambda code: (kernel.decode(code).inverse() * target).reflection_length()),
-            Memo(lambda code: kernel.encode(kernel.decode(code).inverse() * target)))
 
 
 @functools.cache
@@ -530,23 +519,23 @@ def _conjugation_orbits(kernel: MoveKernel, gens: Iterable[int], members: Iterab
     from c_X gives each new y = z v z^-1 the t_y = z t_v, so h_y = t_y^-1;
     every other edge gives a Schreier generator t_y^-1 z t_v (Seress, 2003,
     ch. 4), kept only when it grows the :class:`~hurwitz.perms.Chain` of
-    those kept.
+    those kept.  The elements are codes, multiplied and inverted by tables.
     """
-    identity, rows, decode = Perm.identity(kernel.degree), kernel.conjugate, kernel.decode
+    identity, rows, mul, inverse = kernel.identity, kernel.conjugate, kernel.mul, kernel.inverse
     back, stabilisers = {}, {}
     for c in members:
         if c not in back:
             t, queue, chain, kept = {c: identity}, [c], Chain(kernel.degree), []
             for v in queue:  # grows while it is walked
                 for z in gens:
-                    y = rows[z][v]
+                    y, zt = rows[z][v], mul[z][t[v]]
                     if y not in t:
-                        t[y] = decode(z) * t[v]
+                        t[y] = zt
                         queue.append(y)
-                    elif chain.add(s := t[y].inverse() * decode(z) * t[v]):
+                    elif chain.add(kernel.decode(s := mul[inverse[t[y]]][zt])):
                         kept.append(s)
-            back.update((y, kernel.encode(ty.inverse())) for y, ty in t.items())
-            stabilisers[c] = kernel.encode_word(kept)
+            back.update((y, inverse[ty]) for y, ty in t.items())
+            stabilisers[c] = tuple(kept)
     return back, stabilisers
 
 
@@ -570,8 +559,8 @@ def _conjugating_group(d: int, product: Perm, classes: tuple[CycleType, ...],
     def second(c: int) -> tuple[dict, dict]:
         if deep:
             return _conjugation_orbits(kernel, stabilisers[c], members)
-        y = kernel.encode(kernel.decode(c).inverse() * product)
-        return {y: kernel.encode(Perm.identity(d))}, {y: stabilisers[c]}
+        y = kernel.mul[kernel.inverse[c]][kernel.encode(product)]
+        return {y: kernel.identity}, {y: stabilisers[c]}
 
     return math.factorial(d) // class_size(d, product.cycle_type()), gens, back, Memo(second)
 
@@ -714,7 +703,7 @@ def _cosets(kernel: MoveKernel, stabiliser: Chain) -> Callable[[int], int]:
         for k, row in enumerate(firsts):
             if inside[row[g]]:
                 return k
-        firsts.append(kernel.mul[kernel.encode(kernel.decode(g).inverse())])
+        firsts.append(kernel.mul[kernel.inverse[g]])
         return len(firsts) - 1
 
     return Memo(number).__getitem__
@@ -726,8 +715,7 @@ def _least_words(kernel: MoveKernel, coded: list[Coded], members: list[int], lab
     G on F_0 (proof in :func:`_sub_fiber_classes`): walk x in code order,
     and give each coset first reached the least of its h^-1 u, over the
     pairs (x, y), for h = h'_y' h_x."""
-    rows, mul = kernel.conjugate, kernel.mul
-    inverse = Memo(lambda g: kernel.encode(kernel.decode(g).inverse()))
+    rows, mul, inverse = kernel.conjugate, kernel.mul, kernel.inverse
     starting: dict[Coded, list[int]] = {}  # (c_X, c_Y) -> the members starting with it
     for i in members:
         starting.setdefault(coded[i][:2], []).append(i)
@@ -783,10 +771,10 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
     if not fr.complete:
         return FiberOrbitReport(None, None, [], False, fr.limit_hit)
 
-    mul, rows, decode = kernel.mul, kernel.conjugate, kernel.decode
+    mul, rows, inverse = kernel.mul, kernel.conjugate, kernel.inverse
     order, gens, back, second = _conjugating_group(d, spec.product, tuple(spec.type_vector.as_dict()), n > 2)
     edges = _sub_fiber_edges(kernel, back, second) if n > 1 else lambda w: ((), ())
-    labels, classes = _sub_fiber_classes(coded, edges, kernel.encode(Perm.identity(d)))
+    labels, classes = _sub_fiber_classes(coded, edges, kernel.identity)
 
     group = kernel.encode_word(closure(d, kernel.decode_word(gens))) if want_partition else ()
     count, least, blocks = 0, [], []
@@ -794,7 +782,7 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
         if spec.conjugation_quotient or n < 2:
             index, coset = 1, lambda g: 0
         else:
-            stabiliser = Chain(d, [decode(b).inverse() * decode(fa) for b, fa in schreier])
+            stabiliser = Chain(d, [kernel.decode(mul[inverse[b]][fa]) for b, fa in schreier])
             index, coset = order // stabiliser.order(), _cosets(kernel, stabiliser)
         count += index
         if index == 1:

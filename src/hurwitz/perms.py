@@ -333,7 +333,13 @@ def canonical_class_element(degree: int, cycle_type: Iterable[int]) -> Perm:
 
 @functools.lru_cache(maxsize=None)
 def _class_elements_cached(degree: int, cycle_type: CycleType) -> tuple[Perm, ...]:
-    return tuple(sorted(p for p in all_perms(degree) if p.cycle_type() == cycle_type))
+    """The class as the conjugation orbit of its canonical element under S_d."""
+    gens = centraliser_generators(Perm.identity(degree))
+    orbit = frontier = {canonical_class_element(degree, cycle_type)}
+    while frontier:
+        frontier = {g.conjugate(x) for x in frontier for g in gens} - orbit
+        orbit |= frontier
+    return tuple(sorted(orbit))
 
 
 def class_elements(degree: int, cycle_type: Iterable[int]) -> tuple[Perm, ...]:

@@ -79,8 +79,9 @@ class MoveKernel:
     lexicographic one-line order, the order of ``itertools.permutations``.
     Coding therefore keeps order: a coded word compares exactly as its
     ``Perm`` tuple does, so the least coded word of a set decodes to the
-    least word.  Codes are assigned on first sight and nothing is sized by
-    the order of S_d, so every degree takes the same path.
+    least word; ``identity`` is the identity's code, 0.  Codes are assigned
+    on first sight and nothing is sized by the order of S_d, so every
+    degree takes the same path.
 
     The moves are tables of rows, each row a :class:`Memo` made on first use
     and filled per entry, so a search pays ``Perm`` arithmetic only once per
@@ -91,7 +92,8 @@ class MoveKernel:
     * ``left[a][b]`` is the code of b^-1 a b, the new second factor of L at
       a pair (a, b).
     * ``mul[a][b]`` is the code of the product a b; fiber enumeration carries
-      its prefix products with it.
+      target^-1 prefix with it, prunes by ``reflection[g]``, g's reflection
+      length, and reads a word's last factor off ``inverse[g]``, g^-1's code.
 
     Codes and rows depend only on the degree, so a process keeps one kernel
     per degree for its whole life, :func:`kernel_of`, and each search reads
@@ -114,9 +116,12 @@ class MoveKernel:
         encode = Memo(code_of).__getitem__
         self._perms = perms
         self.encode = encode
+        self.identity = encode(Perm.identity(degree))
         self.conjugate = Memo(lambda g: Memo(lambda x: encode(perms[g].conjugate(perms[x]))))
         self.left = Memo(lambda a: Memo(lambda b: encode(perms[b].inverse().conjugate(perms[a]))))
         self.mul = Memo(lambda a: Memo(lambda b: encode(perms[a] * perms[b])))
+        self.inverse = Memo(lambda g: encode(perms[g].inverse()))
+        self.reflection = Memo(lambda g: perms[g].reflection_length())
 
     def encode_word(self, state: State) -> Coded:
         return tuple(map(self.encode, state))

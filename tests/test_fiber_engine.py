@@ -1,7 +1,7 @@
 """Differential tests for the coded fiber engine.
 
-``enumerate_fiber`` runs on kernel codes with memoized prefix products and
-reflection distances and looks the last factor up.
+``enumerate_fiber`` runs on kernel codes, carries target^-1 prefix, and
+reads its reflection length and the last factor off the kernel's tables.
 ``count_orbits_in_fiber`` labels every fiber by one search along R_1 and the
 rotation, on the sub-fiber of words whose first two factors are the least
 pair of their orbit under the centraliser G of the product, adding
@@ -684,7 +684,7 @@ def test_components_rows_match_the_whole_fiber_search(d, b):
 
 def clear_caches():
     """Forget the kernels and fiber tables that the process keeps."""
-    for cache in (kernel_of, orbits._conjugating_group, orbits._target_tables, orbits._verdicts):
+    for cache in (kernel_of, orbits._conjugating_group, orbits._verdicts):
         cache.cache_clear()
 
 
@@ -760,6 +760,22 @@ def test_verdicts_kept_past_their_bound_are_dropped(monkeypatch):
     assert len(orbits._verdicts(4, "transitive")) == kept
 
 
+def test_groups_kept_past_their_bound_are_rebuilt():
+    # Two types under every odd product of S_5 make more (product, classes)
+    # keys than TABLES_KEPT, walked twice, so the second pass rebuilds every
+    # group the first evicted; each answer equals that from cleared tables.
+    specs = [FiberSpec(5, TypeVector.parse(t, 5), p) for t in ("2,1,1,1:3", "3,1,1:1;4,1:1")
+             for p in all_perms(5) if p.parity()]
+    clear_caches()
+    shared = [count_orbits_in_fiber(spec, LIM) for spec in specs * 2]
+    info = orbits._conjugating_group.cache_info()
+    assert len(specs) > orbits.TABLES_KEPT == info.currsize and info.misses == 2 * len(specs)
+    for i, spec in enumerate(specs):
+        clear_caches()
+        want = count_orbits_in_fiber(spec, LIM)
+        assert shared[i] == shared[i + len(specs)] == want, spec
+
+
 # The fiber-count queries of degree 8 that take the centraliser of an
 # 8-cycle, of the identity and of a double transposition.
 D8_QUERIES = [
@@ -771,7 +787,7 @@ D8_QUERIES = [
 
 def test_kernel_of_degree_8_stays_small(capsys):
     # The kernel fills only the codes and row entries a search asks for:
-    # after all three queries about 6,700 of the 40,320 codes and 10,100
+    # after all three queries about 5,200 of the 40,320 codes and 10,400
     # row entries, where whole rows would take 40,320 entries each.
     clear_caches()
     for argv in D8_QUERIES:

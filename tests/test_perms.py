@@ -173,6 +173,20 @@ class TestClasses:
                     assert size == len(class_elements(d, ct))
             assert total == math.factorial(d)
 
+    def test_class_listing_is_the_filter_of_s_d(self):
+        # The listing walks one class by conjugation; up to d=7 it equals the
+        # sorted filter of all of S_d, and at d=8 each class has its size.
+        for d in range(1, 8):
+            by_type = {}
+            for p in all_perms(d):
+                by_type.setdefault(p.cycle_type(), []).append(p)
+            for ct in all_cycle_types(d):
+                assert class_elements(d, ct) == tuple(by_type[ct]), (d, ct)
+        for ct in all_cycle_types(8):
+            members = class_elements(8, ct)
+            assert len(set(members)) == len(members) == class_size(8, ct)
+            assert all(p.cycle_type() == ct for p in members)
+
     def test_canonical_element(self):
         p = canonical_class_element(8, (3, 2, 1, 1, 1))
         assert str(p) == "(1,2,3)(4,5)"

@@ -229,6 +229,8 @@ class TestMoveKernel:
             assert kernel.decode(kernel.mul[ca][cb]) == a * b
             assert kernel.decode(kernel.conjugate[ca][cb]) == a * b * a.inverse()
             assert kernel.decode(kernel.left[ca][cb]) == b.inverse() * a * b
+            assert kernel.decode(kernel.inverse[cb]) == b.inverse()
+            assert kernel.reflection[cb] == b.reflection_length()
 
     def test_tables_match_perm_arithmetic_on_every_pair_d3(self):
         pool = [Perm(p) for p in itertools.permutations(range(1, 4))]
@@ -237,6 +239,8 @@ class TestMoveKernel:
         # every row is full now, and a second pass is served from the rows
         assert all(len(table) == 6 and all(len(row) == 6 for row in table.values())
                    for table in (kernel.mul, kernel.conjugate, kernel.left))
+        assert len(kernel.inverse) == len(kernel.reflection) == 6
+        assert kernel.identity == 0 and kernel.decode(kernel.identity).is_identity()
         self.check_tables(kernel, itertools.product(pool, repeat=2))
 
     @given(st.integers(0, 10**6))
@@ -258,7 +262,7 @@ class TestMoveKernel:
         try:
             kernel = MoveKernel(4)
             a, b = kernel.encode_word(W(4, "(1,2)(2,3,4)").factors)
-            kernel.conjugate[a][b], kernel.left[a][b], kernel.mul[a][b]
+            kernel.conjugate[a][b], kernel.left[a][b], kernel.mul[a][b], kernel.inverse[a], kernel.reflection[a]
             ref = weakref.ref(kernel)
             del kernel
             assert ref() is None
