@@ -26,10 +26,10 @@ prefix as a code, one row of ``kernel.mul`` per node, and reads the last
 factor off its inverse, so only Z(p)'s tables below depend on the product.
 
 Every fiber takes one labelled search (:func:`_sub_fiber_classes`) on the
-sub-fiber of G = Z(p), the centraliser of its product p: the words whose
-first two factors are the least pair of their G-orbit, found one factor at
-a time, each the least of its orbit under the stabiliser of those before it
-(:func:`_conjugation_orbits`).
+sub-fiber of G = Z(p), the centraliser of its product p: the least word of
+each G-orbit, found one factor at a time, each the least of its orbit under
+the stabiliser in G of those before it until that stabiliser is trivial
+(orderly generation, on the levels of :func:`_conjugating_group`).
 Each class splits into braid orbits, the cosets of the stabiliser its
 Schreier labels generate, which give the counts, least words and partitions
 (:func:`count_orbits_in_fiber`, whose row is :func:`count_orbits`).  Every
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -341,13 +340,12 @@ class FiberSpec:
 
 @dataclass
 class FiberReport:
-    """The words of a fiber, or of its first-pair sub-fiber, kept coded by
-    the kernel that enumerated them.
+    """The words of a fiber, or of its sub-fiber, kept coded by the kernel
+    that enumerated them.
 
     ``size`` counts the words of the whole fiber that were found, also when
     only the sub-fiber is kept: there it is the sum over the kept words of
-    the size |X| |Y| of their first pair's orbit under G (a first factor's
-    |X| below three factors).
+    the sizes of their orbits under G.
     """
 
     coded: list[Coded]
@@ -377,25 +375,28 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     other factors, so the loop that places the one before it keeps the word if
     r' lies in the one class left (classes are closed under inversion) and
     reads the last factor off ``kernel.inverse``; no class is looped over and
-    no call is made per word.  Those tables depend only on the degree, and
-    the process keeps the constraint verdicts, per factor set, too, so every
+    no call is made per word.  The constraints are monotone, since a factor
+    more only grows the group, so that loop asks for a word's verdict only
+    when its prefix's does not settle it.  Those tables depend only on the
+    degree, and the process keeps the verdicts, per factor set, too, so every
     fiber reads what earlier fibers filled.  Class elements are tried in
     sorted order, so the words come out in the same order as a backtracking
     over ``Perm`` values would give them.
 
-    With ``sub_fiber``, only the words whose first pair (c_X, c_Y) is the
-    least of its orbit under G = Z(p), the centraliser of the product p
-    (:func:`_conjugating_group`), are kept: the top level tries the least
-    members c_X of the orbits X of G, and the second level the least
-    members c_Y of the orbits Y of Stab_G(c_X); this is the sub-fiber of
-    :func:`_sub_fiber_classes`.  G conjugates the fiber onto itself, and
-    conjugating by an h in G with h (x, y) h^-1 = (c_X, c_Y) maps the words
-    starting with (x, y) onto those starting with (c_X, c_Y), so each kept
-    word stands for |X| |Y| fiber words.  At two factors the second is
-    forced, c_X^-1 p, and Stab_G(c_X) fixes it, so the weight stays |X|; at
-    one factor the word is p, which G fixes.  The report's ``size`` and
-    ``max_fiber`` both count the whole fiber: the enumeration is complete
-    exactly when the whole fiber has at most ``max_fiber`` words.
+    With ``sub_fiber``, only the least word of each orbit of G = Z(p), the
+    centraliser of the product p (:func:`_conjugating_group`), is kept: a
+    factor is tried only when it is the least member c_X of its orbit X
+    under the stabiliser in G of the factors before it, read off that
+    stabiliser's level, and once the stabiliser is trivial every member is
+    tried; the last factor is forced, and the stabiliser of the others fixes
+    it.  This is orderly generation (Read, 1978; McKay, 1998), and gives the
+    sub-fiber of :func:`_sub_fiber_classes`.  G conjugates the fiber onto
+    itself, and a kept word's orbit under G has the product of the |X| of
+    its factors as its size, the word's weight.  Without ``sub_fiber`` the
+    same rule runs under the trivial group, where every word is its own
+    orbit.  The report's ``size`` and ``max_fiber`` both count the whole
+    fiber: the enumeration is complete exactly when the whole fiber has at
+    most ``max_fiber`` words.
     """
     d = spec.degree
     kernel = kernel_of(d)
@@ -406,10 +407,15 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     order = sorted(counts)  # fixed class iteration order
     target = spec.product
     total = spec.type_vector.total()
-    if sub_fiber:  # each c_X -> |X|, and each c_X to its c_Y -> |Y|
-        _, _, back, second = _conjugating_group(d, target, tuple(order), total > 2)
-        orbit_sizes = Counter(kernel.conjugate[h][x] for x, h in back.items())
-        pair_sizes = Memo(lambda c: Counter(kernel.conjugate[h][y] for y, h in second[c][0].items()))
+    _, gens, levels = _conjugating_group(d, target, tuple(order))
+
+    def least_of(stabiliser: tuple[int, ...]) -> dict[CycleType, list[tuple[int, tuple[int, ...], int]]]:
+        # per class, the least member c_X of each orbit X of the group that
+        # ``stabiliser`` generates, with the generators of Stab(c_X) and |X|
+        level = levels[stabiliser][1]
+        return {ct: [(c, level[c][0], len(level[c][1])) for c in per_class[ct] if c in level] for ct in order}
+
+    least = Memo(least_of)
 
     # Word-independent emptiness check: total parity must match the product.
     budget = sum(refl[ct] * n for ct, n in counts.items())
@@ -418,7 +424,6 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
 
     words: list[Coded] = []
     size = 0  # fiber words counted so far
-    weight = 1  # fiber words each kept word stands for
     prefix: list[int] = []
     mul, inverse, reflection = kernel.mul, kernel.inverse, kernel.reflection
     unconstrained = spec.constraint == "none"
@@ -427,50 +432,40 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
         verdicts.clear()
     limit_hit: list[str] = []
 
-    def least(ct: CycleType, sizes: Counter, scale: int) -> Iterator[int]:
-        # the least members of class ct, each setting the weight scale * its orbit's size
-        nonlocal weight
-        for c in filter(sizes.__contains__, per_class[ct]):
-            weight = scale * sizes[c]
-            yield c
-
-    def rec(r: int, remaining: int, budget_left: int) -> None:
-        # r is target^-1 prefix; the prefix is admissible (pruned before the call), two factors or more are left.
+    def rec(r: int, remaining: int, budget_left: int, stabiliser: tuple[int, ...], weight: int) -> None:
+        # r is target^-1 prefix; the prefix is admissible (pruned before the call), two factors or more are left;
+        # ``stabiliser`` generates the prefix's stabiliser in G, and ``weight`` is the size of the prefix's orbit.
         nonlocal size
         row = mul[r]
+        tried = least[stabiliser]
+        settled = remaining == 2 and (unconstrained or verdicts[frozenset(prefix)])
         for ct in order:
             if counts[ct] == 0:
                 continue
             counts[ct] -= 1
             child_budget = budget_left - refl[ct]
-            if sub_fiber and remaining == total:  # c_X, weight |X|
-                members = least(ct, orbit_sizes, 1)
-            elif sub_fiber and remaining == total - 1:  # c_Y, weight |X| |Y|, at three factors or more
-                members = least(ct, pair_sizes[prefix[0]], orbit_sizes[prefix[0]])
-            else:
-                members = per_class[ct]
             if remaining == 2:
                 # The last factor (prefix g)^-1 target is r'^-1 for r' = row[g], in the class left
                 # when r' is (classes are closed under inversion), and its reflection length is the budget.
                 rest = in_class[next(c for c in order if counts[c])]
-                for g in members:
+                for g, _, k in tried[ct]:
                     r_last = row[g]
                     if r_last not in rest:
                         continue
                     word = (*prefix, g, inverse[r_last])
-                    if unconstrained or verdicts[frozenset(word)]:
-                        if size + weight > limits.max_fiber:
+                    if settled or verdicts[frozenset(word)]:
+                        if size + weight * k > limits.max_fiber:
                             limit_hit.append(f"max_fiber={limits.max_fiber}")
                             break
-                        size += weight
+                        size += weight * k
                         words.append(word)
             else:
-                for g in members:
+                for g, child_stabiliser, k in tried[ct]:
                     child = row[g]
                     if reflection[child] > child_budget:
                         continue
                     prefix.append(g)
-                    rec(child, remaining - 1, child_budget)
+                    rec(child, remaining - 1, child_budget, child_stabiliser, weight * k)
                     prefix.pop()
                     if limit_hit:
                         break
@@ -485,7 +480,7 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
                 unconstrained or verdicts[frozenset(word)]):
             words, size = [word], 1
     elif reflection[goal] <= budget:  # the parity was checked above
-        rec(inverse[goal], total, budget)
+        rec(inverse[goal], total, budget, gens if sub_fiber else (), 1)
     # rec refers to itself through its closure, a cycle that only the cyclic
     # collector frees, and it holds the word list: break it, so the words go
     # with the report and not at some later full collection.
@@ -512,7 +507,8 @@ def _verdicts(d: int, constraint: str) -> Memo:
 def _conjugation_orbits(kernel: MoveKernel, gens: Iterable[int], members: Iterable[int]) -> tuple[dict, dict]:
     """The orbits through the codes ``members`` of the group generated by the
     codes ``gens``, acting by conjugation: each x reached maps to an h_x with
-    h_x x h_x^-1 = c_X, and each c_X to generators of its stabiliser.
+    h_x x h_x^-1 = c_X, and each c_X to generators of its stabiliser and the
+    members of X.
 
     Each member not yet reached is the c_X of its orbit X, its least member
     when the sorted members are a union of orbits.  A breadth-first walk
@@ -535,34 +531,24 @@ def _conjugation_orbits(kernel: MoveKernel, gens: Iterable[int], members: Iterab
                     elif chain.add(kernel.decode(s := mul[inverse[t[y]]][zt])):
                         kept.append(s)
             back.update((y, inverse[ty]) for y, ty in t.items())
-            stabilisers[c] = tuple(kept)
+            stabilisers[c] = tuple(kept), tuple(t)
     return back, stabilisers
 
 
 @functools.lru_cache(maxsize=TABLES_KEPT)
-def _conjugating_group(d: int, product: Perm, classes: tuple[CycleType, ...],
-                       deep: bool) -> tuple[int, tuple[int, ...], dict, Memo]:
+def _conjugating_group(d: int, product: Perm, classes: tuple[CycleType, ...]) -> tuple[int, tuple[int, ...], Memo]:
     """G = Z(p), the centraliser of the product p of the fibers of degree d
     with the classes ``classes``: its order d! / |p's class|, its generators
-    (:func:`~hurwitz.perms.centraliser_generators`), the x -> h_x of its
-    :func:`_conjugation_orbits` on those classes, and the second level,
-    filled per c_X: the orbits of Stab_G(c_X) on the same classes, y -> h'_y
-    with h'_y y h'_y^-1 = c_Y, and each c_Y -> generators of
-    Stab_G(c_X, c_Y).  Without ``deep`` a word has at most two factors, which
-    force the second, c_X^-1 p, and Stab_G(c_X) fixes it, so there the level
-    is read off without a walk.  Kept for the fibers that follow, like the kernel."""
+    (:func:`~hurwitz.perms.centraliser_generators`), and its levels, which
+    map the generators of each subgroup of G that a search meets, a
+    stabiliser, to its :func:`_conjugation_orbits` on those classes.  The
+    empty tuple is the trivial group, whose orbits are single members.  Kept
+    for the fibers that follow, like the kernel."""
     kernel = kernel_of(d)
-    gens = kernel.encode_word(centraliser_generators(product))
     members = sorted(kernel.encode(x) for ct in classes for x in class_elements(d, ct))
-    back, stabilisers = _conjugation_orbits(kernel, gens, members)
-
-    def second(c: int) -> tuple[dict, dict]:
-        if deep:
-            return _conjugation_orbits(kernel, stabilisers[c], members)
-        y = kernel.mul[kernel.inverse[c]][kernel.encode(product)]
-        return {y: kernel.identity}, {y: stabilisers[c]}
-
-    return math.factorial(d) // class_size(d, product.cycle_type()), gens, back, Memo(second)
+    levels = Memo(lambda gens: _conjugation_orbits(kernel, gens, members))
+    order = math.factorial(d) // class_size(d, product.cycle_type())
+    return order, kernel.encode_word(centraliser_generators(product)), levels
 
 
 #: The edges from one word of a labelled search: its images, and for each the
@@ -570,40 +556,56 @@ def _conjugating_group(d: int, product: Perm, classes: tuple[CycleType, ...],
 Edges = Callable[[Coded], tuple[Iterable[Coded], tuple[Memo, ...]]]
 
 
-def _sub_fiber_edges(kernel: MoveKernel, back: dict[int, int], second: Memo) -> Edges:
-    """The edges of :func:`_sub_fiber_classes` on the sub-fiber F_0 of G:
-    ``back`` maps each x to h_x, and ``second`` each c_X to its second
-    level, y -> h'_y and c_Y -> generators of Stab_G(c_X, c_Y)
+def _sub_fiber_edges(kernel: MoveKernel, gens: tuple[int, ...], levels: Memo) -> Edges:
+    """The edges of :func:`_sub_fiber_classes` on the sub-fiber F_0 of G,
+    the group that ``gens`` generate, with its ``levels``
     (:func:`_conjugating_group`); for words of at least two factors."""
-    rows, mul = kernel.conjugate, kernel.mul
+    rows, mul, identity = kernel.conjugate, kernel.mul, kernel.identity
 
-    def pi(x: int, y: int) -> int:  # h = h'_y' h_x, taking (x, y) to (c_X, c_Y)
-        h = back[x]
-        return mul[second[rows[h][x]][0][rows[h][y]]][h]
+    def walk(h: int, stabiliser: tuple[int, ...], factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+        # h, then for each factor f in turn, while the stabiliser in G of those
+        # before is not trivial, the h_x of x = h f h^-1 on its level times h;
+        # and the generators of the stabiliser left
+        for f in factors:
+            if not stabiliser:
+                break
+            back, orbits = levels[stabiliser]
+            x = rows[h][f]
+            h_x = back[x]
+            h = mul[h_x][h]
+            stabiliser = orbits[rows[h_x][x]][0]
+        return h, stabiliser
 
     def step_of(triple: Coded) -> tuple:
-        # What the images of (c, g, w_3, ...) need.  Both braid images start
-        # with x = c g c^-1; R_1's image goes on with c, D's with c w_3 c^-1
-        # (with c at two factors).  pi conjugates R_1's image by h_R, so it
-        # becomes (h_R x h_R^-1, h_R c h_R^-1) followed by the rest conjugated
-        # by h_R, and D's image by h_D, so it becomes (g, w_3, ...) conjugated
-        # by h_D c, then h_D c h_D^-1.
+        # What the edges of (c, g, w_3, ...) need from its first factors, up
+        # to two but the forced last.  Both braid images start with
+        # x = c g c^-1; R_1's goes on with c, D's with c w_3 c^-1 (with c at
+        # two factors).  pi conjugates R_1's image by h_R and D's by h_D.
         c, g = triple[:2]
-        x = rows[c][g]
-        h_r = pi(x, c)
-        h_d = pi(x, rows[c][triple[2]]) if len(triple) > 2 else h_r
-        z = second[c][1][g]
-        return ((rows[h_r][x], rows[h_r][c]), rows[h_r], rows[mul[h_d][c]], (rows[h_d][c],),
-                [rows[f] for f in z], (mul[h_r], mul[h_d], *(mul[f] for f in z)))
+        x, k = rows[c][g], len(triple) - 1
+        h_r, stabiliser_r = walk(identity, gens, (x, c)[:k])
+        h_d, stabiliser_d = walk(identity, gens, (x, rows[c][triple[-1]])[:k])
+        return x, h_r, stabiliser_r, h_d, stabiliser_d, walk(identity, gens, triple[:k])[1]
 
     steps = Memo(step_of)  # keyed by a word's first three factors
 
     def edges(w: Coded) -> tuple[list[Coded], tuple[Memo, ...]]:
-        head, row_r, row_dc, tail, z_rows, factors = steps[w[:3]]
-        out = [head + tuple(map(row_r.__getitem__, w[2:])),
-               tuple(map(row_dc.__getitem__, w[1:])) + tail]
-        out += [tuple(map(r.__getitem__, w)) for r in z_rows]
-        return out, factors
+        # The rest of the walks goes on past the first three factors only
+        # while a stabiliser is not trivial.  R_1's image goes on with
+        # w_3, ..., w_n, and D's with c w_4 c^-1, ..., c w_n c^-1, then c;
+        # the last factor is forced and is not walked.
+        c = w[0]
+        x, h_r, stabiliser_r, h_d, stabiliser_d, stabiliser = steps[w[:3]]
+        if stabiliser_r:
+            h_r = walk(h_r, stabiliser_r, w[2:-1])[0]
+        if stabiliser_d:
+            h_d = walk(h_d, stabiliser_d, map(rows[c].__getitem__, w[3:]))[0]
+        if stabiliser:
+            stabiliser = walk(identity, stabiliser, w[2:-1])[1]
+        row_r, row_dc = rows[h_r], rows[mul[h_d][c]]
+        out = [(row_r[x], row_r[c], *map(row_r.__getitem__, w[2:])),
+               (*map(row_dc.__getitem__, w[1:]), rows[h_d][c]), *[w] * len(stabiliser)]
+        return out, (mul[h_r], mul[h_d], *map(mul.__getitem__, stabiliser))
 
     return edges
 
@@ -617,14 +619,17 @@ def _sub_fiber_classes(coded: list[Coded], edges: Edges, identity: int
 
     G, acting by conjugation, is Z(p), the centraliser of the fiber's
     product p (:func:`count_orbits_in_fiber`).  Its sub-fiber F_0 holds the
-    words whose first pair is the least pair (c_X, c_Y) of its orbit P under
-    G: ``enumerate_fiber(sub_fiber=True)``.  Let pi conjugate a word whose
-    first pair (x, y) lies in P by a fixed h in G with
-    h (x, y) h^-1 = (c_X, c_Y), namely h = h'_y' h_x: h_x in G takes x to
-    c_X, and h'_y' in Stab_G(c_X) takes y' = h_x y h_x^-1 to c_Y.  The edges
-    from a word w of F_0 are pi(R_1 w) and pi(D w), each by its own h, and
-    w conjugated by each generator z of the stabiliser Stab_G(c_X, c_Y), by
-    z: those of :func:`_sub_fiber_edges`.  The classes are exact:
+    least word of each G-orbit of the fiber: ``enumerate_fiber(sub_fiber=True)``.
+    So F_0 is a transversal of the G-orbits, and two words of F_0 in one
+    G-orbit are equal.  Let pi conjugate a word by the h in G that
+    :func:`_sub_fiber_edges` reads off the levels of
+    :func:`_conjugating_group`: h_x takes the first factor x to the least
+    member c_X of its orbit under G, then the h_y of the second factor so
+    conjugated, in Stab_G(c_X), takes it to the least member of its orbit
+    there, and so on until the stabiliser is trivial, so pi maps every word
+    to the least word of its G-orbit.  The edges from a word u of F_0 are
+    pi(R_1 u) and pi(D u), each by its own h, and one edge from u to itself
+    by each generator z of Stab_G(u).  The classes are exact:
 
     * every class meets F_0, since pi maps each word into F_0;
     * every edge stays in its class, since the moves commute with
@@ -632,9 +637,7 @@ def _sub_fiber_classes(coded: list[Coded], edges: Edges, identity: int
     * the search reaches forward from u every v of F_0 in u's class.  Write
       v = g b(u), with b a positive word in R_1 and D and g in G, and
       follow b's letters through pi: the walk ends at g' b(u) for some g' in
-      G, a word of F_0 that conjugation by g g'^-1 maps to v.  That
-      conjugation maps the least pair of P to itself, so it lies in
-      Stab_G(c_X, c_Y) and is a positive word in the generators.
+      G, a word of F_0 in v's G-orbit, so v itself.
 
     So each word not yet reached starts a new class, whose search never
     meets a word of an earlier class.  An image outside F_0 is a fault.
@@ -651,19 +654,18 @@ def _sub_fiber_classes(coded: list[Coded], edges: Edges, identity: int
     group K they generate, so a walk from u_0 to a word labelled b whose
     edges multiply to M has M in b K.  Take g in H_Q, so that
     g u_0 = beta(u_0) for a positive word beta in R_1 and D.  Follow beta's
-    letters from u_0 along braid edges: the walk ends at a word v = M g u_0
-    of F_0 with M in b K.  Both v and u_0 start with (c_X, c_Y), so M g lies
-    in Stab_G(c_X, c_Y), and the stabiliser edges walk from v back to u_0 by
-    (M g)^-1.
-    The whole walk multiplies to g^-1 and ends at u_0, labelled 1, so g^-1
-    is in K.
+    letters from u_0 along braid edges: the walk ends at the word M g u_0
+    of F_0, in u_0's G-orbit, so at u_0, labelled 1, and M lies in K.  Then
+    M g lies in Stab_G(u_0), which the edges from u_0 to itself put in K,
+    so g is in K.  The stabiliser edges serve only these labels: the
+    classes come from the braid edges alone.
 
     The braid orbits of Q are the c O, one for each left coset c H_Q.  A
     word g u of Q, with g in G and u in F_0 labelled a, lies in g a O.  So
-    the words of c O starting with (x, y) are the h^-1 u for the u of F_0
-    in Q that start with (c_X, c_Y) and have h^-1 a in c H_Q, and the least
-    word of c O is the least of them, over every y, for the least x that
-    has one.
+    the words of c O starting with x are the g u for the u of F_0 in Q
+    that start with c_X and the g in h_x^-1 Stab_G(c_X) with g a in c H_Q,
+    one per coset g Stab_G(u), and the least word of c O is the least of
+    them for the least x that has one.
     """
     index = {w: i for i, w in enumerate(coded)}.get
     labels = [-1] * len(coded)  # kernel codes are never negative
@@ -692,45 +694,38 @@ def _sub_fiber_classes(coded: list[Coded], edges: Edges, identity: int
     return labels, classes
 
 
-def _cosets(kernel: MoveKernel, stabiliser: Chain) -> Callable[[int], int]:
-    """The number of the left coset g H of each code g, for H given by its
-    chain: cosets are numbered as met, each kept as its first element r, and
-    g lies in the first r H with r^-1 g in H (one strip per code)."""
-    inside = Memo(lambda code: kernel.decode(code) in stabiliser)
-    firsts: list[Memo] = []  # the kernel.mul row of r^-1 for each coset
-
-    def number(g: int) -> int:
-        for k, row in enumerate(firsts):
-            if inside[row[g]]:
-                return k
-        firsts.append(kernel.mul[kernel.inverse[g]])
-        return len(firsts) - 1
-
-    return Memo(number).__getitem__
-
-
 def _least_words(kernel: MoveKernel, coded: list[Coded], members: list[int], labels: list[int],
-                 back: dict[int, int], second: Memo, coset: Callable[[int], int], index: int) -> list[Coded]:
+                 gens: tuple[int, ...], levels: Memo, coset: Callable[[int], Perm], index: int) -> list[Coded]:
     """The least word of each of the ``index`` braid orbits of one class of
     G on F_0 (proof in :func:`_sub_fiber_classes`): walk x in code order,
-    and give each coset first reached the least of its h^-1 u, over the
-    pairs (x, y), for h = h'_y' h_x."""
+    and give each coset first reached the least of the words h_x^-1 s u of
+    the class, for the u starting with c_X and the s of a transversal of
+    Stab_G(u) in Stab_G(c_X), the products of one h_y^-1 per level below
+    the first, read off the levels."""
     rows, mul, inverse = kernel.conjugate, kernel.mul, kernel.inverse
-    starting: dict[Coded, list[int]] = {}  # (c_X, c_Y) -> the members starting with it
+    back, orbits = levels[gens]
+    starting: dict[int, list[tuple[int, list[int]]]] = {}  # c_X -> its members, each with its transversal
     for i in members:
-        starting.setdefault(coded[i][:2], []).append(i)
-    firsts = {pair[0] for pair in starting}
-    least: dict[int, Coded] = {}
+        u = coded[i]
+        stabiliser, transversal = orbits[u[0]][0], [kernel.identity]
+        for f in u[1:-1]:  # each factor of F_0 is the least member c_Y of its orbit Y on its level
+            if not stabiliser:
+                break
+            level_back, level = levels[stabiliser]
+            transversal = [mul[s][inverse[level_back[y]]] for s in transversal for y in level[f][1]]
+            stabiliser = level[f][0]
+        starting.setdefault(u[0], []).append((i, transversal))
+    least: dict[Perm, Coded] = {}
     for x in sorted(back):
         h = back[x]
-        c = rows[h][x]
-        reached: dict[int, Coded] = {}
-        for y, h_y in second[c][0].items() if c in firsts else ():
-            for i in starting.get((c, rows[h_y][y]), ()):
-                h_inv = inverse[mul[h_y][h]]
-                k = coset(mul[h_inv][labels[i]])
+        h_inv = inverse[h]
+        reached: dict[Perm, Coded] = {}
+        for i, transversal in starting.get(rows[h][x], ()):
+            for s in transversal:
+                g = mul[h_inv][s]
+                k = coset(mul[g][labels[i]])
                 if k not in least:
-                    w = tuple(map(rows[h_inv].__getitem__, coded[i]))
+                    w = tuple(map(rows[g].__getitem__, coded[i]))
                     reached[k] = min(reached.get(k, w), w)
         least.update(reached)
         if len(least) == index:
@@ -763,7 +758,8 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
     p, so S_d for a central one.  A class of words with fewer than two
     factors is one orbit: no braid moves them, and G fixes them.  A class Q
     is one orbit under the quotient (H_Q = G), whose least word is in F_0,
-    and else [G : H_Q], by H_Q's chain; only ``want_partition`` lists G.
+    and else [G : H_Q], by H_Q's chain, each braid orbit named by the
+    chain's least element of its coset; only ``want_partition`` lists G.
     """
     d, n = spec.degree, spec.type_vector.total()
     fr = enumerate_fiber(spec, limits, sub_fiber=True)
@@ -772,29 +768,30 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
         return FiberOrbitReport(None, None, [], False, fr.limit_hit)
 
     mul, rows, inverse = kernel.mul, kernel.conjugate, kernel.inverse
-    order, gens, back, second = _conjugating_group(d, spec.product, tuple(spec.type_vector.as_dict()), n > 2)
-    edges = _sub_fiber_edges(kernel, back, second) if n > 1 else lambda w: ((), ())
+    order, gens, levels = _conjugating_group(d, spec.product, tuple(spec.type_vector.as_dict()))
+    edges = _sub_fiber_edges(kernel, gens, levels) if n > 1 else lambda w: ((), ())
     labels, classes = _sub_fiber_classes(coded, edges, kernel.identity)
 
     group = kernel.encode_word(closure(d, kernel.decode_word(gens))) if want_partition else ()
     count, least, blocks = 0, [], []
     for members, schreier in classes:
         if spec.conjugation_quotient or n < 2:
-            index, coset = 1, lambda g: 0
+            index, coset = 1, lambda g: None
         else:
             stabiliser = Chain(d, [kernel.decode(mul[inverse[b]][fa]) for b, fa in schreier])
-            index, coset = order // stabiliser.order(), _cosets(kernel, stabiliser)
+            index = order // stabiliser.order()
+            coset = Memo(lambda g: stabiliser.least_in_coset(kernel.decode(g))).__getitem__
         count += index
         if index == 1:
             least.append(min(map(coded.__getitem__, members)))
         else:
-            least += _least_words(kernel, coded, members, labels, back, second, coset, index)
+            least += _least_words(kernel, coded, members, labels, gens, levels, coset, index)
         if want_partition:  # g u, for u labelled a, lies in the orbit of g a's coset
-            parts = [set() for _ in range(index)]
+            parts: dict[Perm | None, set[Coded]] = {}
             for i in members:
                 for g in group:
-                    parts[coset(mul[g][labels[i]])].add(tuple(map(rows[g].__getitem__, coded[i])))
-            blocks += parts
+                    parts.setdefault(coset(mul[g][labels[i]]), set()).add(tuple(map(rows[g].__getitem__, coded[i])))
+            blocks += parts.values()
     return FiberOrbitReport(
         fiber_size=fr.size,
         orbit_count=count,
@@ -812,8 +809,8 @@ def orbit_partition_by_sweeps(words: list[State], degree: int,
 
     A second algorithm for the same partition as :func:`count_orbits_in_fiber`,
     used to cross-check it.  It is independent of the labelling search, the
-    first-pair sub-fiber and the conjugation back to a least first pair,
-    but not of the moves: both follow :func:`orbit_images`.  The references
+    sub-fiber and the conjugation back to a least word, but not of the
+    moves: both follow :func:`orbit_images`.  The references
     that share no code with this module are ``tests/oracle.py`` and the
     union-find over every R position in ``tests/test_fiber_engine.py``.
     Returns None if any orbit enumeration hits the state limit; an orbit

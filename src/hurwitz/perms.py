@@ -452,6 +452,16 @@ class Chain:
     def order(self) -> int:
         return math.prod(len(level[2]) for level in self._levels)
 
+    def least_in_coset(self, g: Perm) -> Perm:
+        """One element of the left coset g G that depends only on the coset:
+        at each level, g times the u_x whose x has the least image g(x).  An
+        element of g G is fixed by its images of the base points, and these
+        are the least in turn (Holt, Eick and O'Brien, 2005, ch. 4)."""
+        g = bytes((0, *g))
+        for _, _, reps, _ in self._levels:
+            g = reps[min(reps, key=g.__getitem__)].translate(bytes.maketrans(self._identity, g))
+        return Perm(g[1:])
+
 
 def is_transitive(degree: int, perms: Iterable[Perm]) -> bool:
     """Whether the group generated by ``perms`` acts transitively on

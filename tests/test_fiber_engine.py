@@ -3,15 +3,16 @@
 ``enumerate_fiber`` runs on kernel codes, carries target^-1 prefix, and
 reads its reflection length and the last factor off the kernel's tables.
 ``count_orbits_in_fiber`` labels every fiber by one search along R_1 and the
-rotation, on the sub-fiber of words whose first two factors are the least
-pair of their orbit under the centraliser G of the product, adding
-conjugation by that pair's stabiliser in G, and reads the braid orbits,
-their least words and the partition off the cosets of each class's
-stabiliser.  G's generators and orbits come from ``_conjugation_orbits``, on
-the factors and then, under the stabiliser of each least first factor, on
-the second factors; both levels are checked against a brute force over S_d,
-and two and three factors, where the second level is forced or first
-walked, against the plain row and the oracle.  Each is checked here against
+rotation, on the sub-fiber of the least word of each orbit under the
+centraliser G of the product, adding a loop by each generator of a word's
+stabiliser in G, and reads the braid orbits, their least words and the
+partition off the cosets of each class's stabiliser.  G's generators and
+orbits come from ``_conjugation_orbits``, one level per stabiliser of the
+factors placed so far; every level is checked against a brute force over
+S_d, the sub-fiber against the least words of the whole fiber's G-orbits
+and its weights against their sizes, and two and three factors, where a
+count walks only the levels of prefixes of at most n - 2 factors, against
+the plain row and the oracle.  Each is checked here against
 a plain reference written in this file or against the oracle: a
 backtracking over ``Perm`` values without pruning (same words, same order),
 a prefix-product count (same size), a union-find over the R move at every
@@ -26,7 +27,6 @@ after they are cleared.
 """
 import functools
 import math
-from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -222,8 +222,8 @@ def test_partition_matches_sweeps_and_oracle(d, type_text, product, constraint, 
 @pytest.mark.parametrize("d,type_text,product,constraint,conj", list(partition_cases()))
 def test_sub_fiber_size_is_the_whole_fiber_size(d, type_text, product, constraint, conj):
     # The sub-fiber keeps fewer words, but its size counts the whole fiber,
-    # each kept word weighted by its first pair's orbit, and that is the
-    # size the count reports.
+    # each kept word weighted by the size of its orbit under G, and that is
+    # the size the count reports.
     spec = spec_of(d, type_text, product, constraint, conj)
     whole = enumerate_fiber(spec, LIM)
     sub = enumerate_fiber(spec, LIM, sub_fiber=True)
@@ -283,8 +283,8 @@ def test_sweeps_detect_every_missing_word():
 @pytest.mark.parametrize("d,type_text", [(3, "2,1:2"), (4, "2,1,1:4"), (4, "3,1:3")])
 def test_conjugation_merges_braid_orbits(d, type_text):
     # The quotient merges braid orbits here, so its count rests on the
-    # sub-fiber search: braid images conjugated back to a least first pair
-    # and conjugation by that pair's stabiliser.  The partition test above
+    # sub-fiber search: braid images conjugated back to a least word and
+    # loops by that word's stabiliser.  The partition test above
     # checks the merged classes.
     braid = count_orbits_in_fiber(spec_of(d, type_text, "()"), LIM)
     quotient = count_orbits_in_fiber(spec_of(d, type_text, "()", conj=True), LIM)
@@ -316,9 +316,8 @@ def quotient_cases():
 
 @pytest.mark.parametrize("d,type_text,constraint", list(quotient_cases()))
 def test_quotient_matches_sweeps_on_the_full_fiber(d, type_text, constraint):
-    # The quotient searches only the sub-fiber of words whose first pair
-    # is the least of its orbit under S_d; the reference sweeps the full
-    # fiber.
+    # The quotient searches only the sub-fiber of the least word of each
+    # orbit under S_d; the reference sweeps the full fiber.
     spec = spec_of(d, type_text, "()", constraint, conj=True)
     words = enumerate_fiber(spec, LIM).words
     r = count_orbits_in_fiber(spec, LIM)
@@ -438,7 +437,8 @@ def test_conjugation_orbits_match_brute_force(d):
     # For a product p of each class: the walk from p along the generators
     # of S_d gives generators of Z(p) and p's class; the walk with those on
     # each class splits it into Z(p)'s orbits, maps each x to the least c of
-    # its orbit, and gives generators of the stabiliser of c in Z(p).
+    # its orbit, and gives generators of the stabiliser of c in Z(p) and the
+    # members of c's orbit.
     kernel = MoveKernel(d)
     group = list(all_perms(d))
     for ct in all_cycle_types(d):
@@ -446,10 +446,10 @@ def test_conjugation_orbits_match_brute_force(d):
         centraliser = {g for g in group if g.conjugate(p) == p}
         back, stabilisers = orbits._conjugation_orbits(
             kernel, kernel.encode_word(orbits.symmetric_generators(d)), [kernel.encode(p)])
-        gens = stabilisers[kernel.encode(p)]
+        gens, orbit = stabilisers[kernel.encode(p)]
         assert list(stabilisers) == [kernel.encode(p)]
         assert closure(d, kernel.decode_word(gens)) == centraliser
-        assert set(kernel.decode_word(tuple(back))) == set(class_elements(d, ct))
+        assert set(kernel.decode_word(tuple(back))) == set(kernel.decode_word(orbit)) == set(class_elements(d, ct))
         for members in map(functools.partial(class_elements, d), all_cycle_types(d)):
             back, stabilisers = orbits._conjugation_orbits(kernel, gens, kernel.encode_word(members))
             want = {frozenset(g.conjugate(x) for g in centraliser) for x in members}
@@ -459,39 +459,102 @@ def test_conjugation_orbits_match_brute_force(d):
                 c = min(orbit)
                 for x in orbit:
                     assert kernel.decode(back[kernel.encode(x)]).conjugate(x) == c
-                stabiliser = closure(d, kernel.decode_word(stabilisers[kernel.encode(c)]))
-                assert stabiliser == {g for g in centraliser if g.conjugate(c) == c}
+                stabiliser, members_of_c = stabilisers[kernel.encode(c)]
+                assert set(kernel.decode_word(members_of_c)) == orbit
+                assert closure(d, kernel.decode_word(stabiliser)) == {g for g in centraliser if g.conjugate(c) == c}
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_pair_level_matches_brute_force(d):
-    # For a product p of each class, on the pairs of factors from every
-    # class: the second level maps each y to an h'_y fixing c_X, its pairs
-    # (c_X, c_Y) are exactly the least pairs of their Z(p)-orbits, each
-    # weight |X| |Y| is that orbit's size, and the kept generators generate
-    # exactly the pair's stabiliser in Z(p).
-    classes = [ct for ct in all_cycle_types(d) if ct != (1,) * d]
+def test_levels_match_brute_force(d):
+    # For a product p of each class, on the factors of every class: every
+    # level reached from Z(p) through the stabilisers of its least members
+    # splits the factors into the orbits of its group H, maps each x to an
+    # h_x in H taking it to the least member c of its orbit, lists that
+    # orbit, and gives generators of exactly Stab_H(c).
+    classes = tuple(ct for ct in all_cycle_types(d) if ct != (1,) * d)
     members = [x for ct in classes for x in class_elements(d, ct)]
+    kernel = kernel_of(d)
     for ct in all_cycle_types(d):
         p = class_elements(d, ct)[-1]
-        centraliser = [g for g in all_perms(d) if g.conjugate(p) == p]
-        kernel = kernel_of(d)
-        rows = kernel.conjugate
-        _, _, back, second = orbits._conjugating_group(d, p, tuple(classes), True)
-        weights = {}
-        for c, size in Counter(rows[h][x] for x, h in back.items()).items():
-            back_y, stabilisers = second[c]
-            assert all(rows[h][c] == c for h in back_y.values())
-            sizes = Counter(rows[h][y] for y, h in back_y.items())
-            assert set(sizes) == set(stabilisers)
-            for c_y, gens in stabilisers.items():
-                x, y = kernel.decode_word((c, c_y))
-                weights[x, y] = size * sizes[c_y]
-                assert closure(d, kernel.decode_word(gens)) == {
-                    g for g in centraliser if g.conjugate(x) == x and g.conjugate(y) == y}
-        pair_orbits = {frozenset((g.conjugate(x), g.conjugate(y)) for g in centraliser)
-                       for x in members for y in members}
-        assert weights == {min(orbit): len(orbit) for orbit in pair_orbits}
+        order, gens, levels = orbits._conjugating_group(d, p, classes)
+        assert len(closure(d, kernel.decode_word(gens))) == order == sum(g.conjugate(p) == p for g in all_perms(d))
+        queue, seen = [gens], {gens}
+        for level_gens in queue:  # grows while it is walked
+            group = closure(d, kernel.decode_word(level_gens))
+            back, stabilisers = levels[level_gens]
+            assert set(kernel.decode_word(tuple(back))) == set(members)
+            want = {frozenset(g.conjugate(x) for g in group) for x in members}
+            assert sorted(kernel.decode_word(tuple(stabilisers))) == sorted(map(min, want))
+            for orbit in want:
+                c = min(orbit)
+                for x in orbit:
+                    h = kernel.decode(back[kernel.encode(x)])
+                    assert h in group and h.conjugate(x) == c
+                stabiliser, members_of_c = stabilisers[kernel.encode(c)]
+                assert set(kernel.decode_word(members_of_c)) == orbit
+                assert closure(d, kernel.decode_word(stabiliser)) == {g for g in group if g.conjugate(c) == c}
+                if stabiliser not in seen:
+                    seen.add(stabiliser)
+                    queue.append(stabiliser)
+
+
+def group_of(spec):
+    """The centraliser of the spec's product, listed."""
+    return [g for g in all_perms(spec.degree) if g.conjugate(spec.product) == spec.product]
+
+
+def orbit_minima(spec, words):
+    """Each word's G-orbit, keyed by its least word, for G = ``group_of(spec)``."""
+    group = group_of(spec)
+    out = {}
+    for w in words:
+        orbit = {tuple(g.conjugate(f) for f in w) for g in group}
+        out[min(orbit)] = len(orbit)
+    return out
+
+
+def transversal_cases():
+    for d in (2, 3, 4):
+        for ct in all_cycle_types(d):
+            for n in (1, 2, 3):
+                for type_text in all_types(d, n):
+                    yield d, type_text, str(class_elements(d, ct)[-1])
+
+
+@pytest.mark.parametrize("d,type_text,product", list(transversal_cases()))
+def test_sub_fiber_is_an_orbit_transversal(d, type_text, product):
+    # For a product p of each class, G = Z(p): the sub-fiber is the least
+    # word of each G-orbit of the whole fiber, in the whole fiber's order,
+    # and each kept word weighs its orbit's size: a cap at the sum of the
+    # weights up to a word keeps the words up to it, and one below keeps
+    # the words before it.
+    spec = spec_of(d, type_text, product)
+    whole = enumerate_fiber(spec, LIM).words
+    minima = orbit_minima(spec, whole)
+    sub = enumerate_fiber(spec, LIM, sub_fiber=True)
+    assert sub.words == [w for w in whole if w in minima] and len(sub.words) == len(minima)
+    assert sub.size == sum(minima.values())
+    total = 0
+    for i, w in enumerate(sub.words):
+        total += minima[w]
+        assert enumerate_fiber(spec, SearchLimits(max_fiber=total), sub_fiber=True).words == sub.words[:i + 1]
+        if total > 1:
+            assert enumerate_fiber(spec, SearchLimits(max_fiber=total - 1), sub_fiber=True).words == sub.words[:i]
+
+
+@pytest.mark.parametrize("d,type_text,product", [
+    (4, "2,1,1:4", "()"), (4, "2,1,1:6", "()"), (4, "2,1,1:5", "(1,2)"), (4, "2,1,1:6", "(1,2)(3,4)"),
+    (4, "2,2:2;3,1:2", "()"), (4, "2,1,1:2;3,1:2", "(1,2,3)"), (4, "4:4", "()"),
+    (5, "2,1,1,1:4", "()"), (5, "2,1,1,1:5", "(1,2)"), (5, "2,1,1,1:4", "(1,2,3)"),
+    (5, "2,1,1,1:4", "(1,2,3,4,5)"), (5, "3,1,1:3", "()"), (5, "2,1,1,1:2;3,1,1:2", "(1,2)(3,4)"),
+])
+def test_sub_fiber_size_is_the_orbit_count(d, type_text, product):
+    # The sub-fiber holds one word per G-orbit of the whole fiber, also past
+    # the levels where a stabiliser is still not trivial.
+    spec = spec_of(d, type_text, product)
+    minima = orbit_minima(spec, enumerate_fiber(spec, LIM).words)
+    sub = enumerate_fiber(spec, LIM, sub_fiber=True)
+    assert len(sub.coded) == len(minima) and sub.size == sum(minima.values())
 
 
 def boundary_cases():
@@ -506,30 +569,36 @@ def test_two_and_three_factors(monkeypatch, d, n, product):
     # Every type of n factors, for a product of each class, with the
     # quotient where the product is central: the row is the plain one and
     # the oracle's, and the sub-fiber's first pairs are the least pairs of
-    # the Z(p)-orbits of the whole fiber's first pairs.  Z(p)'s generators
-    # are read off p's cycles, and two factors force the second, so a count
-    # from a cleared group table walks only the first level; three walk the
-    # second level of each c_X the enumeration reaches.
+    # the Z(p)-orbits of the whole fiber's first pairs.  The last factor is
+    # forced, so a count from a cleared group table walks each level once
+    # and only for the stabiliser of a prefix of at most n - 2 factors: at
+    # two factors Z(p)'s level alone, if any, and at three also the levels
+    # of the stabilisers of first factors, at least of those that the
+    # sub-fiber's words start with.
     p = Perm.parse(product, d)
     centraliser = [g for g in all_perms(d) if g.conjugate(p) == p]
     walk, calls = orbits._conjugation_orbits, []
     monkeypatch.setattr(orbits, "_conjugation_orbits",
-                        lambda *args: calls.append(args) or walk(*args))
+                        lambda *args: calls.append(args[1]) or walk(*args))
     for type_text in all_types(d, n):
         for conj in (False, True) if p.is_identity() else (False,):
             spec = spec_of(d, type_text, product, "none", conj)
             check_labelled_count(spec)
-            sub = enumerate_fiber(spec, LIM, sub_fiber=True).words
+            sub = enumerate_fiber(spec, LIM, sub_fiber=True)
             want = {min((g.conjugate(w[0]), g.conjugate(w[1])) for g in centraliser)
                     for w in enumerate_fiber(spec, LIM).words}
-            assert {w[:2] for w in sub} == want
+            assert {w[:2] for w in sub.words} == want
             calls.clear()
             orbits._conjugating_group.cache_clear()
             count_orbits_in_fiber(spec, LIM)
+            walked = list(calls)
+            _, gens, levels = orbits._conjugating_group(d, p, tuple(spec.type_vector.as_dict()))
+            assert len(set(walked)) == len(walked) and walked[:1] in ([], [gens])
             if n <= 2:
-                assert len(calls) == 1
-            elif sub:
-                assert len(calls) > 1
+                assert walked == [gens] or not walked and not sub.coded
+            else:
+                stabilisers = {stabiliser for stabiliser, _ in levels[gens][1].values()}
+                assert {levels[gens][1][w[0]][0] for w in sub.coded} <= set(walked) <= {gens} | stabilisers
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

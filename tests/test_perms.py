@@ -267,6 +267,12 @@ def chain_cases(max_degree=6):
         st.permutations(list(range(1, d + 1))).map(Perm)))
 
 
+def coset_cases(max_degree=6):
+    """A degree, up to four permutations of it, and two more."""
+    return generator_sets(max_degree).flatmap(lambda case: st.tuples(
+        st.just(case[0]), st.just(case[1]), *[st.permutations(list(range(1, case[0] + 1))).map(Perm)] * 2))
+
+
 def gens(d, *texts):
     return [P(t, d) for t in texts]
 
@@ -300,6 +306,30 @@ class TestChain:
         assert Chain(d, [x for x in first if taken.add(x)]).order() == chain.order()
         assert chain.add(g) == (g not in listed)
         assert chain.order() == len(closure(d, [*first, g]))
+
+    @given(coset_cases())
+    @example((3, gens(3, "(1,2)"), P("(1,3)", 3), P("(1,3,2)", 3)))
+    @example((4, gens(4, "(1,2)(3,4)", "(1,3)(2,4)"), P("(1,2)", 4), P("(3,4)", 4)))
+    @example((6, gens(6, "(1,2)", "(3,4)", "(3,4,5,6)"), P("(2,3)", 6), P("(1,2)(2,4)", 6)))
+    def test_least_in_coset_names_the_left_coset(self, case):
+        # It lies in g H, is the same for every element of g H, and is
+        # another on every other coset.
+        d, first, g, other = case
+        listed = closure(d, first)
+        chain = Chain(d, first)
+        least = chain.least_in_coset(g)
+        assert g.inverse() * least in listed
+        assert {chain.least_in_coset(g * h) for h in listed} == {least}
+        assert (chain.least_in_coset(other) == least) == (g.inverse() * other in listed)
+
+    def test_least_in_coset_counts_the_cosets(self):
+        # one value per left coset of H in S_d, for the centraliser of each class at d <= 5
+        for d in range(1, 6):
+            group = list(all_perms(d))
+            for ct in all_cycle_types(d):
+                chain = Chain(d, centraliser_generators(canonical_class_element(d, ct)))
+                names = {chain.least_in_coset(g) for g in group}
+                assert len(names) == class_size(d, ct)
 
     def test_small_groups(self):
         assert Chain(1).order() == Chain(3).order() == 1
