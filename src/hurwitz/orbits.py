@@ -23,15 +23,17 @@ braid generators, R_1 and the rotation (:func:`orbit_images`), on tuples:
 the rotation's image is one whole-row ``map``, where a packed word would
 take a digit operation per factor.  Fiber enumeration carries target^-1
 prefix as a code, one row of ``kernel.mul`` per node, and reads the last
-factor off its inverse, so only Z(p)'s tables below depend on the product.
+factor off its inverse, so only Z(p)'s tables below depend on the product,
+and they depend on nothing else: one set per product serves every type.
 
 Every fiber takes one labelled search (:func:`_sub_fiber_classes`) on the
 sub-fiber of G = Z(p), the centraliser of its product p: the least word of
 each G-orbit, found one factor at a time, each the least of its orbit under
 the stabiliser in G of those before it until that stabiliser is trivial
-(orderly generation, on the levels of :func:`_conjugating_group`).
-Each class splits into braid orbits, the cosets of the stabiliser its
-Schreier labels generate, which give the counts, least words and partitions
+(orderly generation, on the levels of :func:`_conjugating_group`, whose
+orbits are walked on demand, each from its least member).  Each class
+splits into braid orbits, the cosets of the stabiliser its Schreier labels
+generate, which give the counts, least words and partitions
 (:func:`count_orbits_in_fiber`, whose row is :func:`count_orbits`).  Every
 lazily filled table is a :class:`~hurwitz.words.Memo`.
 ``Perm`` words appear only at the boundaries: coding the inputs, decoding
@@ -155,11 +157,6 @@ class OrbitReport:
     limit_hit: str | None = None
 
 
-def symmetric_generators(degree: int) -> tuple[Perm, ...]:
-    """(1,2) and (1 2 ... d), which generate S_d = Z(1); deduplicated for d <= 2."""
-    return centraliser_generators(Perm.identity(degree))
-
-
 def orbit_images(kernel: MoveKernel,
                  conjugation_quotient: bool = False) -> Callable[[Coded], Iterable[Coded]]:
     """The images of a coded word under two braid generators, read off the
@@ -168,17 +165,17 @@ def orbit_images(kernel: MoveKernel,
         R_1:  (g_1, g_2, ..., g_n) -> (g_1 g_2 g_1^-1, g_1, g_3, ..., g_n),
         D:    (g_1, ..., g_n) -> (g_1 g_2 g_1^-1, ..., g_1 g_n g_1^-1, g_1),
 
-    then, under the conjugation quotient, its conjugates by
-    :func:`symmetric_generators`.  The words reached forward along these
-    images are the whole orbit of the braid group (times S_d under the
-    quotient).  The R moves generate the braid action (L undoes R), and R_1
-    and D generate the same group: D applied k times, then R_1, then D^-1 k
-    times is R at position k + 1 (for n = 2, D is R_1).  Each image map is a
-    bijection of the finite set of words of one length and type, so a power
-    of each is its inverse.
+    then, under the conjugation quotient, its conjugates by the generators
+    of S_d = Z(1) (:func:`~hurwitz.perms.centraliser_generators`).  The
+    words reached forward along these images are the whole orbit of the
+    braid group (times S_d under the quotient).  The R moves generate the
+    braid action (L undoes R), and R_1 and D generate the same group: D
+    applied k times, then R_1, then D^-1 k times is R at position k + 1
+    (for n = 2, D is R_1).  Each image map is a bijection of the finite set
+    of words of one length and type, so a power of each is its inverse.
     """
     rows = kernel.conjugate
-    conj = kernel.encode_word(symmetric_generators(kernel.degree)) if conjugation_quotient else ()
+    conj = kernel.encode_word(centraliser_generators(Perm.identity(kernel.degree))) if conjugation_quotient else ()
     conj_rows = [rows[g] for g in conj]
 
     def braid(w: Coded) -> tuple[Coded, ...]:
@@ -407,13 +404,15 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     order = sorted(counts)  # fixed class iteration order
     target = spec.product
     total = spec.type_vector.total()
-    _, gens, levels = _conjugating_group(d, target, tuple(order))
+    _, gens, levels = _conjugating_group(d, target)
 
     def least_of(stabiliser: tuple[int, ...]) -> dict[CycleType, list[tuple[int, tuple[int, ...], int]]]:
         # per class, the least member c_X of each orbit X of the group that
-        # ``stabiliser`` generates, with the generators of Stab(c_X) and |X|
-        level = levels[stabiliser][1]
-        return {ct: [(c, level[c][0], len(level[c][1])) for c in per_class[ct] if c in level] for ct in order}
+        # ``stabiliser`` generates, with the generators of Stab(c_X) and |X|;
+        # asked in code order, each orbit is first asked, and walked, at c_X
+        back, level = levels[stabiliser]
+        return {ct: [(c, level[c][0], len(level[c][1])) for c in per_class[ct] if back[c] == kernel.identity]
+                for ct in order}
 
     least = Memo(least_of)
 
@@ -490,8 +489,9 @@ def enumerate_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS, *,
     return FiberReport(words, kernel, size, True)
 
 
-#: Kept for later counts: the 64 conjugating groups used last, and 2^14
-#: verdicts per degree and constraint; every other fiber table is the kernel's.
+#: Kept for later counts: the conjugating groups of the 64 products used
+#: last, each shared by every type and constraint, and 2^14 verdicts per
+#: degree and constraint; every other fiber table is the kernel's.
 TABLES_KEPT = 64
 VERDICTS_KEPT = 1 << 14
 
@@ -504,49 +504,62 @@ def _verdicts(d: int, constraint: str) -> Memo:
     return Memo(lambda factors: test(d, kernel.decode_word(tuple(factors))))
 
 
-def _conjugation_orbits(kernel: MoveKernel, gens: Iterable[int], members: Iterable[int]) -> tuple[dict, dict]:
-    """The orbits through the codes ``members`` of the group generated by the
-    codes ``gens``, acting by conjugation: each x reached maps to an h_x with
-    h_x x h_x^-1 = c_X, and each c_X to generators of its stabiliser and the
-    members of X.
+def _conjugation_orbits(kernel: MoveKernel, gens: tuple[int, ...]) -> tuple[Memo, dict]:
+    """The orbits of the group generated by the codes ``gens``, acting by
+    conjugation, each walked the first time one of its members is asked for:
+    ``back`` maps each member x of an orbit X walked to an h_x with
+    h_x x h_x^-1 = c_X, the least member of X, and ``stabilisers`` maps each
+    c_X walked to generators of its stabiliser and the members of X.
 
-    Each member not yet reached is the c_X of its orbit X, its least member
-    when the sorted members are a union of orbits.  A breadth-first walk
-    from c_X gives each new y = z v z^-1 the t_y = z t_v, so h_y = t_y^-1;
-    every other edge gives a Schreier generator t_y^-1 z t_v (Seress, 2003,
-    ch. 4), kept only when it grows the :class:`~hurwitz.perms.Chain` of
-    those kept.  The elements are codes, multiplied and inverted by tables.
+    A breadth-first walk from c gives each new y = z v z^-1 the t_y = z t_v,
+    so h_y = t_y^-1; every other edge gives a Schreier generator
+    t_y^-1 z t_v (Seress, 2003, ch. 4), kept only when it grows the
+    :class:`~hurwitz.perms.Chain` of those kept.  A miss at x walks from x,
+    and again from c_X when that is not x, so the tables hold the walks from
+    each c_X, whichever member and whichever caller asked first; h_x is the
+    identity exactly when x is c_X.  The elements are codes, multiplied and
+    inverted by tables.
     """
     identity, rows, mul, inverse = kernel.identity, kernel.conjugate, kernel.mul, kernel.inverse
-    back, stabilisers = {}, {}
-    for c in members:
-        if c not in back:
-            t, queue, chain, kept = {c: identity}, [c], Chain(kernel.degree), []
-            for v in queue:  # grows while it is walked
-                for z in gens:
-                    y, zt = rows[z][v], mul[z][t[v]]
-                    if y not in t:
-                        t[y] = zt
-                        queue.append(y)
-                    elif chain.add(kernel.decode(s := mul[inverse[t[y]]][zt])):
-                        kept.append(s)
-            back.update((y, inverse[ty]) for y, ty in t.items())
-            stabilisers[c] = tuple(kept), tuple(t)
+    stabilisers: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+    def walk(c: int) -> tuple[dict[int, int], list[int]]:
+        t, queue, chain, kept = {c: identity}, [c], Chain(kernel.degree), []
+        for v in queue:  # grows while it is walked
+            for z in gens:
+                y, zt = rows[z][v], mul[z][t[v]]
+                if y not in t:
+                    t[y] = zt
+                    queue.append(y)
+                elif chain.add(kernel.decode(s := mul[inverse[t[y]]][zt])):
+                    kept.append(s)
+        return t, kept
+
+    def orbit_of(x: int) -> int:
+        t, kept = walk(x)
+        if (c := min(t)) != x:
+            t, kept = walk(c)
+        back.update((y, inverse[ty]) for y, ty in t.items())
+        stabilisers[c] = tuple(kept), tuple(t)
+        return back[x]
+
+    back = Memo(orbit_of)
     return back, stabilisers
 
 
 @functools.lru_cache(maxsize=TABLES_KEPT)
-def _conjugating_group(d: int, product: Perm, classes: tuple[CycleType, ...]) -> tuple[int, tuple[int, ...], Memo]:
-    """G = Z(p), the centraliser of the product p of the fibers of degree d
-    with the classes ``classes``: its order d! / |p's class|, its generators
+def _conjugating_group(d: int, product: Perm) -> tuple[int, tuple[int, ...], Memo]:
+    """G = Z(p), the centraliser of the product p of the fibers of degree d:
+    its order d! / |p's class|, its generators
     (:func:`~hurwitz.perms.centraliser_generators`), and its levels, which
     map the generators of each subgroup of G that a search meets, a
-    stabiliser, to its :func:`_conjugation_orbits` on those classes.  The
-    empty tuple is the trivial group, whose orbits are single members.  Kept
-    for the fibers that follow, like the kernel."""
+    stabiliser, to its :func:`_conjugation_orbits`.  The empty tuple is the
+    trivial group, whose orbits are single members.  No table depends on a
+    type, so every fiber of the product, of any type and constraint, reads
+    the orbits that earlier fibers walked; kept for the fibers that follow,
+    like the kernel."""
     kernel = kernel_of(d)
-    members = sorted(kernel.encode(x) for ct in classes for x in class_elements(d, ct))
-    levels = Memo(lambda gens: _conjugation_orbits(kernel, gens, members))
+    levels = Memo(lambda gens: _conjugation_orbits(kernel, gens))
     order = math.factorial(d) // class_size(d, product.cycle_type())
     return order, kernel.encode_word(centraliser_generators(product)), levels
 
@@ -697,11 +710,12 @@ def _sub_fiber_classes(coded: list[Coded], edges: Edges, identity: int
 def _least_words(kernel: MoveKernel, coded: list[Coded], members: list[int], labels: list[int],
                  gens: tuple[int, ...], levels: Memo, coset: Callable[[int], Perm], index: int) -> list[Coded]:
     """The least word of each of the ``index`` braid orbits of one class of
-    G on F_0 (proof in :func:`_sub_fiber_classes`): walk x in code order,
-    and give each coset first reached the least of the words h_x^-1 s u of
-    the class, for the u starting with c_X and the s of a transversal of
-    Stab_G(u) in Stab_G(c_X), the products of one h_y^-1 per level below
-    the first, read off the levels."""
+    G on F_0 (proof in :func:`_sub_fiber_classes`): walk in code order the
+    members x of the orbits X whose c_X starts a word of the class, and give
+    each coset first reached the least of the words h_x^-1 s u of the class,
+    for the u starting with c_X and the s of a transversal of Stab_G(u) in
+    Stab_G(c_X), the products of one h_y^-1 per level below the first, read
+    off the levels."""
     rows, mul, inverse = kernel.conjugate, kernel.mul, kernel.inverse
     back, orbits = levels[gens]
     starting: dict[int, list[tuple[int, list[int]]]] = {}  # c_X -> its members, each with its transversal
@@ -716,11 +730,10 @@ def _least_words(kernel: MoveKernel, coded: list[Coded], members: list[int], lab
             stabiliser = level[f][0]
         starting.setdefault(u[0], []).append((i, transversal))
     least: dict[Perm, Coded] = {}
-    for x in sorted(back):
-        h = back[x]
-        h_inv = inverse[h]
+    for x, c in sorted((x, c) for c in starting for x in orbits[c][1]):
+        h_inv = inverse[back[x]]
         reached: dict[Perm, Coded] = {}
-        for i, transversal in starting.get(rows[h][x], ()):
+        for i, transversal in starting[c]:
             for s in transversal:
                 g = mul[h_inv][s]
                 k = coset(mul[g][labels[i]])
@@ -768,7 +781,7 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
         return FiberOrbitReport(None, None, [], False, fr.limit_hit)
 
     mul, rows, inverse = kernel.mul, kernel.conjugate, kernel.inverse
-    order, gens, levels = _conjugating_group(d, spec.product, tuple(spec.type_vector.as_dict()))
+    order, gens, levels = _conjugating_group(d, spec.product)
     edges = _sub_fiber_edges(kernel, gens, levels) if n > 1 else lambda w: ((), ())
     labels, classes = _sub_fiber_classes(coded, edges, kernel.identity)
 

@@ -88,9 +88,9 @@ class MoveKernel:
     distinct pair, and a loop that holds one row looks each entry up once:
 
     * ``conjugate[g][x]`` is the code of g x g^-1.  It is also the new first
-      factor of R at a pair (g, x), and row g conjugates a word by g.
-    * ``left[a][b]`` is the code of b^-1 a b, the new second factor of L at
-      a pair (a, b).
+      factor of R at a pair (g, x), and row g conjugates a word by g; the new
+      second factor of L at a pair (a, b), b^-1 a b, is
+      ``conjugate[inverse[b]][a]``.
     * ``mul[a][b]`` is the code of the product a b; fiber enumeration carries
       target^-1 prefix with it, prunes by ``reflection[g]``, g's reflection
       length, and reads a word's last factor off ``inverse[g]``, g^-1's code.
@@ -118,7 +118,6 @@ class MoveKernel:
         self.encode = encode
         self.identity = encode(Perm.identity(degree))
         self.conjugate = Memo(lambda g: Memo(lambda x: encode(perms[g].conjugate(perms[x]))))
-        self.left = Memo(lambda a: Memo(lambda b: encode(perms[b].inverse().conjugate(perms[a]))))
         self.mul = Memo(lambda a: Memo(lambda b: encode(perms[a] * perms[b])))
         self.inverse = Memo(lambda g: encode(perms[g].inverse()))
         self.reflection = Memo(lambda g: perms[g].reflection_length())
@@ -150,8 +149,9 @@ class Packing:
     code q = a B + b, the two digits there:
 
         R:  (a, b) -> (conjugate[a][b], a),  delta (conjugate[a][b] - a) B + (a - b)
-        L:  (a, b) -> (b, left[a][b]),       delta (b - a) B + (left[a][b] - b)
+        L:  (a, b) -> (b, b^-1 a b),         delta (b - a) B + (b^-1 a b - b)
 
+    with b^-1 a b read off the kernel as ``conjugate[inverse[b]][a]``.
     ``deltas[q]`` is that pair ``(R, L)``, filled from the kernel's rows on
     first use; ``places[i]`` is B^(n-2-i).
     """
@@ -161,11 +161,11 @@ class Packing:
         self.base = base
         self.length = length
         self.places = [base ** (length - 2 - i) for i in range(length - 1)]
-        conjugate, left = kernel.conjugate, kernel.left
+        conjugate, inverse = kernel.conjugate, kernel.inverse
 
         def pair_deltas(q: int) -> tuple[int, int]:
             a, b = divmod(q, base)
-            return (conjugate[a][b] - a) * base + a - b, (b - a) * base + left[a][b] - b
+            return (conjugate[a][b] - a) * base + a - b, (b - a) * base + conjugate[inverse[b]][a] - b
 
         self.deltas = Memo(pair_deltas)
 
@@ -195,13 +195,6 @@ def _lex_rank(p: Perm) -> int:
         del rest[j]
         rank = rank * (len(p) - i) + j
     return rank
-
-
-def product_of_state(state: State, degree: int) -> Perm:
-    p = Perm.identity(degree)
-    for f in state:
-        p = p * f
-    return p
 
 
 @dataclass(frozen=True)
@@ -349,7 +342,10 @@ class Factorization:
 
     def product(self) -> Perm:
         """The ordered product of the factors; the empty word maps to identity."""
-        return product_of_state(self.factors, self.degree)
+        p = Perm.identity(self.degree)
+        for f in self.factors:
+            p = p * f
+        return p
 
     def type_vector(self) -> TypeVector:
         return TypeVector.from_factors(self.factors)

@@ -8,11 +8,13 @@ centraliser G of the product, adding a loop by each generator of a word's
 stabiliser in G, and reads the braid orbits, their least words and the
 partition off the cosets of each class's stabiliser.  G's generators and
 orbits come from ``_conjugation_orbits``, one level per stabiliser of the
-factors placed so far; every level is checked against a brute force over
-S_d, the sub-fiber against the least words of the whole fiber's G-orbits
-and its weights against their sizes, and two and three factors, where a
-count walks only the levels of prefixes of at most n - 2 factors, against
-the plain row and the oracle.  Each is checked here against
+factors placed so far, shared by every type of a product; every level,
+asked in a random order, is checked against a brute force over S_d and
+against the same level asked in code order, the sub-fiber against the
+least words of the whole fiber's G-orbits and its weights against their
+sizes, and two and three factors, where a count walks only the levels of
+prefixes of at most n - 2 factors, against the plain row and the oracle.
+Each is checked here against
 a plain reference written in this file or against the oracle: a
 backtracking over ``Perm`` values without pruning (same words, same order),
 a prefix-product count (same size), a union-find over the R move at every
@@ -27,13 +29,14 @@ after they are cleared.
 """
 import functools
 import math
+import random
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitz import orbits
+from hurwitz import orbits, reports
 from hurwitz.cli import main
 from hurwitz.orbits import (
     CONSTRAINTS,
@@ -47,8 +50,8 @@ from hurwitz.orbits import (
     orbit_partition_by_sweeps,
     stable_length_scan,
 )
-from hurwitz.perms import (Perm, all_cycle_types, all_perms, class_elements, class_parity, closure,
-                           transpositions)
+from hurwitz.perms import (Perm, all_cycle_types, all_perms, centraliser_generators, class_elements, class_parity,
+                           closure, transpositions)
 from hurwitz.reports import ComponentQuery, count_components
 from hurwitz.words import (Factorization, Move, MoveKernel, TypeVector, conjugate_state, kernel_of,
                            move_right_state)
@@ -432,67 +435,90 @@ def test_labelled_count_matches_plain_search_and_oracle(d, type_text, product, c
     check_labelled_count(spec_of(d, type_text, product, constraint, conj))
 
 
+def asked_in_order(kernel, gens, members):
+    """The tables of ``_conjugation_orbits`` after every code of ``members``
+    is asked for, in that order."""
+    back, stabilisers = orbits._conjugation_orbits(kernel, gens)
+    for x in members:
+        back[x]
+    return back, stabilisers
+
+
+def check_orbits(kernel, back, stabilisers, group, members):
+    # The members asked for split into the orbits of ``group``: each x maps
+    # to an h_x in the group taking it to the least member c of its orbit,
+    # and c to generators of exactly Stab(c) and the members of its orbit;
+    # returns those generators, one tuple per orbit.
+    d = kernel.degree
+    want = {frozenset(g.conjugate(x) for g in group) for x in members}
+    assert set(kernel.decode_word(tuple(back))) == set(members)
+    assert sorted(kernel.decode_word(tuple(stabilisers))) == sorted(map(min, want))
+    for orbit in want:
+        c = min(orbit)
+        for x in orbit:
+            h = kernel.decode(back[kernel.encode(x)])
+            assert h in group and h.conjugate(x) == c
+        stabiliser, members_of_c = stabilisers[kernel.encode(c)]
+        assert set(kernel.decode_word(members_of_c)) == orbit
+        assert closure(d, kernel.decode_word(stabiliser)) == {g for g in group if g.conjugate(c) == c}
+    return [stabiliser for stabiliser, _ in stabilisers.values()]
+
+
+def check_any_order(kernel, gens, group, members, rng):
+    # The tables filled with every member asked for in a random order are
+    # those filled in code order, and both match the brute force.
+    coded = kernel.encode_word(members)
+    back, stabilisers = asked_in_order(kernel, gens, rng.sample(coded, len(coded)))
+    assert (back, stabilisers) == asked_in_order(kernel, gens, sorted(coded))
+    return check_orbits(kernel, back, stabilisers, group, members)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_conjugation_orbits_match_brute_force(d):
-    # For a product p of each class: the walk from p along the generators
-    # of S_d gives generators of Z(p) and p's class; the walk with those on
-    # each class splits it into Z(p)'s orbits, maps each x to the least c of
-    # its orbit, and gives generators of the stabiliser of c in Z(p) and the
-    # members of c's orbit.
-    kernel = MoveKernel(d)
+    # For a product p of each class, the least member of its class: asked
+    # at the class's last member, the walk along the generators of S_d
+    # starts again from p and gives generators of Z(p) and p's class; the
+    # walk with those splits each class, asked in any order, into Z(p)'s
+    # orbits, maps each x to the least c of its orbit, and gives generators
+    # of the stabiliser of c in Z(p) and the members of c's orbit.
+    kernel, rng = MoveKernel(d), random.Random(d)
     group = list(all_perms(d))
+    symmetric = kernel.encode_word(centraliser_generators(Perm.identity(d)))
     for ct in all_cycle_types(d):
-        p = class_elements(d, ct)[-1]
+        p = class_elements(d, ct)[0]
         centraliser = {g for g in group if g.conjugate(p) == p}
-        back, stabilisers = orbits._conjugation_orbits(
-            kernel, kernel.encode_word(orbits.symmetric_generators(d)), [kernel.encode(p)])
+        back, stabilisers = asked_in_order(kernel, symmetric, [kernel.encode(class_elements(d, ct)[-1])])
         gens, orbit = stabilisers[kernel.encode(p)]
         assert list(stabilisers) == [kernel.encode(p)]
         assert closure(d, kernel.decode_word(gens)) == centraliser
         assert set(kernel.decode_word(tuple(back))) == set(kernel.decode_word(orbit)) == set(class_elements(d, ct))
         for members in map(functools.partial(class_elements, d), all_cycle_types(d)):
-            back, stabilisers = orbits._conjugation_orbits(kernel, gens, kernel.encode_word(members))
-            want = {frozenset(g.conjugate(x) for g in centraliser) for x in members}
-            assert set(kernel.decode_word(tuple(back))) == set(members)
-            assert sorted(kernel.decode_word(tuple(stabilisers))) == sorted(map(min, want))
-            for orbit in want:
-                c = min(orbit)
-                for x in orbit:
-                    assert kernel.decode(back[kernel.encode(x)]).conjugate(x) == c
-                stabiliser, members_of_c = stabilisers[kernel.encode(c)]
-                assert set(kernel.decode_word(members_of_c)) == orbit
-                assert closure(d, kernel.decode_word(stabiliser)) == {g for g in centraliser if g.conjugate(c) == c}
+            check_any_order(kernel, gens, centraliser, members, rng)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_levels_match_brute_force(d):
-    # For a product p of each class, on the factors of every class: every
-    # level reached from Z(p) through the stabilisers of its least members
-    # splits the factors into the orbits of its group H, maps each x to an
-    # h_x in H taking it to the least member c of its orbit, lists that
-    # orbit, and gives generators of exactly Stab_H(c).
-    classes = tuple(ct for ct in all_cycle_types(d) if ct != (1,) * d)
-    members = [x for ct in classes for x in class_elements(d, ct)]
-    kernel = kernel_of(d)
+    # For a product p of each class, on the factors of every class, asked
+    # in any order: every level reached from Z(p) through the stabilisers
+    # of its least members splits the factors into the orbits of its group
+    # H, maps each x to an h_x in H taking it to the least member c of its
+    # orbit, lists that orbit, and gives generators of exactly Stab_H(c).
+    members = [x for ct in all_cycle_types(d) if ct != (1,) * d for x in class_elements(d, ct)]
+    kernel, rng = kernel_of(d), random.Random(d)
+    coded = kernel.encode_word(members)
+    orbits._conjugating_group.cache_clear()
     for ct in all_cycle_types(d):
         p = class_elements(d, ct)[-1]
-        order, gens, levels = orbits._conjugating_group(d, p, classes)
+        order, gens, levels = orbits._conjugating_group(d, p)
         assert len(closure(d, kernel.decode_word(gens))) == order == sum(g.conjugate(p) == p for g in all_perms(d))
         queue, seen = [gens], {gens}
         for level_gens in queue:  # grows while it is walked
             group = closure(d, kernel.decode_word(level_gens))
             back, stabilisers = levels[level_gens]
-            assert set(kernel.decode_word(tuple(back))) == set(members)
-            want = {frozenset(g.conjugate(x) for g in group) for x in members}
-            assert sorted(kernel.decode_word(tuple(stabilisers))) == sorted(map(min, want))
-            for orbit in want:
-                c = min(orbit)
-                for x in orbit:
-                    h = kernel.decode(back[kernel.encode(x)])
-                    assert h in group and h.conjugate(x) == c
-                stabiliser, members_of_c = stabilisers[kernel.encode(c)]
-                assert set(kernel.decode_word(members_of_c)) == orbit
-                assert closure(d, kernel.decode_word(stabiliser)) == {g for g in group if g.conjugate(c) == c}
+            for x in rng.sample(coded, len(coded)):
+                back[x]
+            assert (back, stabilisers) == asked_in_order(kernel, level_gens, sorted(coded))
+            for stabiliser in check_orbits(kernel, back, stabilisers, group, members):
                 if stabiliser not in seen:
                     seen.add(stabiliser)
                     queue.append(stabiliser)
@@ -592,7 +618,7 @@ def test_two_and_three_factors(monkeypatch, d, n, product):
             orbits._conjugating_group.cache_clear()
             count_orbits_in_fiber(spec, LIM)
             walked = list(calls)
-            _, gens, levels = orbits._conjugating_group(d, p, tuple(spec.type_vector.as_dict()))
+            _, gens, levels = orbits._conjugating_group(d, p)
             assert len(set(walked)) == len(walked) and walked[:1] in ([], [gens])
             if n <= 2:
                 assert walked == [gens] or not walked and not sub.coded
@@ -759,7 +785,8 @@ def clear_caches():
 
 # (degree, type, product, constraint, quotient, max_fiber), run in this
 # order: products of several classes, n = 2, 3 and 2 again on the same
-# classes and product, every constraint, the quotient on and off, and cuts.
+# classes and product, two types back to back under one product that is not
+# central, every constraint, the quotient on and off, and cuts.
 MIXED = [
     (4, "2,1,1:1;3,1:1", "(1,2,3,4)", "none", False, 200_000),
     (4, "2,1,1:1;3,1:2", "(1,2,3,4)", "none", False, 200_000),
@@ -770,6 +797,8 @@ MIXED = [
     (5, "2,1,1,1:3", "(1,2,3)", "none", False, 200_000),
     (5, "2,1,1,1:3", "(1,2,3)", "transitive", False, 200_000),
     (5, "2,1,1,1:1;3,2:2", "(3,4,5)", "full_group", False, 200_000),
+    (5, "2,1,1,1:2;2,2,1:1", "(1,2)(3,4)", "none", False, 200_000),
+    (5, "2,1,1,1:4", "(1,2)(3,4)", "none", False, 200_000),
     (4, "2,1,1:6", "(1,2)(3,4)", "transitive", False, 200_000),
     (4, "2,1,1:6", "(1,2)(3,4)", "none", False, 100),
     (4, "2,1,1:6", "()", "full_group", False, 200_000),
@@ -830,11 +859,12 @@ def test_verdicts_kept_past_their_bound_are_dropped(monkeypatch):
 
 
 def test_groups_kept_past_their_bound_are_rebuilt():
-    # Two types under every odd product of S_5 make more (product, classes)
-    # keys than TABLES_KEPT, walked twice, so the second pass rebuilds every
-    # group the first evicted; each answer equals that from cleared tables.
-    specs = [FiberSpec(5, TypeVector.parse(t, 5), p) for t in ("2,1,1,1:3", "3,1,1:1;4,1:1")
-             for p in all_perms(5) if p.parity()]
+    # Every product of S_5, each under a type of its parity, makes more
+    # products than TABLES_KEPT, walked twice, so the second pass rebuilds
+    # every group the first evicted; each answer equals that from cleared
+    # tables.
+    specs = [FiberSpec(5, TypeVector.parse("2,1,1,1:3" if p.parity() else "2,1,1,1:4", 5), p)
+             for p in all_perms(5)]
     clear_caches()
     shared = [count_orbits_in_fiber(spec, LIM) for spec in specs * 2]
     info = orbits._conjugating_group.cache_info()
@@ -843,6 +873,24 @@ def test_groups_kept_past_their_bound_are_rebuilt():
         clear_caches()
         want = count_orbits_in_fiber(spec, LIM)
         assert shared[i] == shared[i + len(specs)] == want, spec
+
+
+def test_one_group_table_serves_every_type(monkeypatch):
+    # The 126 types of components --d 5 --b 4 build Z(1)'s tables once, and
+    # each row equals the row counted with the tables cleared before its type.
+    query = ComponentQuery(5, 4)
+    clear_caches()
+    body = count_components(query, LIM)
+    assert orbits._conjugating_group.cache_info().misses == 1 and len(body["rows"]) == 126
+    count = reports.count_orbits
+
+    def count_from_cleared_tables(spec, limits):
+        orbits._conjugating_group.cache_clear()
+        return count(spec, limits)
+
+    monkeypatch.setattr(reports, "count_orbits", count_from_cleared_tables)
+    assert count_components(query, LIM) == body
+    assert orbits._conjugating_group.cache_info().misses == 1
 
 
 # The fiber-count queries of degree 8 that take the centraliser of an
@@ -863,6 +911,6 @@ def test_kernel_of_degree_8_stays_small(capsys):
         assert main(argv) == 0
     capsys.readouterr()
     kernel = kernel_of(8)
-    entries = sum(len(row) for table in (kernel.conjugate, kernel.left, kernel.mul) for row in table.values())
+    entries = sum(len(row) for table in (kernel.conjugate, kernel.mul) for row in table.values())
     assert len(kernel._perms) < 7_000
     assert entries < 12_000
