@@ -49,7 +49,8 @@ class _Group(_Command, click.Group):
 
 @click.group(cls=_Group)
 @click.option("--max-states", type=int, default=DEFAULT_LIMITS.max_states, show_default=True,
-              help="State cap for orbit and equivalence searches (at least 2).")
+              help="Cap on the orbit size for orbit, and on the words explored by the "
+                   "equivalence and stable-tail searches (at least 2).")
 @click.option("--max-fiber", type=int, default=DEFAULT_LIMITS.max_fiber, show_default=True,
               help="Word cap for fiber enumeration.")
 @click.option("--workers", type=int, default=1, show_default=True,
@@ -117,7 +118,8 @@ def class_info_cmd(cfg: RunConfig, degree: int, class_text: str, limit: int) -> 
 @click.option("--conj", is_flag=True, help="Also close under simultaneous conjugation.")
 @click.pass_obj
 def orbit_cmd(cfg: RunConfig, degree: int, word_text: str, conj: bool) -> int:
-    """Enumerate the move orbit of a word."""
+    """Size and least word of a word's move orbit, from the word's class on
+    the sub-fiber of its product's centraliser."""
     word = Factorization.parse_word(degree, word_text)
     query = {"d": degree, "word": reports.word_to_list(word), "conj": conj}
 

@@ -18,10 +18,11 @@ of digits it rewrites, times a power of d!, so no tuple is built or hashed.
 Packed words of one length compare as their coded tuples do and a move
 rewrites the same two factors, so the searches visit the same words in the
 same order, and give the same certificates, as on tuples.  The orbit
-closure and the fiber's orbits follow each word to its images under two
-braid generators, R_1 and the rotation (:func:`orbit_images`), on tuples:
-the rotation's image is one whole-row ``map``, where a packed word would
-take a digit operation per factor.  Fiber enumeration carries target^-1
+searches follow each word to its images under two braid generators, R_1
+and the rotation, on tuples: the rotation's image is one whole-row ``map``,
+where a packed word would take a digit operation per factor.  Only the
+cross-check :func:`orbit_partition_by_sweeps` closes whole orbits, along
+:func:`orbit_images`, holding every word.  Fiber enumeration carries target^-1
 prefix as a code, one row of ``kernel.mul`` per node, and reads the last
 factor off its inverse, so only Z(p)'s tables below depend on the product,
 and they depend on nothing else: one set per product serves every type.
@@ -34,7 +35,10 @@ the stabiliser in G of those before it until that stabiliser is trivial
 orbits are walked on demand, each from its least member).  Each class
 splits into braid orbits, the cosets of the stabiliser its Schreier labels
 generate, which give the counts, least words and partitions
-(:func:`count_orbits_in_fiber`, whose row is :func:`count_orbits`).  Every
+(:func:`count_orbits_in_fiber`, whose row is :func:`count_orbits`).  The
+orbit of one word (:func:`enumerate_orbit`) takes the same search on the
+word's own class alone, with no fiber listed: the orbit's size is the sum
+of the class's G-orbit sizes over its number of braid orbits.  Every
 lazily filled table is a :class:`~hurwitz.words.Memo`.
 ``Perm`` words appear only at the boundaries: coding the inputs, decoding
 the results, and replaying certificates.  Coding keeps order, so the least
@@ -44,9 +48,10 @@ come out in the order of its ``Perm`` words.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Container, Iterable, Iterator
 
 from .perms import (Chain, CycleType, Perm, centraliser_generators, class_elements, class_reflection_length,
                     class_size, closure, generates_symmetric_group, is_transitive, validate_cycle_type)
@@ -195,7 +200,9 @@ def _orbit_states(kernel: MoveKernel, state0: Coded, max_states: int,
                   conjugation_quotient: bool = False) -> tuple[set[Coded], bool]:
     """The orbit of ``state0`` as a set, the forward closure under
     :func:`orbit_images`, and whether it is complete; an incomplete closure
-    holds exactly ``max_states`` words."""
+    holds exactly ``max_states`` words.  Every word of the orbit is held, so
+    only :func:`orbit_partition_by_sweeps`, the cross-check, walks it;
+    :func:`enumerate_orbit` walks the sub-fiber."""
     images = orbit_images(kernel, conjugation_quotient)
     visited = {state0}
     queue = [state0]
@@ -211,26 +218,84 @@ def _orbit_states(kernel: MoveKernel, state0: Coded, max_states: int,
 
 def enumerate_orbit(start: Factorization, limits: SearchLimits = DEFAULT_LIMITS,
                     conjugation_quotient: bool = False) -> OrbitReport:
-    """Enumerate the move orbit of ``start`` (plus conjugation edges when
-    ``conjugation_quotient``).
+    """The size of the braid orbit O of ``start`` (of B_n x S_d under
+    ``conjugation_quotient``) and, when complete, its lexicographically least
+    word (factors compared in one-line notation, words left to right).
 
-    When complete, ``canonical`` is the lexicographically least word of the
-    orbit (factors compared in one-line notation, words left to right).
+    Only the words of O's class Q of B_n x G on the sub-fiber F_0 of
+    G = Z(p), the centraliser of the product p, are walked, by the labelled
+    search of :func:`_sub_fiber_classes` from pi(start), which is
+    h start h^-1 for the h that :func:`_level_walk` reads off G's levels.
+    Each word u of F_0 stands for its G-orbit, whose size, u's weight, is
+    the product of the |X| over u's levels, so |Q| is the sum of the
+    weights.  Q splits into [G : H_Q] braid orbits, so |O| = |Q| / [G : H_Q],
+    and start lies in h^-1 O_0, for the orbit O_0 of pi(start), labelled 1:
+    O's least word is that of the coset h^-1 H_Q (:func:`_least_words`).
+    Under the quotient, S_d Q meets p's fiber in exactly Q, since g O has
+    product g p g^-1, so the size is |p's class| |Q|, and the least word is
+    the least of the S_d-least words of the words walked, each read off the
+    levels of S_d = Z(1) at every factor.
+
+    ``max_states`` caps |O| (the size under the quotient), as it did the
+    closure that held every word of O: a size past it, or more than
+    ``max_states`` words walked, ends the search as ``max_states`` words
+    found and no canonical word.  The walk is cut early by a lower bound:
+    every G-orbit in Q meets O, so O holds at least as many words as were
+    walked, and at least |Q'| |H'| / |G| (|p's class| |Q'| under the
+    quotient) for the weights Q' and the Schreier elements H' found so far,
+    which is tested each time the weights double past the cap.
+    ``states_explored`` is the size.
     """
-    kernel = kernel_of(start.degree)
-    visited, complete = _orbit_states(kernel, kernel.encode_word(start.factors),
-                                      limits.max_states, conjugation_quotient)
-    canonical = None
-    if complete:
-        canonical = Factorization.from_state(start.degree, kernel.decode_word(min(visited)))
-    return OrbitReport(
-        start=start,
-        size=len(visited),
-        complete=complete,
-        canonical=canonical,
-        states_explored=len(visited),
-        limit_hit=None if complete else f"max_states={limits.max_states}",
-    )
+    d, n, cap = start.degree, len(start), limits.max_states
+    kernel = kernel_of(d)
+    rows, identity = kernel.conjugate, kernel.identity
+    product = start.product()
+    order, gens, levels = _conjugating_group(d, product)
+    word = kernel.encode_word(start.factors)
+    h = _level_walk(kernel, levels)(identity, gens, word[:-1])[0]
+    edges = _sub_fiber_edges(kernel, gens, levels) if n > 1 else lambda w: ((), ())
+    scale = class_size(d, product.cycle_type()) if conjugation_quotient else 1
+
+    def weight(u: Coded) -> int:
+        stabiliser, k = gens, 1
+        for f in u[:-1]:
+            if not stabiliser:
+                break
+            stabiliser, members = levels[stabiliser][1][f]
+            k *= len(members)
+        return k
+
+    def cosets() -> tuple[int, Callable[[int], Perm] | None]:
+        # [G : H] and H's coset names, for the H that the Schreier elements found so far generate
+        # (G fixes a word of fewer than two factors, which no braid moves: its class is one orbit)
+        return (1, None) if conjugation_quotient or n < 2 else _braid_cosets(kernel, order, schreier)
+
+    labels: dict[Coded, int] = {}
+    schreier: set[int] = set()
+    weights, check = 0, cap // scale
+    for u in _labelled_class(tuple(map(rows[h].__getitem__, word)), edges, kernel, labels, schreier):
+        weights += weight(u)
+        if len(labels) > cap:
+            break
+        if weights > check:
+            if weights * scale // cosets()[0] > cap:
+                break
+            check = 2 * weights
+    else:
+        index, coset = cosets()
+        size = weights * scale // index
+        if size <= cap:
+            if conjugation_quotient:
+                _, s_gens, s_levels = _conjugating_group(d, Perm.identity(d))
+                walk = _level_walk(kernel, s_levels)
+                least = min(tuple(map(rows[walk(identity, s_gens, u)[0]].__getitem__, u)) for u in labels)
+            elif index == 1:  # O is Q, and F_0 holds its least word
+                least = min(labels)
+            else:
+                target = coset(kernel.inverse[h])
+                least = next(_least_words(kernel, labels, labels, gens, levels, coset, (target,)))[1]
+            return OrbitReport(start, size, True, Factorization.from_state(d, kernel.decode_word(least)), size)
+    return OrbitReport(start, cap, False, None, cap, f"max_states={cap}")
 
 
 @dataclass
@@ -569,25 +634,46 @@ def _conjugating_group(d: int, product: Perm) -> tuple[int, tuple[int, ...], Mem
 Edges = Callable[[Coded], tuple[Iterable[Coded], tuple[Memo, ...]]]
 
 
+#: pi's walk over the levels of a group: from h and the generators of a
+#: stabiliser, over factors, to the h and the stabiliser's generators left.
+Walk = Callable[[int, tuple[int, ...], Iterable[int]], tuple[int, tuple[int, ...]]]
+
+
+def _level_walk(kernel: MoveKernel, levels: Memo) -> Walk:
+    """The walk of pi over the ``levels`` of a group G
+    (:func:`_conjugating_group`): from h and the generators of a stabiliser,
+    then for each factor f in turn, while the stabiliser in G of those
+    before is not trivial, the h_x of x = h f h^-1 on its level times h; it
+    returns that h and the generators of the stabiliser left.  Walked from
+    the identity and G's generators over a word's factors (the last aside
+    when G centralises the word's product, which fixes it with the others),
+    h conjugates the word to the least word of its G-orbit."""
+    rows, mul, identity = kernel.conjugate, kernel.mul, kernel.identity
+
+    def walk(h: int, stabiliser: tuple[int, ...], factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+        row = rows[h]
+        for f in factors:
+            if not stabiliser:
+                break
+            back, orbits = levels[stabiliser]
+            x = row[f]
+            h_x = back[x]
+            if h_x != identity:  # else x is its orbit's least member, and h stays
+                h = mul[h_x][h]
+                row = rows[h]
+                x = rows[h_x][x]
+            stabiliser = orbits[x][0]
+        return h, stabiliser
+
+    return walk
+
+
 def _sub_fiber_edges(kernel: MoveKernel, gens: tuple[int, ...], levels: Memo) -> Edges:
     """The edges of :func:`_sub_fiber_classes` on the sub-fiber F_0 of G,
     the group that ``gens`` generate, with its ``levels``
     (:func:`_conjugating_group`); for words of at least two factors."""
     rows, mul, identity = kernel.conjugate, kernel.mul, kernel.identity
-
-    def walk(h: int, stabiliser: tuple[int, ...], factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
-        # h, then for each factor f in turn, while the stabiliser in G of those
-        # before is not trivial, the h_x of x = h f h^-1 on its level times h;
-        # and the generators of the stabiliser left
-        for f in factors:
-            if not stabiliser:
-                break
-            back, orbits = levels[stabiliser]
-            x = rows[h][f]
-            h_x = back[x]
-            h = mul[h_x][h]
-            stabiliser = orbits[rows[h_x][x]][0]
-        return h, stabiliser
+    walk = _level_walk(kernel, levels)
 
     def step_of(triple: Coded) -> tuple:
         # What the edges of (c, g, w_3, ...) need from its first factors, up
@@ -623,12 +709,12 @@ def _sub_fiber_edges(kernel: MoveKernel, gens: tuple[int, ...], levels: Memo) ->
     return edges
 
 
-def _sub_fiber_classes(coded: list[Coded], edges: Edges, identity: int
-                       ) -> tuple[list[int], list[tuple[list[int], set[tuple[int, int]]]]]:
+def _sub_fiber_classes(coded: list[Coded], edges: Edges, kernel: MoveKernel
+                       ) -> tuple[dict[Coded, int], list[tuple[list[Coded], set[int]]]]:
     """The classes Q of B_n x G on G's sub-fiber ``coded``, by one labelled
-    search: each word's label (a code; ``identity`` is 1's), and each class
-    as its indices into ``coded`` and its Schreier pairs (b, f a), whose
-    b^-1 f a generate H_Q.
+    search (:func:`_labelled_class`) from each word not yet reached: each
+    word's label (a code), and each class as its words and the codes of
+    the Schreier elements b^-1 f a that generate H_Q.
 
     G, acting by conjugation, is Z(p), the centraliser of the fiber's
     product p (:func:`count_orbits_in_fiber`).  Its sub-fiber F_0 holds the
@@ -660,8 +746,8 @@ def _sub_fiber_classes(coded: list[Coded], edges: Edges, identity: int
     labels each word it reaches with an a in G such that the word lies in
     a O: the class's first word u_0 gets the identity, and an edge by f
     takes the label a to f a.  When an edge by f from a word labelled a
-    reaches a word already labelled b, the pair (b, f a) is kept, and
-    b^-1 f a lies in H_Q, because two labels of one word name one orbit.
+    reaches a word already labelled b, the element b^-1 f a is kept, and it
+    lies in H_Q, because two labels of one word name one orbit.
     These elements generate H_Q (Schreier's lemma; Seress, *Permutation
     Group Algorithms*, 2003, ch. 4).  Every edge gives f a in b K, for the
     group K they generate, so a walk from u_0 to a word labelled b whose
@@ -680,70 +766,103 @@ def _sub_fiber_classes(coded: list[Coded], edges: Edges, identity: int
     one per coset g Stab_G(u), and the least word of c O is the least of
     them for the least x that has one.
     """
-    index = {w: i for i, w in enumerate(coded)}.get
-    labels = [-1] * len(coded)  # kernel codes are never negative
+    labels: dict[Coded, int | Coded] = {u: u for u in coded}  # each word, until it is labelled
     classes = []
-    for i in range(len(coded)):
-        if labels[i] >= 0:
-            continue
-        labels[i] = identity
-        members = [i]
-        schreier = set()
-        for j in members:  # grows while it is walked
-            a = labels[j]
-            images, factors = edges(coded[j])
-            for v, f in zip(images, factors):
-                k = index(v)
-                if k is None:
-                    raise RuntimeError("moves must stay inside the fiber")
-                label = f[a]
-                b = labels[k]
-                if b < 0:
-                    labels[k] = label
-                    members.append(k)
-                elif b != label:
-                    schreier.add((b, label))
-        classes.append((members, schreier))
+    for u in coded:
+        if labels[u] is u:
+            schreier: set[int] = set()
+            classes.append((list(_labelled_class(u, edges, kernel, labels, schreier)), schreier))
+    # Every word of F_0 is labelled, so a word outside it was labelled too
+    # exactly when more words were labelled than F_0 holds.
+    if len(labels) != len(coded):
+        raise RuntimeError("moves must stay inside the fiber")
     return labels, classes
 
 
-def _least_words(kernel: MoveKernel, coded: list[Coded], members: list[int], labels: list[int],
-                 gens: tuple[int, ...], levels: Memo, coset: Callable[[int], Perm], index: int) -> list[Coded]:
-    """The least word of each of the ``index`` braid orbits of one class of
-    G on F_0 (proof in :func:`_sub_fiber_classes`): walk in code order the
-    members x of the orbits X whose c_X starts a word of the class, and give
-    each coset first reached the least of the words h_x^-1 s u of the class,
-    for the u starting with c_X and the s of a transversal of Stab_G(u) in
-    Stab_G(c_X), the products of one h_y^-1 per level below the first, read
-    off the levels."""
+def _labelled_class(root: Coded, edges: Edges, kernel: MoveKernel, labels: dict[Coded, int | Coded],
+                    schreier: set[int]) -> Iterator[Coded]:
+    """The labelled search of :func:`_sub_fiber_classes` on the class of
+    ``root``, which it labels 1: each word is yielded as it is labelled into
+    ``labels``, and the code of each Schreier element b^-1 f a of H_Q goes
+    into ``schreier``, once however many edges give it.  A caller may stop
+    iterating at any word.  A word that ``labels`` maps to itself is a word
+    not yet labelled, and that object, not the equal image an edge built,
+    is the one kept and yielded, so the words of a listed sub-fiber are
+    held once."""
+    mul, inverse = kernel.mul, kernel.inverse
+    labels[root] = kernel.identity
+    yield root
+    queue = [root]
+    for u in queue:  # grows while it is walked
+        a = labels[u]
+        images, factors = edges(u)
+        for v, f in zip(images, factors):
+            label = f[a]
+            b = labels.get(v, v)
+            if b.__class__ is tuple:  # not yet labelled
+                labels[b] = label
+                queue.append(b)
+                yield b
+            elif b != label:
+                schreier.add(mul[inverse[b]][label])
+
+
+def _least_words(kernel: MoveKernel, members: Iterable[Coded], labels: dict[Coded, int], gens: tuple[int, ...],
+                 levels: Memo, coset: Callable[[int], Perm], wanted: Container[Perm] | None = None
+                 ) -> Iterator[tuple[Perm, Coded]]:
+    """The least word of each braid orbit of one class of G on F_0, whose
+    words are ``members``, or of each whose coset is ``wanted``, with the
+    name of its coset (proof in :func:`_sub_fiber_classes`): walk in code
+    order the members x of the orbits X whose c_X starts a word of the
+    class, and give each coset first reached the least of the words
+    h_x^-1 s u of the class, for the u starting with c_X and the s of a
+    transversal of Stab_G(u) in Stab_G(c_X), the products of one h_y^-1 per
+    level below the first, read off the levels.  The cosets come out as they
+    are reached, so a caller stops once it has the ones it wants, and the
+    transversals of the words starting with c_X are made when X is first
+    walked."""
     rows, mul, inverse = kernel.conjugate, kernel.mul, kernel.inverse
     back, orbits = levels[gens]
-    starting: dict[int, list[tuple[int, list[int]]]] = {}  # c_X -> its members, each with its transversal
-    for i in members:
-        u = coded[i]
-        stabiliser, transversal = orbits[u[0]][0], [kernel.identity]
-        for f in u[1:-1]:  # each factor of F_0 is the least member c_Y of its orbit Y on its level
-            if not stabiliser:
-                break
-            level_back, level = levels[stabiliser]
-            transversal = [mul[s][inverse[level_back[y]]] for s in transversal for y in level[f][1]]
-            stabiliser = level[f][0]
-        starting.setdefault(u[0], []).append((i, transversal))
-    least: dict[Perm, Coded] = {}
+    starting: dict[int, list[Coded]] = {}  # c_X -> the words starting with it
+    for u in members:
+        starting.setdefault(u[0], []).append(u)
+
+    def with_transversals(c: int) -> list[tuple[Coded, list[int]]]:
+        out = []
+        for u in starting[c]:
+            stabiliser, transversal = orbits[c][0], [kernel.identity]
+            for f in u[1:-1]:  # each factor of F_0 is the least member c_Y of its orbit Y on its level
+                if not stabiliser:
+                    break
+                level_back, level = levels[stabiliser]
+                stabiliser, orbit = level[f]
+                if len(orbit) > 1:  # a fixed f leaves the transversal as it is
+                    transversal = [mul[s][inverse[level_back[y]]] for s in transversal for y in orbit]
+            out.append((u, transversal))
+        return out
+
+    transversals = Memo(with_transversals)
+    least: set[Perm] = set()
     for x, c in sorted((x, c) for c in starting for x in orbits[c][1]):
         h_inv = inverse[back[x]]
         reached: dict[Perm, Coded] = {}
-        for i, transversal in starting[c]:
+        for u, transversal in transversals[c]:
             for s in transversal:
                 g = mul[h_inv][s]
-                k = coset(mul[g][labels[i]])
-                if k not in least:
-                    w = tuple(map(rows[g].__getitem__, coded[i]))
+                k = coset(mul[g][labels[u]])
+                if k not in least and (wanted is None or k in wanted):
+                    w = tuple(map(rows[g].__getitem__, u))
                     reached[k] = min(reached.get(k, w), w)
         least.update(reached)
-        if len(least) == index:
-            break
-    return list(least.values())
+        yield from reached.items()
+
+
+def _braid_cosets(kernel: MoveKernel, order: int, schreier: set[int]) -> tuple[int, Callable[[int], Perm]]:
+    """[G : H_Q], for G of ``order`` and H_Q generated by the codes
+    ``schreier`` (:func:`_labelled_class`), and the name of the left coset
+    g H_Q of a code g: the least element of the coset, by H_Q's chain."""
+    stabiliser = Chain(kernel.degree, map(kernel.decode, schreier))
+    return order // stabiliser.order(), Memo(lambda g: stabiliser.least_in_coset(kernel.decode(g))).__getitem__
 
 
 @dataclass
@@ -780,10 +899,10 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
     if not fr.complete:
         return FiberOrbitReport(None, None, [], False, fr.limit_hit)
 
-    mul, rows, inverse = kernel.mul, kernel.conjugate, kernel.inverse
+    mul, rows = kernel.mul, kernel.conjugate
     order, gens, levels = _conjugating_group(d, spec.product)
     edges = _sub_fiber_edges(kernel, gens, levels) if n > 1 else lambda w: ((), ())
-    labels, classes = _sub_fiber_classes(coded, edges, kernel.identity)
+    labels, classes = _sub_fiber_classes(coded, edges, kernel)
 
     group = kernel.encode_word(closure(d, kernel.decode_word(gens))) if want_partition else ()
     count, least, blocks = 0, [], []
@@ -791,19 +910,17 @@ def count_orbits_in_fiber(spec: FiberSpec, limits: SearchLimits = DEFAULT_LIMITS
         if spec.conjugation_quotient or n < 2:
             index, coset = 1, lambda g: None
         else:
-            stabiliser = Chain(d, [kernel.decode(mul[inverse[b]][fa]) for b, fa in schreier])
-            index = order // stabiliser.order()
-            coset = Memo(lambda g: stabiliser.least_in_coset(kernel.decode(g))).__getitem__
+            index, coset = _braid_cosets(kernel, order, schreier)
         count += index
         if index == 1:
-            least.append(min(map(coded.__getitem__, members)))
+            least.append(min(members))
         else:
-            least += _least_words(kernel, coded, members, labels, gens, levels, coset, index)
+            least += [w for _, w in itertools.islice(_least_words(kernel, members, labels, gens, levels, coset), index)]
         if want_partition:  # g u, for u labelled a, lies in the orbit of g a's coset
             parts: dict[Perm | None, set[Coded]] = {}
-            for i in members:
+            for u in members:
                 for g in group:
-                    parts.setdefault(coset(mul[g][labels[i]]), set()).add(tuple(map(rows[g].__getitem__, coded[i])))
+                    parts.setdefault(coset(mul[g][labels[u]]), set()).add(tuple(map(rows[g].__getitem__, u)))
             blocks += parts.values()
     return FiberOrbitReport(
         fiber_size=fr.size,

@@ -140,6 +140,61 @@ def test_orbit_matches_oracle_flood(w, conj, cut):
         assert (r.size, r.states_explored, r.complete, r.canonical) == (m, m, False, None)
 
 
+def closure_answer(w, max_states, conj):
+    """The answer of the closure that holds every word of the orbit, the
+    reference: size, complete, canonical, states explored and limit hit."""
+    kernel = MoveKernel(w.degree)
+    visited, complete = orbits._orbit_states(kernel, kernel.encode_word(w.factors), max_states, conj)
+    canonical = Factorization.from_state(w.degree, kernel.decode_word(min(visited))) if complete else None
+    return len(visited), complete, canonical, len(visited), None if complete else f"max_states={max_states}"
+
+
+def seeded_orbit_words():
+    """Words of degree 3 to 6 from a fixed seed, every fourth asked under the
+    quotient: words over the permutations of the first k >= 3 points, and
+    every third of identity product, u followed by u's inverses in reverse."""
+    rng = random.Random(28)
+    out = []
+    for i in range(36):
+        d = 3 + i % 4
+        k = rng.randint(3, d)
+        pool = [Perm(p + tuple(range(k + 1, d + 1))) for p in itertools.permutations(range(1, k + 1))][1:]
+        if i % 3 == 0:
+            half = [rng.choice(pool) for _ in range(rng.randint(2, 4))]
+            factors = half + [f.inverse() for f in reversed(half)]
+        else:
+            factors = [rng.choice(pool) for _ in range(rng.randint(2, 6))]
+        out.append((Factorization(d, tuple(factors)), i % 4 == 1))
+    return out
+
+
+# Identity-product words whose orbits (2,184 to 43,200 words) are past the
+# oracle flood's reach, and a d=8 word whose orbit holds 53,760.
+ORBITS_PAST_THE_FLOOD = [
+    (W(3, "(1,2) (2,3) (1,3) (1,2) (1,2) (1,3) (2,3) (1,2)"), False),
+    (W(5, "(2,4) (3,5) (1,3) (1,5) (1,5) (1,3) (3,5) (2,4)"), False),
+    (W(5, "(1,2) (2,5) (3,5) (3,5) (2,5) (1,2)"), True),
+    (W(6, "(2,6) (1,3) (3,5) (1,5) (1,5) (3,5) (1,3) (2,6)"), False),
+    (W(6, "(3,6) (4,5) (3,5) (3,5) (4,5) (3,6)"), True),
+    (W(8, "(1,2) (2,3) (1,2) (4,5) (6,7) (6,7) (7,8) (1,3)"), False),
+]
+
+
+@pytest.mark.parametrize("w,conj", seeded_orbit_words() + ORBITS_PAST_THE_FLOOD,
+                         ids=lambda x: str(x) if isinstance(x, bool) else " ".join(map(str, x.factors)))
+def test_orbit_matches_the_closure(w, conj):
+    """The sub-fiber walk gives the closure's answer, whole (or cut at the
+    reference's 60,000 words) and cut at 2, 7, 100 and one word below the
+    orbit's size, where the walk may finish with a size past the cap."""
+    cap = 60_000
+    whole = closure_answer(w, cap, conj)
+    cuts = {cap} | {m for m in (2, 7, 100, whole[0] - 1) if 2 <= m < whole[0]}
+    for m in sorted(cuts):
+        r = enumerate_orbit(w, SearchLimits(max_states=m), conjugation_quotient=conj)
+        want = whole if m == cap else closure_answer(w, m, conj)
+        assert (r.size, r.complete, r.canonical, r.states_explored, r.limit_hit) == want, m
+
+
 class TestEquivalence:
     def test_reflexive(self):
         w = W(3, "(1,2)(2,3)")
