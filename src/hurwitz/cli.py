@@ -118,8 +118,9 @@ def class_info_cmd(cfg: RunConfig, degree: int, class_text: str, limit: int) -> 
 @click.option("--conj", is_flag=True, help="Also close under simultaneous conjugation.")
 @click.pass_obj
 def orbit_cmd(cfg: RunConfig, degree: int, word_text: str, conj: bool) -> int:
-    """Size and least word of a word's move orbit, from the word's class on
-    the sub-fiber of its product's centraliser."""
+    """Size and least word of a word's move orbit: closed when small, else,
+    for factors generating S_d, from the word's class on the sub-fiber of
+    its product's centraliser."""
     word = Factorization.parse_word(degree, word_text)
     query = {"d": degree, "word": reports.word_to_list(word), "conj": conj}
 

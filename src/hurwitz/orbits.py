@@ -20,9 +20,11 @@ rewrites the same two factors, so the searches visit the same words in the
 same order, and give the same certificates, as on tuples.  The orbit
 searches follow each word to its images under two braid generators, R_1
 and the rotation, on tuples: the rotation's image is one whole-row ``map``,
-where a packed word would take a digit operation per factor.  Only the
-cross-check :func:`orbit_partition_by_sweeps` closes whole orbits, along
-:func:`orbit_images`, holding every word.  Fiber enumeration carries target^-1
+where a packed word would take a digit operation per factor.  The closure
+along :func:`orbit_images` holds every word of an orbit: the cross-check
+:func:`orbit_partition_by_sweeps` takes it, and so does
+:func:`enumerate_orbit` for small orbits and words whose factors do not
+generate S_d.  Fiber enumeration carries target^-1
 prefix as a code, one row of ``kernel.mul`` per node, and reads the last
 factor off its inverse, so only Z(p)'s tables below depend on the product,
 and they depend on nothing else: one set per product serves every type.
@@ -36,9 +38,10 @@ orbits are walked on demand, each from its least member).  Each class
 splits into braid orbits, the cosets of the stabiliser its Schreier labels
 generate, which give the counts, least words and partitions
 (:func:`count_orbits_in_fiber`, whose row is :func:`count_orbits`).  The
-orbit of one word (:func:`enumerate_orbit`) takes the same search on the
-word's own class alone, with no fiber listed: the orbit's size is the sum
-of the class's G-orbit sizes over its number of braid orbits.  Every
+orbit of one larger word generating S_d (:func:`enumerate_orbit`) takes
+the same search on the word's own class alone, with no fiber listed: the
+orbit's size is the sum of the class's G-orbit sizes over its number of
+braid orbits.  Every
 lazily filled table is a :class:`~hurwitz.words.Memo`.
 ``Perm`` words appear only at the boundaries: coding the inputs, decoding
 the results, and replaying certificates.  Coding keeps order, so the least
@@ -51,7 +54,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .perms import (Chain, CycleType, Perm, centraliser_generators, class_elements, class_reflection_length,
                     class_size, closure, generates_symmetric_group, is_transitive, validate_cycle_type)
@@ -201,8 +204,9 @@ def _orbit_states(kernel: MoveKernel, state0: Coded, max_states: int,
     """The orbit of ``state0`` as a set, the forward closure under
     :func:`orbit_images`, and whether it is complete; an incomplete closure
     holds exactly ``max_states`` words.  Every word of the orbit is held, so
-    only :func:`orbit_partition_by_sweeps`, the cross-check, walks it;
-    :func:`enumerate_orbit` walks the sub-fiber."""
+    :func:`enumerate_orbit` closes an orbit only up to the cap or its
+    ``reach``; :func:`orbit_partition_by_sweeps`, the cross-check, closes
+    every orbit."""
     images = orbit_images(kernel, conjugation_quotient)
     visited = {state0}
     queue = [state0]
@@ -221,6 +225,41 @@ def enumerate_orbit(start: Factorization, limits: SearchLimits = DEFAULT_LIMITS,
     """The size of the braid orbit O of ``start`` (of B_n x S_d under
     ``conjugation_quotient``) and, when complete, its lexicographically least
     word (factors compared in one-line notation, words left to right).
+    ``max_states`` caps |O|: an orbit past it is reported as ``max_states``
+    words found and no canonical word.  ``states_explored`` is the size.
+
+    Two searches give the same answers.  The closure (:func:`_orbit_states`)
+    holds every word of O.  The class walk (:func:`_class_orbit`) holds only
+    the words of O's class on the sub-fiber of Z(p), but on each level of a
+    group it meets it walks the conjugation orbit of one factor, up to
+    ``reach`` members: the largest class of a factor, and also at most
+    |Z(p)| outside the quotient (under it, the least word is read off the
+    levels of S_d).
+    Its gain grows with the stabiliser in Z(p) of one braid orbit, which is
+    large where the factors generate S_d and can be trivial elsewhere.  So
+    the class walk runs only on words whose factors generate S_d, and only
+    once the closure has passed ``reach`` words below the cap: a small orbit
+    is closed as before, and no level walks more members than O has words
+    or the cap allows.
+    """
+    d, cap = start.degree, limits.max_states
+    kernel = kernel_of(d)
+    reach = max((class_size(d, ct) for ct in {f.cycle_type() for f in start.factors}), default=1)
+    if not conjugation_quotient:
+        reach = min(reach, math.factorial(d) // class_size(d, start.product().cycle_type()))
+    walk_class = reach < cap and generates_symmetric_group(d, start.factors)
+    visited, complete = _orbit_states(kernel, kernel.encode_word(start.factors), reach if walk_class else cap,
+                                      conjugation_quotient)
+    if walk_class and not complete:  # |O| > reach, so O has two factors or more
+        return _class_orbit(start, cap, conjugation_quotient)
+    canonical = Factorization.from_state(d, kernel.decode_word(min(visited))) if complete else None
+    return OrbitReport(start, len(visited), complete, canonical, len(visited),
+                       None if complete else f"max_states={cap}")
+
+
+def _class_orbit(start: Factorization, max_states: int, conjugation_quotient: bool) -> OrbitReport:
+    """:func:`enumerate_orbit`'s answer for a word of two factors or more,
+    from its class.
 
     Only the words of O's class Q of B_n x G on the sub-fiber F_0 of
     G = Z(p), the centraliser of the product p, are walked, by the labelled
@@ -236,24 +275,21 @@ def enumerate_orbit(start: Factorization, limits: SearchLimits = DEFAULT_LIMITS,
     the least of the S_d-least words of the words walked, each read off the
     levels of S_d = Z(1) at every factor.
 
-    ``max_states`` caps |O| (the size under the quotient), as it did the
-    closure that held every word of O: a size past it, or more than
-    ``max_states`` words walked, ends the search as ``max_states`` words
-    found and no canonical word.  The walk is cut early by a lower bound:
+    A size past ``max_states``, or more than ``max_states`` words walked,
+    ends the search as the cap hit.  The walk is cut early by a lower bound:
     every G-orbit in Q meets O, so O holds at least as many words as were
     walked, and at least |Q'| |H'| / |G| (|p's class| |Q'| under the
     quotient) for the weights Q' and the Schreier elements H' found so far,
     which is tested each time the weights double past the cap.
-    ``states_explored`` is the size.
     """
-    d, n, cap = start.degree, len(start), limits.max_states
+    d, cap = start.degree, max_states
     kernel = kernel_of(d)
     rows, identity = kernel.conjugate, kernel.identity
     product = start.product()
     order, gens, levels = _conjugating_group(d, product)
     word = kernel.encode_word(start.factors)
     h = _level_walk(kernel, levels)(identity, gens, word[:-1])[0]
-    edges = _sub_fiber_edges(kernel, gens, levels) if n > 1 else lambda w: ((), ())
+    edges = _sub_fiber_edges(kernel, gens, levels)
     scale = class_size(d, product.cycle_type()) if conjugation_quotient else 1
 
     def weight(u: Coded) -> int:
@@ -267,8 +303,7 @@ def enumerate_orbit(start: Factorization, limits: SearchLimits = DEFAULT_LIMITS,
 
     def cosets() -> tuple[int, Callable[[int], Perm] | None]:
         # [G : H] and H's coset names, for the H that the Schreier elements found so far generate
-        # (G fixes a word of fewer than two factors, which no braid moves: its class is one orbit)
-        return (1, None) if conjugation_quotient or n < 2 else _braid_cosets(kernel, order, schreier)
+        return (1, None) if conjugation_quotient else _braid_cosets(kernel, order, schreier)
 
     labels: dict[Coded, int] = {}
     schreier: set[int] = set()
@@ -293,7 +328,7 @@ def enumerate_orbit(start: Factorization, limits: SearchLimits = DEFAULT_LIMITS,
                 least = min(labels)
             else:
                 target = coset(kernel.inverse[h])
-                least = next(_least_words(kernel, labels, labels, gens, levels, coset, (target,)))[1]
+                least = next(w for k, w in _least_words(kernel, labels, labels, gens, levels, coset) if k == target)
             return OrbitReport(start, size, True, Factorization.from_state(d, kernel.decode_word(least)), size)
     return OrbitReport(start, cap, False, None, cap, f"max_states={cap}")
 
@@ -808,19 +843,17 @@ def _labelled_class(root: Coded, edges: Edges, kernel: MoveKernel, labels: dict[
 
 
 def _least_words(kernel: MoveKernel, members: Iterable[Coded], labels: dict[Coded, int], gens: tuple[int, ...],
-                 levels: Memo, coset: Callable[[int], Perm], wanted: Container[Perm] | None = None
-                 ) -> Iterator[tuple[Perm, Coded]]:
+                 levels: Memo, coset: Callable[[int], Perm]) -> Iterator[tuple[Perm, Coded]]:
     """The least word of each braid orbit of one class of G on F_0, whose
-    words are ``members``, or of each whose coset is ``wanted``, with the
-    name of its coset (proof in :func:`_sub_fiber_classes`): walk in code
-    order the members x of the orbits X whose c_X starts a word of the
-    class, and give each coset first reached the least of the words
-    h_x^-1 s u of the class, for the u starting with c_X and the s of a
-    transversal of Stab_G(u) in Stab_G(c_X), the products of one h_y^-1 per
-    level below the first, read off the levels.  The cosets come out as they
-    are reached, so a caller stops once it has the ones it wants, and the
-    transversals of the words starting with c_X are made when X is first
-    walked."""
+    words are ``members``, with the name of its coset (proof in
+    :func:`_sub_fiber_classes`): walk in code order the members x of the
+    orbits X whose c_X starts a word of the class, and give each coset
+    first reached the least of the words h_x^-1 s u of the class, for the u
+    starting with c_X and the s of a transversal of Stab_G(u) in
+    Stab_G(c_X), the products of one h_y^-1 per level below the first, read
+    off the levels.  The cosets come out as they are reached, so a caller
+    stops once it has the ones it wants, and the transversals of the words
+    starting with c_X are made when X is first walked."""
     rows, mul, inverse = kernel.conjugate, kernel.mul, kernel.inverse
     back, orbits = levels[gens]
     starting: dict[int, list[Coded]] = {}  # c_X -> the words starting with it
@@ -850,7 +883,7 @@ def _least_words(kernel: MoveKernel, members: Iterable[Coded], labels: dict[Code
             for s in transversal:
                 g = mul[h_inv][s]
                 k = coset(mul[g][labels[u]])
-                if k not in least and (wanted is None or k in wanted):
+                if k not in least:
                     w = tuple(map(rows[g].__getitem__, u))
                     reached[k] = min(reached.get(k, w), w)
         least.update(reached)

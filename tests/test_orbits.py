@@ -169,8 +169,12 @@ def seeded_orbit_words():
 
 
 # Identity-product words whose orbits (2,184 to 43,200 words) are past the
-# oracle flood's reach, and a d=8 word whose orbit holds 53,760.
+# oracle flood's reach, a d=8 word whose orbit holds 53,760, and words
+# generating S_4 and S_5, which enumerate_orbit answers from their class.
 ORBITS_PAST_THE_FLOOD = [
+    (W(4, "(1,2) (2,3) (3,4) (1,2) (1,2) (3,4) (2,3) (1,2)"), False),
+    (W(4, "(1,2) (2,3) (3,4) (1,2) (1,2) (3,4) (2,3) (1,2)"), True),
+    (W(5, "(1,2) (2,3) (3,4) (4,5) (1,2) (2,3)"), False),
     (W(3, "(1,2) (2,3) (1,3) (1,2) (1,2) (1,3) (2,3) (1,2)"), False),
     (W(5, "(2,4) (3,5) (1,3) (1,5) (1,5) (1,3) (3,5) (2,4)"), False),
     (W(5, "(1,2) (2,5) (3,5) (3,5) (2,5) (1,2)"), True),
@@ -183,16 +187,41 @@ ORBITS_PAST_THE_FLOOD = [
 @pytest.mark.parametrize("w,conj", seeded_orbit_words() + ORBITS_PAST_THE_FLOOD,
                          ids=lambda x: str(x) if isinstance(x, bool) else " ".join(map(str, x.factors)))
 def test_orbit_matches_the_closure(w, conj):
-    """The sub-fiber walk gives the closure's answer, whole (or cut at the
+    """enumerate_orbit, and the class walk on the sub-fiber alone, whatever
+    the factors generate, give the closure's answer, whole (or cut at the
     reference's 60,000 words) and cut at 2, 7, 100 and one word below the
     orbit's size, where the walk may finish with a size past the cap."""
     cap = 60_000
     whole = closure_answer(w, cap, conj)
     cuts = {cap} | {m for m in (2, 7, 100, whole[0] - 1) if 2 <= m < whole[0]}
     for m in sorted(cuts):
-        r = enumerate_orbit(w, SearchLimits(max_states=m), conjugation_quotient=conj)
         want = whole if m == cap else closure_answer(w, m, conj)
-        assert (r.size, r.complete, r.canonical, r.states_explored, r.limit_hit) == want, m
+        for r in enumerate_orbit(w, SearchLimits(max_states=m), conjugation_quotient=conj), \
+                orbits._class_orbit(w, m, conj):
+            assert (r.size, r.complete, r.canonical, r.states_explored, r.limit_hit) == want, m
+
+
+@pytest.mark.parametrize("w,max_states,walks_class", [
+    # a 2-word orbit of 9-cycles, which do not generate S_9
+    (W(9, "(1,2,3,4,5,6,7,8,9) (1,9,8,7,6,5,4,3,2)"), 10_000_000, False),
+    # a 12-cycle and a transposition generate S_12, but a 12-cycle's class
+    # (11! members) is past the cap
+    (W(12, "(1,2,3,4,5,6,7,8,9,10,11,12) (1,2) (1,12,11,10,9,8,7,6,5,4,3)"), 2, False),
+    (W(12, "(1,2,3,4,5,6,7,8,9,10,11,12) (1,2) (1,12,11,10,9,8,7,6,5,4,3)"), 100, False),
+    # S_4, whose classes of transpositions (6 members) the closure passes at once
+    (W(4, "(1,2) (2,3) (3,4) (1,2) (1,2) (3,4) (2,3) (1,2)"), 10_000_000, True),
+])
+def test_orbit_walks_levels_only_past_their_reach(w, max_states, walks_class):
+    """The class walk, which walks conjugation orbits of factors on the
+    levels of Z(p), runs only on words generating S_d whose orbits pass the
+    largest orbit a level can hold and stay under the cap; every other
+    orbit is closed, and no level is walked."""
+    orbits._conjugating_group.cache_clear()
+    r = enumerate_orbit(w, SearchLimits(max_states=max_states))
+    assert (orbits._conjugating_group.cache_info().currsize > 0) == walks_class
+    # every orbit here that the cap does not cut has fewer than 200,000 words
+    assert (r.size, r.complete, r.canonical, r.states_explored, r.limit_hit) == closure_answer(
+        w, min(max_states, 200_000), False)
 
 
 class TestEquivalence:
